@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import block_diag, coo_matrix, diags
+from scipy.sparse import coo_matrix, diags
 
 from .mesh import StructuredTriMesh, boundary_dofs, p2_node_coords, p2_numbering
-from .sparse import CsrMatrix
+from .sparse import CsrMatrix, RepeatedBlock
 
 __all__ = [
     "QuadratureRule",
@@ -49,6 +49,7 @@ __all__ = [
     "assemble_vector_operators",
     "assemble_div_coupling",
     "assemble_load",
+    "p1_to_p2_prolongation",
     "error_norms",
     "apply_dirichlet",
     "interpolate",
@@ -311,23 +312,23 @@ def _scalar_stiffness(space: FunctionSpace) -> CsrMatrix:
     return _scatter(elem, space.scalar_element_dofs, space.scalar_element_dofs, (n, n))
 
 
-def assemble_mass(space: FunctionSpace) -> CsrMatrix:
-    """Mass matrix; block diagonal over components for vector spaces."""
+def assemble_mass(space: FunctionSpace) -> CsrMatrix | RepeatedBlock:
+    """Mass matrix; for vector spaces two copies of the scalar block."""
     m = _scalar_mass(space)
     if space.components == 1:
         return m
-    return block_diag((m, m), format="csr")
+    return RepeatedBlock(m)
 
 
-def assemble_stiffness(space: FunctionSpace) -> CsrMatrix:
-    """Stiffness matrix (grad, grad); block diagonal for vector spaces."""
+def assemble_stiffness(space: FunctionSpace) -> CsrMatrix | RepeatedBlock:
+    """Stiffness matrix (grad, grad); for vector spaces two copies of the scalar block."""
     a = _scalar_stiffness(space)
     if space.components == 1:
         return a
-    return block_diag((a, a), format="csr")
+    return RepeatedBlock(a)
 
 
-def assemble_vector_operators(space: FunctionSpace) -> tuple[CsrMatrix, CsrMatrix]:
+def assemble_vector_operators(space: FunctionSpace) -> tuple[RepeatedBlock, RepeatedBlock]:
     """(mass, stiffness) for the velocity space in one call."""
     if space.components != 2:
         raise ValueError("assemble_vector_operators needs a p2-vector space")
@@ -435,6 +436,21 @@ def error_norms(field: FieldVector, exact, exact_grad, t: float) -> tuple[float,
     return np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(l2sq + h1sq)
 
 
+def p1_to_p2_prolongation(mesh: StructuredTriMesh) -> CsrMatrix:
+    """Interpolation of P1 vertex values onto the P2 nodes of the same mesh.
+
+    The row of vertex v is the unit row of v; the row of midpoint
+    n_vertices + e holds 1/2 at both endpoints of edges[e].  P @ v is then
+    the P2 interpolant of the P1 function with vertex values v, which is
+    that function itself.
+    """
+    nv, ne = mesh.n_vertices, mesh.n_edges
+    rows = np.concatenate([np.arange(nv), nv + np.repeat(np.arange(ne), 2)])
+    cols = np.concatenate([np.arange(nv), mesh.edges.ravel()])
+    vals = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
+    return coo_matrix((vals, (rows, cols)), shape=(nv + ne, nv)).tocsr()
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet elimination
 # ---------------------------------------------------------------------------
@@ -445,7 +461,9 @@ class DirichletSystem:
     The eliminated matrix has identity rows and columns at the constrained
     dofs; reduce_rhs subtracts the lifted boundary values from the interior
     load and pins the constrained entries, so solving the reduced system gives
-    the constrained solution directly.
+    the constrained solution directly.  reduce_rhs also takes several copies
+    one after the other (a vector field stored component by component), with
+    their boundary values in the same order.
     """
 
     def __init__(self, matrix: CsrMatrix, dofs):
@@ -462,12 +480,13 @@ class DirichletSystem:
         self._columns = matrix.tocsc()[:, self.dofs].tocsr()
 
     def reduce_rhs(self, rhs: np.ndarray, values=0.0) -> np.ndarray:
-        out = np.array(rhs, dtype=float, copy=True)
-        vals = np.broadcast_to(np.asarray(values, dtype=float), self.dofs.shape)
+        out = np.array(rhs, dtype=float, copy=True).reshape(-1, self.n)
+        copies, nb = out.shape[0], self.dofs.shape[0]
+        vals = np.broadcast_to(np.asarray(values, dtype=float), (copies * nb,)).reshape(copies, nb)
         if np.any(vals):
-            out -= self._columns @ vals
-        out[self.dofs] = vals
-        return out
+            out -= (self._columns @ vals.T).T
+        out[:, self.dofs] = vals
+        return out.ravel()
 
 
 def apply_dirichlet(matrix: CsrMatrix, rhs: np.ndarray, dofs, value=0.0):

@@ -489,7 +489,6 @@ def convergence_study(case: ManufacturedCase, params: SchemeParams, tau_list, me
     rows = []
     previous = None
     for tau in tau_list:
-        ops.reset_run_state()
         run_params = replace(params, tau=tau)
         _, _, report = run_case(case, run_params, ops=ops)
         row = {"tau": tau}

@@ -16,7 +16,9 @@ drift blocks:
    phi^n, v):
        (M_v/tau + A_v) u1 = M_v u^n / tau + B^T p^n + (f_u, v)
        (M_v/tau + A_v) u2 = -N
-   with u_hat = u1 + xi u2.
+   with u_hat = u1 + xi u2.  M_v/tau + A_v is two copies of one scalar P2
+   block; CG solves both components at once, preconditioned by a two-level
+   cycle whose coarse space is P1 on the same mesh.
 4. The auxiliary scalar r tracks sqrt(E(phi) + C0); eliminating r^{n+1} from
    its update equation against the split gives a scalar quadratic
        a xi^2 - b xi + c = 0,
@@ -67,10 +69,11 @@ from .fem import (
     gradient_at_quadrature,
     interpolate,
     load_from_quadrature,
+    p1_to_p2_prolongation,
     quadrature_integral,
 )
-from .mesh import StructuredTriMesh
-from .sparse import cg, bicgstab
+from .mesh import StructuredTriMesh, boundary_dofs
+from .sparse import RepeatedBlock, TwoLevelPreconditioner, bicgstab, cg
 
 __all__ = [
     "SchemeParams",
@@ -183,9 +186,11 @@ class Operators:
     """Assembled matrices and reusable eliminated systems for one mesh.
 
     Holds everything that does not change between time steps: mass and
-    stiffness matrices for the scalar and vector spaces, the divergence
-    coupling, Dirichlet eliminations for the velocity systems, and warm-start
-    storage for the iterative solvers.
+    stiffness matrices for the scalar and vector spaces (the vector ones as
+    two copies of a scalar P2 block), the divergence coupling, and the
+    Dirichlet eliminations for the velocity systems.  The systems that
+    depend on tau are built for the tau last asked for and kept until
+    another tau is asked for.
     """
 
     def __init__(self, mesh: StructuredTriMesh, velocity_bc=None):
@@ -202,29 +207,30 @@ class Operators:
         # ones^T M as a vector: integral of a P1 field is mass_row @ values.
         self.mass_row = self.mass_p1 @ np.ones(self.scalar_space.n_dofs)
 
-        bdofs = self.velocity_space.boundary_dofs()
-        self.velocity_dirichlet = bdofs
-        n_bnodes = bdofs.shape[0] // 2
-        self._bnode_coords = self.velocity_space.node_coords[bdofs[:n_bnodes]]
-        self.projection_system = DirichletSystem(self.mass_vec, bdofs)
-        self._velocity_systems: dict[float, DirichletSystem] = {}
-        self._transport_base: dict[float, object] = {}
-        self._warm: dict[str, np.ndarray] = {}
+        self.velocity_dirichlet = self.velocity_space.boundary_dofs()
+        self._p2_dirichlet = boundary_dofs(mesh, "p2")
+        self._bnode_coords = self.velocity_space.node_coords[self._p2_dirichlet]
+        self.projection_system = DirichletSystem(self.mass_vec.block, self._p2_dirichlet)
+        # Coarse space: P1 functions that vanish on the boundary.
+        self.prolongation = p1_to_p2_prolongation(mesh)[:, ~mesh.vertex_on_boundary]
+        self._velocity_system = (None, None)
+        self._transport_base = (None, None)
 
-    def velocity_system(self, params: SchemeParams) -> DirichletSystem:
-        key = params.tau
-        if key not in self._velocity_systems:
-            self._velocity_systems[key] = DirichletSystem(
-                (self.mass_vec / params.tau + self.stiff_vec).tocsr(),
-                self.velocity_dirichlet,
+    def velocity_system(self, params: SchemeParams):
+        """(scalar-block DirichletSystem of M/tau + A, its two-level preconditioner)."""
+        if self._velocity_system[0] != params.tau:
+            system = DirichletSystem(
+                (self.mass_vec.block / params.tau + self.stiff_vec.block).tocsr(),
+                self._p2_dirichlet,
             )
-        return self._velocity_systems[key]
+            preconditioner = TwoLevelPreconditioner(system.matrix, self.prolongation, system.dofs)
+            self._velocity_system = (params.tau, (system, preconditioner))
+        return self._velocity_system[1]
 
     def transport_base(self, params: SchemeParams):
-        key = params.tau
-        if key not in self._transport_base:
-            self._transport_base[key] = (self.mass_p1 / params.tau + self.stiff_p1).tocsr()
-        return self._transport_base[key]
+        if self._transport_base[0] != params.tau:
+            self._transport_base = (params.tau, (self.mass_p1 / params.tau + self.stiff_p1).tocsr())
+        return self._transport_base[1]
 
     def boundary_values(self, t: float) -> np.ndarray:
         """Velocity Dirichlet data at time t, ordered like velocity_dirichlet."""
@@ -239,18 +245,6 @@ class Operators:
 
     def integral_mean(self, values: np.ndarray) -> float:
         return float(self.mass_row @ values) / self.area
-
-    def warm_start(self, key: str, fallback: np.ndarray | None = None):
-        return self._warm.get(key, fallback)
-
-    def store_warm(self, key: str, values: np.ndarray):
-        self._warm[key] = values
-
-    def reset_run_state(self):
-        """Drop warm starts and tau-keyed systems so reruns are bit-identical."""
-        self._warm.clear()
-        self._velocity_systems.clear()
-        self._transport_base.clear()
 
 
 def _require_converged(report, label: str):
@@ -359,33 +353,40 @@ def _momentum_forcing(ops: Operators, state: State) -> np.ndarray:
 def compute_velocity_split(
     ops: Operators, state: State, params: SchemeParams, sources: SourceTerms, t_next: float
 ) -> VelocitySplit:
-    """Solve the two tentative-velocity systems sharing one eliminated matrix."""
-    system = ops.velocity_system(params)
+    """Solve the two tentative-velocity systems sharing one eliminated matrix.
+
+    u1 starts from u^n with its boundary entries set to the new data, so CG
+    never changes them and u_hat keeps the boundary values exactly; u2
+    starts from zero.
+    """
+    system, preconditioner = ops.velocity_system(params)
+    matrix = RepeatedBlock(system.matrix)
     forcing = _momentum_forcing(ops, state)
 
     rhs1 = ops.mass_vec @ state.u.values / params.tau + ops.div_t @ state.p.values
     if sources.f_u is not None:
         rhs1 = rhs1 + assemble_load(ops.velocity_space, sources.f_u, t_next).values
     g = ops.boundary_values(t_next)
+    x0 = state.u.values.copy()
+    x0[ops.velocity_dirichlet] = g
     u1, report = cg(
-        system.matrix,
+        matrix,
         system.reduce_rhs(rhs1, g),
-        x0=ops.warm_start("u1", state.u.values),
+        x0=x0,
         tol=params.tol,
         max_iter=params.max_iter,
+        preconditioner=preconditioner,
     )
     _require_converged(report, "tentative velocity (forcing-free part)")
-    ops.store_warm("u1", u1)
 
     u2, report = cg(
-        system.matrix,
+        matrix,
         system.reduce_rhs(-forcing),
-        x0=ops.warm_start("u2"),
         tol=params.tol,
         max_iter=params.max_iter,
+        preconditioner=preconditioner,
     )
     _require_converged(report, "tentative velocity (coupling part)")
-    ops.store_warm("u2", u2)
 
     return VelocitySplit(
         u1=FieldVector(ops.velocity_space, u1),
@@ -496,7 +497,7 @@ def pressure_projection(ops: Operators, u_hat_next: FieldVector, state: State, p
     rhs_u = ops.mass_vec @ u_hat_next.values + tau * (ops.div_t @ delta)
     g = ops.boundary_values(t_next)
     u_vals, report = cg(
-        ops.projection_system.matrix,
+        RepeatedBlock(ops.projection_system.matrix),
         ops.projection_system.reduce_rhs(rhs_u, g),
         x0=u_hat_next.values,
         tol=params.tol,

@@ -18,6 +18,8 @@ from nspnp.mms import case_by_name, convergence_study, run_case
 from nspnp.scheme import Operators, SchemeParams
 from nspnp.selfcheck import run_all
 
+pytestmark = pytest.mark.slow
+
 # Reference final-time errors for the two manufactured benchmarks, one tuple
 # per field in the order of the case's published tau ladder (largest first).
 # Rates between consecutive ladder entries should sit near 1 (first order).
@@ -101,7 +103,6 @@ def ex3_traces():
     ops = Operators(mesh, velocity_bc=case.velocity_bc)
     traces = {}
     for tau in EX3_TAUS:
-        ops.reset_run_state()
         params = SchemeParams(tau=tau, t_final=case.t_final, c0=case.c0)
         _, records, _ = run_case(case, params, ops=ops)
         traces[tau] = records

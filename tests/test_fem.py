@@ -21,6 +21,7 @@ from nspnp.fem import (
     error_norms,
     field_at_quadrature,
     interpolate,
+    p1_to_p2_prolongation,
     quadrature_integral,
     shape_eval,
     tri_quadrature_degree5,
@@ -279,6 +280,28 @@ def test_dirichlet_elimination_pins_values_and_keeps_symmetry():
     mat2, rhs2 = apply_dirichlet(a, np.zeros(p2.n_dofs), bdofs, g[bdofs])
     assert (mat2 - system.matrix).nnz == 0
     np.testing.assert_allclose(rhs2, rhs, atol=0.0)
+
+    # Two copies one after the other reduce copy by copy.
+    load = np.arange(2 * p2.n_dofs, dtype=float)
+    values = np.concatenate([g[bdofs], -2.0 * g[bdofs]])
+    stacked = system.reduce_rhs(load, values)
+    np.testing.assert_array_equal(stacked[: p2.n_dofs], system.reduce_rhs(load[: p2.n_dofs], g[bdofs]))
+    np.testing.assert_array_equal(
+        stacked[p2.n_dofs :], system.reduce_rhs(load[p2.n_dofs :], -2.0 * g[bdofs])
+    )
+
+
+def test_prolongation_reproduces_linear_functions():
+    mesh = build_rect_mesh((-1.0, 0.0, 2.0, 3.0), 5, 5)
+    p1 = FunctionSpace.p1(mesh)
+    p2 = FunctionSpace.p2(mesh)
+    linear = lambda x, y, t: 0.3 - 1.7 * x + 2.9 * y  # noqa: E731
+    full = p1_to_p2_prolongation(mesh)
+    assert full.shape == (p2.n_dofs, p1.n_dofs)
+    # Exact up to the rounding of the midpoint coordinates and the 1/2 weights.
+    np.testing.assert_allclose(
+        full @ interpolate(p1, linear, 0.0).values, interpolate(p2, linear, 0.0).values, atol=1e-14
+    )
 
 
 def test_field_vector_validates_length():

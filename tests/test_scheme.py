@@ -7,16 +7,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+import nspnp.scheme as scheme
 from nspnp.diagnostics import DIAG_COLUMNS
 from nspnp.fem import assemble_load, interpolate
 from nspnp.mesh import build_rect_mesh
 from nspnp.mms import example1, example3
+from nspnp.sparse import RepeatedBlock, cg
 from nspnp.scheme import (
     Operators,
     SchemeParams,
     SourceTerms,
     _stable_roots,
     advance,
+    compute_velocity_split,
     init_state,
     initial_record,
     pressure_projection,
@@ -86,7 +89,6 @@ def test_init_state_warns_on_negative_concentration(ex3_ops):
 
 def test_source_free_masses_conserved_each_step(ex3_ops):
     case, ops = ex3_ops
-    ops.reset_run_state()
     params, state, records = small_run(case, ops, steps=5)
     m1 = [rec.mass_c1 for rec in records]
     m2 = [rec.mass_c2 for rec in records]
@@ -111,7 +113,6 @@ def test_sourced_mass_balance_matches_load_integral():
 
 def test_energy_identity_residual_tiny(ex3_ops):
     case, ops = ex3_ops
-    ops.reset_run_state()
     params, state, records = small_run(case, ops, steps=5)
     scale = max(1.0, records[0].E_h)
     for rec in records:
@@ -120,7 +121,6 @@ def test_energy_identity_residual_tiny(ex3_ops):
 
 def test_discrete_energy_monotone_and_dissipation_nonnegative(ex3_ops):
     case, ops = ex3_ops
-    ops.reset_run_state()
     params, state, records = small_run(case, ops, steps=6)
     energies = [rec.E_h for rec in records]
     for a, b in zip(energies, energies[1:]):
@@ -139,7 +139,6 @@ def test_zero_data_gives_xi_exactly_one(ex3_ops):
     # xi has roots {0, 1}; the closer-to-one policy must pick 1 exactly and r
     # must stay at sqrt(C0).
     case, ops = ex3_ops
-    ops.reset_run_state()
     params = SchemeParams(tau=0.1, t_final=0.3, c0=5.0)
     zero = lambda x, y, t: np.zeros_like(x)
     state = init_state(
@@ -171,7 +170,6 @@ def test_stable_roots_cancellation_free():
 
 def test_advance_diag_record_matches_columns(ex3_ops):
     case, ops = ex3_ops
-    ops.reset_run_state()
     params, state, records = small_run(case, ops, steps=2)
     row = records[-1].as_row()
     assert len(row) == len(DIAG_COLUMNS)
@@ -197,7 +195,6 @@ def test_velocity_boundary_values_exact_trace():
 
 def test_pressure_and_potential_zero_mean(ex3_ops):
     case, ops = ex3_ops
-    ops.reset_run_state()
     params, state, records = small_run(case, ops, steps=3)
     assert abs(ops.integral_mean(state.p.values)) < 1e-12
     assert abs(ops.integral_mean(state.phi.values)) < 1e-12
@@ -216,7 +213,6 @@ def test_reruns_are_bit_identical(ex3_ops):
     case, ops = ex3_ops
 
     def run():
-        ops.reset_run_state()
         params, state, records = small_run(case, ops, steps=4)
         return state
 
@@ -230,9 +226,73 @@ def test_reruns_are_bit_identical(ex3_ops):
 
 
 def test_operator_caches_reused_per_tau(ex3_ops):
+    # Only the current tau is kept; asking for another one replaces it.
     case, ops = ex3_ops
-    ops.reset_run_state()
     params = SchemeParams(tau=0.05, t_final=0.1, c0=5.0)
-    assert ops.velocity_system(params) is ops.velocity_system(params)
     other = dataclasses.replace(params, tau=0.025)
-    assert ops.velocity_system(other) is not ops.velocity_system(params)
+    for build in (ops.velocity_system, ops.transport_base):
+        first = build(params)
+        assert build(params) is first
+        assert build(other) is not first
+        assert build(params) is not first  # rebuilt: the other tau replaced it
+
+
+def test_one_cell_mesh_steps():
+    # No interior vertex: the two-level cycle has an empty coarse space.
+    case = example3()
+    params, state, records = small_run(
+        case, Operators(build_rect_mesh(case.bounds, 1, 1), velocity_bc=case.velocity_bc), steps=2
+    )
+    assert records[-1].E_h <= records[0].E_h
+
+
+@pytest.mark.parametrize("nx", [16, 32])
+def test_velocity_iterations_stay_flat_under_refinement(nx, monkeypatch):
+    # The two-level cycle keeps the u1/u2 CG counts bounded as h shrinks;
+    # Jacobi-CG needs O(1/h) more iterations per halving.
+    iterations = []
+
+    def counting_cg(*args, **kwargs):
+        x, report = cg(*args, **kwargs)
+        iterations.append(report.iterations)
+        return x, report
+
+    monkeypatch.setattr(scheme, "cg", counting_cg)
+    case = example3()
+    ops = Operators(build_rect_mesh(case.bounds, nx, nx), velocity_bc=case.velocity_bc)
+    params = SchemeParams(tau=0.05, t_final=0.1, c0=case.c0)
+    state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
+    for _ in range(params.n_steps):
+        state, _ = advance(ops, state, params, case.sources)
+        iterations.clear()
+        compute_velocity_split(ops, state, params, case.sources, state.time + params.tau)
+        assert len(iterations) == 2
+        assert max(iterations) <= 30
+
+
+def test_velocity_split_matches_jacobi_oracle():
+    # Nonzero boundary data and sources: the split must agree with plain
+    # Jacobi-CG on the same eliminated matrix, boundary entries included.
+    case = example1()
+    ops = Operators(build_rect_mesh(case.bounds, 8, 8), velocity_bc=case.velocity_bc)
+    params = SchemeParams(tau=0.1, t_final=0.2, c0=case.c0)
+    state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
+    state, _ = advance(ops, state, params, case.sources)
+    t_next = state.time + params.tau
+    split = compute_velocity_split(ops, state, params, case.sources, t_next)
+
+    system, _ = ops.velocity_system(params)
+    matrix = RepeatedBlock(system.matrix)
+    rhs1 = ops.mass_vec @ state.u.values / params.tau + ops.div_t @ state.p.values
+    rhs1 = rhs1 + assemble_load(ops.velocity_space, case.sources.f_u, t_next).values
+    g = ops.boundary_values(t_next)
+    # CG never moves the pinned entries of its start vectors.
+    np.testing.assert_array_equal(split.u1.values[ops.velocity_dirichlet], g)
+    np.testing.assert_array_equal(split.u2.values[ops.velocity_dirichlet], 0.0)
+    for got, rhs in (
+        (split.u1.values, system.reduce_rhs(rhs1, g)),
+        (split.u2.values, system.reduce_rhs(-split.forcing)),
+    ):
+        oracle, report = cg(matrix, rhs, tol=1e-14, max_iter=100_000)
+        assert report.converged
+        assert np.abs(got - oracle).max() <= 1e-9 * max(1.0, np.abs(oracle).max())

@@ -1,4 +1,4 @@
-"""Iterative solvers against dense oracles, singular systems, warm starts."""
+"""Iterative solvers against dense oracles, singular systems, warm starts, preconditioners."""
 
 from __future__ import annotations
 
@@ -8,7 +8,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nspnp.sparse import SolveReport, bicgstab, cg, spmv
+from nspnp.fem import DirichletSystem, FunctionSpace, assemble_mass, assemble_stiffness, p1_to_p2_prolongation
+from nspnp.mesh import build_rect_mesh
+from nspnp.sparse import RepeatedBlock, SolveReport, TwoLevelPreconditioner, bicgstab, cg, spmv
 
 
 def random_spd(n: int, seed: int) -> np.ndarray:
@@ -44,6 +46,76 @@ def test_bicgstab_matches_dense_solve(n):
     x, report = bicgstab(sp.csr_matrix(a), b, tol=1e-13)
     assert report.converged
     assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-8
+
+
+@pytest.mark.parametrize("n", [5, 17, 50])
+def test_preconditioned_cg_matches_dense_solve(n):
+    # Block Jacobi with 4x4 blocks: the block-diagonal part of an SPD matrix is SPD.
+    a = random_spd(n, seed=n)
+    block = np.arange(n) // 4
+    block_jacobi = np.where(block[:, None] == block[None, :], a, 0.0)
+    b = np.random.default_rng(n + 2).standard_normal(n)
+    x_ref = np.linalg.solve(a, b)
+    x, report = cg(sp.csr_matrix(a), b, tol=1e-13, preconditioner=lambda r: np.linalg.solve(block_jacobi, r))
+    assert report.converged
+    assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-8
+
+
+def test_repeated_block_matches_block_diagonal():
+    block = sp.csr_matrix(random_spd(7, seed=3))
+    full = sp.block_diag((block, block), format="csr")
+    op = RepeatedBlock(block)
+    x = np.random.default_rng(0).standard_normal(14)
+    assert op.shape == full.shape and op.nnz == full.nnz
+    np.testing.assert_array_equal(op.diagonal(), full.diagonal())
+    np.testing.assert_array_equal(op @ x, full @ x)
+    with pytest.raises(ValueError):
+        op @ np.ones(7)
+
+
+def scalar_p2_helmholtz(nx: int, tau: float):
+    """Eliminated M/tau + A on scalar P2, and the P1 -> P2 prolongation of interior vertices."""
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), nx, nx)
+    p2 = FunctionSpace.p2(mesh)
+    system = DirichletSystem(assemble_mass(p2) / tau + assemble_stiffness(p2), p2.boundary_dofs())
+    return system, p1_to_p2_prolongation(mesh)[:, ~mesh.vertex_on_boundary]
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
+def test_two_level_cycle_is_spd_and_keeps_dirichlet_dofs(tau):
+    system, prolongation = scalar_p2_helmholtz(6, tau)
+    cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
+    rng = np.random.default_rng(11)
+    n = system.n
+    for _ in range(5):
+        x, y = rng.standard_normal((2, 2 * n))  # two copies, as for a velocity
+        bx, by = cycle(x), cycle(y)
+        assert y @ bx == pytest.approx(x @ by, rel=1e-12)
+        assert x @ bx > 0.0
+        for k in range(2):
+            dofs = k * n + system.dofs
+            np.testing.assert_array_equal(bx[dofs], x[dofs])
+
+
+def test_two_level_cycle_ignores_prolongation_rows_of_fixed_dofs():
+    system, prolongation = scalar_p2_helmholtz(4, 0.05)
+    rng = np.random.default_rng(2)
+    noise = np.zeros(prolongation.shape)
+    noise[system.dofs] = rng.standard_normal((system.dofs.size, prolongation.shape[1]))
+    clean = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
+    dirty = TwoLevelPreconditioner(system.matrix, prolongation + sp.csr_matrix(noise), system.dofs)
+    r = rng.standard_normal(system.n)
+    np.testing.assert_array_equal(dirty(r), clean(r))
+
+
+def test_two_level_cg_matches_dense_solve():
+    system, prolongation = scalar_p2_helmholtz(6, 0.05)
+    cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
+    b = np.random.default_rng(5).standard_normal(system.n)
+    x_ref = np.linalg.solve(system.matrix.toarray(), b)
+    x, report = cg(system.matrix, b, tol=1e-13, preconditioner=cycle)
+    assert report.converged and report.iterations < 20
+    assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-10
 
 
 def test_cg_and_bicgstab_agree_on_spd():
