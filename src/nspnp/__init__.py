@@ -13,20 +13,18 @@ from .fem import (
     FieldVector,
     FunctionSpace,
     QuadratureRule,
-    apply_dirichlet,
     assemble_convection,
     assemble_div_coupling,
     assemble_drift,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    assemble_vector_operators,
     error_norms,
     interpolate,
     shape_eval,
     tri_quadrature_degree5,
 )
-from .sparse import CsrMatrix, SolveReport, bicgstab, cg, spmv
+from .sparse import CsrMatrix, SolveReport, bicgstab, cg
 
 __version__ = "0.1.0"
 
@@ -38,14 +36,12 @@ __all__ = [
     "FieldVector",
     "FunctionSpace",
     "QuadratureRule",
-    "apply_dirichlet",
     "assemble_convection",
     "assemble_div_coupling",
     "assemble_drift",
     "assemble_load",
     "assemble_mass",
     "assemble_stiffness",
-    "assemble_vector_operators",
     "error_norms",
     "interpolate",
     "shape_eval",
@@ -54,6 +50,5 @@ __all__ = [
     "SolveReport",
     "bicgstab",
     "cg",
-    "spmv",
     "__version__",
 ]

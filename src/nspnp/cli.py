@@ -86,7 +86,6 @@ class RunConfig:
     max_iter: int = 200_000
     out: str | None = None
     emit_svg: bool = False
-    seed: int = 0
 
 
 def _parse_bool(raw: str, key: str, lineno: int) -> bool:
@@ -185,8 +184,6 @@ def parse_config(text: str) -> RunConfig:
             fields["out"] = raw
         elif key == "emit_svg":
             fields["emit_svg"] = _parse_bool(raw, key, lineno)
-        elif key == "seed":
-            fields["seed"] = _parse_int(raw, key, lineno)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 

@@ -83,7 +83,7 @@ def discrete_energy(state, params, *, mass_vec, stiff_p1) -> float:
 
     This is the quantity the scheme dissipates unconditionally.
     """
-    u = state.u.values
+    u = state.u.values.ravel()
     p = state.p.values
     return float(
         0.5 * (u @ (mass_vec @ u))
@@ -94,7 +94,7 @@ def discrete_energy(state, params, *, mass_vec, stiff_p1) -> float:
 
 def original_energy(state, *, mass_vec, stiff_p1) -> float:
     """Physical energy 0.5 ||u||^2 + 0.5 ||grad phi||^2."""
-    u = state.u.values
+    u = state.u.values.ravel()
     phi = state.phi.values
     return float(0.5 * (u @ (mass_vec @ u)) + 0.5 * (phi @ (stiff_p1 @ phi)))
 

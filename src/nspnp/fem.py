@@ -21,8 +21,14 @@ any shape.  Vector fields return shape (2,) + x.shape, scalar gradients
 (2,) + x.shape ordered (d/dx, d/dy), vector gradients (2, 2) + x.shape ordered
 [component, partial].
 
-Vector dof layout: all x components first, then all y components, so the
-second component of scalar node d is dof n_nodes + d.
+Vector fields
+-------------
+A velocity lives on the scalar P2 space and stores its coefficients as a
+(2, n) array, one row per component.  Every kernel takes component axes as
+leading axes of the coefficients and as trailing axes of quadrature-point
+values, so scalars and vectors share one code path.  values.ravel() puts all
+x components first, then all y components; the columns of the divergence
+coupling and the flat vectors the solvers see use that layout.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, diags
 
 from .mesh import StructuredTriMesh, boundary_dofs, p2_node_coords, p2_numbering
-from .sparse import CsrMatrix, RepeatedBlock
+from .sparse import CsrMatrix
 
 __all__ = [
     "QuadratureRule",
@@ -46,12 +52,10 @@ __all__ = [
     "assemble_stiffness",
     "assemble_convection",
     "assemble_drift",
-    "assemble_vector_operators",
     "assemble_div_coupling",
     "assemble_load",
     "p1_to_p2_prolongation",
     "error_norms",
-    "apply_dirichlet",
     "interpolate",
 ]
 
@@ -123,33 +127,24 @@ def shape_eval(kind: str, bary) -> tuple[np.ndarray, np.ndarray]:
 class FunctionSpace:
     """Nodal Lagrange space with precomputed assembly tables.
 
-    Kinds: "p1" (vertex dofs), "p2" (vertex + edge midpoint dofs),
-    "p2-vector" (two P2 components, x block then y block).
+    Kinds: "p1" (vertex dofs) and "p2" (vertex + edge midpoint dofs).
     """
 
     def __init__(self, mesh: StructuredTriMesh, kind: str):
         kind = kind.lower()
-        if kind not in ("p1", "p2", "p2-vector"):
+        if kind not in ("p1", "p2"):
             raise ValueError(f"unknown space kind: {kind!r}")
         self.mesh = mesh
         self.kind = kind
-        self.components = 2 if kind == "p2-vector" else 1
         self.rule = tri_quadrature_degree5()
 
         if kind == "p1":
-            self.scalar_element_dofs = mesh.triangles
+            self.element_dofs = mesh.triangles
             self.node_coords = mesh.vertices
         else:
-            self.scalar_element_dofs = p2_numbering(mesh)
+            self.element_dofs = p2_numbering(mesh)
             self.node_coords = p2_node_coords(mesh)
-        self.n_nodes = self.node_coords.shape[0]
-        self.n_dofs = self.components * self.n_nodes
-        if self.components == 2:
-            self.element_dofs = np.hstack(
-                [self.scalar_element_dofs, self.scalar_element_dofs + self.n_nodes]
-            )
-        else:
-            self.element_dofs = self.scalar_element_dofs
+        self.n_dofs = self.node_coords.shape[0]
 
         # Affine geometry.  CCW orientation is part of the mesh contract.
         verts = mesh.vertices[mesh.triangles]          # (t, 3, 2)
@@ -165,8 +160,7 @@ class FunctionSpace:
         inv_jac_t[:, 1, 0] = -e2[:, 0] / det
         inv_jac_t[:, 1, 1] = e1[:, 0] / det
 
-        scalar_kind = "p1" if kind == "p1" else "p2"
-        vals, rgrads = zip(*(shape_eval(scalar_kind, p) for p in self.rule.points))
+        vals, rgrads = zip(*(shape_eval(kind, p) for p in self.rule.points))
         self.basis_values = np.array(vals)            # (q, nloc)
         ref_grads = np.array(rgrads)                  # (q, nloc, 2)
         # Physical gradients per triangle and quad point: J^{-T} grad_ref.
@@ -183,13 +177,8 @@ class FunctionSpace:
     def p2(cls, mesh: StructuredTriMesh) -> "FunctionSpace":
         return cls(mesh, "p2")
 
-    @classmethod
-    def p2_vector(cls, mesh: StructuredTriMesh) -> "FunctionSpace":
-        return cls(mesh, "p2-vector")
-
     def boundary_dofs(self) -> np.ndarray:
-        kind = {"p1": "p1", "p2": "p2", "p2-vector": "p2-vector"}[self.kind]
-        return boundary_dofs(self.mesh, kind)
+        return boundary_dofs(self.mesh, self.kind)
 
     def domain_area(self) -> float:
         return float(self.area.sum())
@@ -197,17 +186,16 @@ class FunctionSpace:
 
 @dataclass
 class FieldVector:
-    """Coefficient vector of a finite element function."""
+    """Coefficients of a finite element function: shape (n,), or (2, n) for a vector field."""
 
     space: FunctionSpace
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.space.n_dofs,):
-            raise ValueError(
-                f"expected {self.space.n_dofs} dofs, got shape {self.values.shape}"
-            )
+        n = self.space.n_dofs
+        if self.values.shape not in ((n,), (2, n)):
+            raise ValueError(f"expected shape ({n},) or (2, {n}), got {self.values.shape}")
 
     @classmethod
     def zeros(cls, space: FunctionSpace) -> "FieldVector":
@@ -221,14 +209,7 @@ def interpolate(space: FunctionSpace, f, t: float) -> FieldVector:
     """Nodal interpolant of the analytic field f at time t."""
     x = space.node_coords[:, 0]
     y = space.node_coords[:, 1]
-    g = np.asarray(f(x, y, t), dtype=float)
-    if space.components == 1:
-        if g.shape != x.shape:
-            raise ValueError(f"scalar evaluator returned shape {g.shape}")
-        return FieldVector(space, g)
-    if g.shape != (2,) + x.shape:
-        raise ValueError(f"vector evaluator returned shape {g.shape}")
-    return FieldVector(space, np.concatenate([g[0], g[1]]))
+    return FieldVector(space, f(x, y, t))
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +219,7 @@ def interpolate(space: FunctionSpace, f, t: float) -> FieldVector:
 def field_at_quadrature(field: FieldVector) -> np.ndarray:
     """Values at quadrature points: (t, q) for scalars, (t, q, 2) for vectors."""
     sp = field.space
-    if sp.components == 1:
-        elem = field.values[sp.scalar_element_dofs]            # (t, nloc)
-        return np.einsum("qi,ti->tq", sp.basis_values, elem)
-    comps = field.values.reshape(2, sp.n_nodes)
-    elem = comps[:, sp.scalar_element_dofs]                    # (2, t, nloc)
-    return np.einsum("qi,cti->tqc", sp.basis_values, elem)
+    return np.einsum("qi,...ti->tq...", sp.basis_values, field.values[..., sp.element_dofs])
 
 
 def gradient_at_quadrature(field: FieldVector) -> np.ndarray:
@@ -252,27 +228,20 @@ def gradient_at_quadrature(field: FieldVector) -> np.ndarray:
     Vector output is ordered [component, partial].
     """
     sp = field.space
-    if sp.components == 1:
-        elem = field.values[sp.scalar_element_dofs]
-        return np.einsum("tqid,ti->tqd", sp.basis_gradients, elem)
-    comps = field.values.reshape(2, sp.n_nodes)
-    elem = comps[:, sp.scalar_element_dofs]
-    return np.einsum("tqid,cti->tqcd", sp.basis_gradients, elem)
+    return np.einsum("tqid,...ti->tq...d", sp.basis_gradients, field.values[..., sp.element_dofs])
 
 
 def load_from_quadrature(space: FunctionSpace, values: np.ndarray) -> np.ndarray:
-    """Dof vector with entries sum_T area_T sum_q w_q g(x_q) basis_i(x_q).
+    """Load with entries sum_T area_T sum_q w_q g(x_q) basis_i(x_q).
 
-    ``values`` has shape (t, q) for scalar spaces, (t, q, 2) for vector ones.
+    ``values`` has shape (t, q) for a scalar g, (t, q, 2) for a vector one;
+    the load has shape (n,) or (2, n).
     """
-    if space.components == 1:
-        fe = np.einsum("tq,qi->ti", space.w_area * values, space.basis_values)
-        return np.bincount(
-            space.scalar_element_dofs.ravel(), weights=fe.ravel(), minlength=space.n_dofs
-        )
-    fe = np.einsum("tq,tqc,qi->tic", space.w_area, values, space.basis_values)
-    dofs = space.scalar_element_dofs[:, :, None] + space.n_nodes * np.array([0, 1])
-    return np.bincount(dofs.ravel(), weights=fe.ravel(), minlength=space.n_dofs)
+    weighted = np.moveaxis(values, (0, 1), (-2, -1)) * space.w_area   # (..., t, q)
+    fe = np.einsum("...tq,qi->...ti", weighted, space.basis_values)
+    dofs = space.element_dofs.ravel()
+    rows = [np.bincount(dofs, weights=w, minlength=space.n_dofs) for w in fe.reshape(-1, dofs.size)]
+    return np.stack(rows).reshape(fe.shape[:-2] + (space.n_dofs,))
 
 
 def quadrature_integral(space: FunctionSpace, values: np.ndarray) -> float:
@@ -296,43 +265,22 @@ def _scatter(element_matrices, row_dofs, col_dofs, shape) -> CsrMatrix:
     return mat
 
 
-def _scalar_mass(space: FunctionSpace) -> CsrMatrix:
+def assemble_mass(space: FunctionSpace) -> CsrMatrix:
+    """Mass matrix (basis_j, basis_i)."""
     ref = np.einsum("q,qi,qj->ij", space.rule.weights, space.basis_values, space.basis_values)
     elem = space.area[:, None, None] * ref[None, :, :]
-    n = space.n_nodes
-    return _scatter(elem, space.scalar_element_dofs, space.scalar_element_dofs, (n, n))
+    n = space.n_dofs
+    return _scatter(elem, space.element_dofs, space.element_dofs, (n, n))
 
 
-def _scalar_stiffness(space: FunctionSpace) -> CsrMatrix:
+def assemble_stiffness(space: FunctionSpace) -> CsrMatrix:
+    """Stiffness matrix (grad basis_j, grad basis_i)."""
     elem = np.einsum(
         "q,tqia,tqja->tij", space.rule.weights, space.basis_gradients, space.basis_gradients
     )
     elem *= space.area[:, None, None]
-    n = space.n_nodes
-    return _scatter(elem, space.scalar_element_dofs, space.scalar_element_dofs, (n, n))
-
-
-def assemble_mass(space: FunctionSpace) -> CsrMatrix | RepeatedBlock:
-    """Mass matrix; for vector spaces two copies of the scalar block."""
-    m = _scalar_mass(space)
-    if space.components == 1:
-        return m
-    return RepeatedBlock(m)
-
-
-def assemble_stiffness(space: FunctionSpace) -> CsrMatrix | RepeatedBlock:
-    """Stiffness matrix (grad, grad); for vector spaces two copies of the scalar block."""
-    a = _scalar_stiffness(space)
-    if space.components == 1:
-        return a
-    return RepeatedBlock(a)
-
-
-def assemble_vector_operators(space: FunctionSpace) -> tuple[RepeatedBlock, RepeatedBlock]:
-    """(mass, stiffness) for the velocity space in one call."""
-    if space.components != 2:
-        raise ValueError("assemble_vector_operators needs a p2-vector space")
-    return assemble_mass(space), assemble_stiffness(space)
+    n = space.n_dofs
+    return _scatter(elem, space.element_dofs, space.element_dofs, (n, n))
 
 
 def assemble_convection(u_field: FieldVector, space: FunctionSpace) -> CsrMatrix:
@@ -343,96 +291,79 @@ def assemble_convection(u_field: FieldVector, space: FunctionSpace) -> CsrMatrix
     ones annihilate K exactly (columns sum to zero) for any discrete u, which
     is what makes the ion masses exactly conserved.
     """
-    if space.components != 1:
-        raise ValueError("convection acts on a scalar space")
     if u_field.space.mesh is not space.mesh:
         raise ValueError("velocity and scalar space live on different meshes")
     u_q = field_at_quadrature(u_field)  # (t, q, 2)
     elem = -np.einsum(
         "tq,tqd,tqid,qj->tij", space.w_area, u_q, space.basis_gradients, space.basis_values
     )
-    n = space.n_nodes
-    return _scatter(elem, space.scalar_element_dofs, space.scalar_element_dofs, (n, n))
+    n = space.n_dofs
+    return _scatter(elem, space.element_dofs, space.element_dofs, (n, n))
 
 
-def assemble_drift(phi_field: FieldVector, sign: float, space: FunctionSpace | None = None) -> CsrMatrix:
-    """Electromigration matrix: D[i,j] = sign * int c_j (grad phi . grad theta_i).
+def assemble_drift(phi_field: FieldVector) -> CsrMatrix:
+    """Electromigration matrix on phi's space: D[i,j] = int c_j (grad phi . grad theta_i).
 
-    sign is +1 for the cation equation and -1 for the anion equation.  Columns
+    The cation equation adds it and the anion equation subtracts it.  Columns
     sum to zero because sum_i theta_i = 1.
     """
-    if sign not in (1, -1, 1.0, -1.0):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if space is None:
-        space = phi_field.space
-    if space.components != 1:
-        raise ValueError("drift acts on a scalar space")
+    space = phi_field.space
     gphi = gradient_at_quadrature(phi_field)  # (t, q, 2)
-    elem = float(sign) * np.einsum(
+    elem = np.einsum(
         "tq,tqd,tqid,qj->tij", space.w_area, gphi, space.basis_gradients, space.basis_values
     )
-    n = space.n_nodes
-    return _scatter(elem, space.scalar_element_dofs, space.scalar_element_dofs, (n, n))
+    n = space.n_dofs
+    return _scatter(elem, space.element_dofs, space.element_dofs, (n, n))
 
 
 def assemble_div_coupling(vel_space: FunctionSpace, pres_space: FunctionSpace) -> CsrMatrix:
     """B[i, j] = int q_i (div v_j): pressure test functions against velocity divergence.
 
-    Used transposed to apply pressure gradients to the momentum equation and
-    directly to measure the divergence of the tentative velocity.
+    The velocity columns are those of values.ravel() of a (2, n) velocity: x
+    components first, then y.  Used transposed to apply pressure gradients to
+    the momentum equation and directly to measure the divergence of the
+    tentative velocity.
     """
-    if vel_space.components != 2 or pres_space.components != 1:
-        raise ValueError("div coupling needs (p2-vector, p1) spaces")
+    if (vel_space.kind, pres_space.kind) != ("p2", "p1"):
+        raise ValueError("div coupling needs (p2, p1) spaces")
     if vel_space.mesh is not pres_space.mesh:
         raise ValueError("spaces live on different meshes")
     # Element entries area w q_i(x_q) d_d psi_j(x_q), laid out (t, i, d, j) so
-    # that a C reshape packs columns as d*nloc + j: x block first, then y,
-    # matching the vector dof layout.
+    # that a C reshape packs columns as d*nloc + j: x block first, then y.
     elem = np.einsum(
         "tq,qi,tqjd->tidj", pres_space.w_area, pres_space.basis_values, vel_space.basis_gradients
     )
-    t = vel_space.mesh.n_triangles
-    nloc = vel_space.scalar_element_dofs.shape[1]
-    elem = elem.reshape(t, pres_space.basis_values.shape[1], 2 * nloc)
-    return _scatter(
-        elem,
-        pres_space.scalar_element_dofs,
-        vel_space.element_dofs,
-        (pres_space.n_dofs, vel_space.n_dofs),
-    )
+    t, ni, _, nloc = elem.shape
+    n = vel_space.n_dofs
+    cols = np.hstack([vel_space.element_dofs, vel_space.element_dofs + n])
+    shape = (pres_space.n_dofs, 2 * n)
+    return _scatter(elem.reshape(t, ni, 2 * nloc), pres_space.element_dofs, cols, shape)
 
 
 def assemble_load(space: FunctionSpace, f, t: float) -> FieldVector:
-    """Right-hand-side vector (f(t), basis_i) by quadrature."""
+    """Right-hand-side vector (f(t), basis_i) by quadrature, one row per component of f."""
     x = space.quad_xy[..., 0]
     y = space.quad_xy[..., 1]
     g = np.asarray(f(x, y, t), dtype=float)
-    if space.components == 1:
-        if g.shape != x.shape:
-            raise ValueError(f"scalar evaluator returned shape {g.shape}")
-        return FieldVector(space, load_from_quadrature(space, g))
-    if g.shape != (2,) + x.shape:
-        raise ValueError(f"vector evaluator returned shape {g.shape}")
-    return FieldVector(space, load_from_quadrature(space, np.moveaxis(g, 0, -1)))
+    return FieldVector(space, load_from_quadrature(space, np.moveaxis(g, (-2, -1), (0, 1))))
 
 
 def error_norms(field: FieldVector, exact, exact_grad, t: float) -> tuple[float, float, float]:
-    """(L2 error, H1 seminorm error, full H1 error) against an analytic field."""
+    """(L2 error, H1 seminorm error, full H1 error) against an analytic field.
+
+    Vector fields sum the squared errors over their components.
+    """
     sp = field.space
     x = sp.quad_xy[..., 0]
     y = sp.quad_xy[..., 1]
-    fh = field_at_quadrature(field)
-    gh = gradient_at_quadrature(field)
-    fe = np.asarray(exact(x, y, t), dtype=float)
-    ge = np.asarray(exact_grad(x, y, t), dtype=float)
-    if sp.components == 1:
-        diff2 = (fh - fe) ** 2
-        gdiff2 = np.sum((gh - np.moveaxis(ge, 0, -1)) ** 2, axis=-1)
-    else:
-        diff2 = np.sum((fh - np.moveaxis(fe, 0, -1)) ** 2, axis=-1)
-        gdiff2 = np.sum((gh - np.moveaxis(ge, (0, 1), (-2, -1))) ** 2, axis=(-2, -1))
-    l2sq = quadrature_integral(sp, diff2)
-    h1sq = quadrature_integral(sp, gdiff2)
+    squares = []
+    for at_quadrature, f in ((field_at_quadrature, exact), (gradient_at_quadrature, exact_grad)):
+        # In place: one quadrature-layout array (t, q, ...) per norm.
+        diff = at_quadrature(field)
+        diff -= np.moveaxis(np.asarray(f(x, y, t), dtype=float), (-2, -1), (0, 1))
+        diff *= diff
+        squares.append(quadrature_integral(sp, diff.sum(axis=tuple(range(2, diff.ndim)))))
+    l2sq, h1sq = squares
     return np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(l2sq + h1sq)
 
 
@@ -461,9 +392,9 @@ class DirichletSystem:
     The eliminated matrix has identity rows and columns at the constrained
     dofs; reduce_rhs subtracts the lifted boundary values from the interior
     load and pins the constrained entries, so solving the reduced system gives
-    the constrained solution directly.  reduce_rhs also takes several copies
-    one after the other (a vector field stored component by component), with
-    their boundary values in the same order.
+    the constrained solution directly.  reduce_rhs also takes several copies,
+    such as the rows of a (2, n) vector field, with boundary values shaped
+    (copies, nb), and returns them flat, one after the other.
     """
 
     def __init__(self, matrix: CsrMatrix, dofs):
@@ -481,15 +412,8 @@ class DirichletSystem:
 
     def reduce_rhs(self, rhs: np.ndarray, values=0.0) -> np.ndarray:
         out = np.array(rhs, dtype=float, copy=True).reshape(-1, self.n)
-        copies, nb = out.shape[0], self.dofs.shape[0]
-        vals = np.broadcast_to(np.asarray(values, dtype=float), (copies * nb,)).reshape(copies, nb)
+        vals = np.broadcast_to(np.asarray(values, dtype=float), (out.shape[0], self.dofs.shape[0]))
         if np.any(vals):
             out -= (self._columns @ vals.T).T
         out[:, self.dofs] = vals
         return out.ravel()
-
-
-def apply_dirichlet(matrix: CsrMatrix, rhs: np.ndarray, dofs, value=0.0):
-    """One-shot symmetric Dirichlet elimination; returns (matrix, rhs)."""
-    system = DirichletSystem(matrix, dofs)
-    return system.matrix, system.reduce_rhs(rhs, value)

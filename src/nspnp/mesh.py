@@ -143,9 +143,8 @@ def p2_node_coords(mesh: StructuredTriMesh) -> np.ndarray:
 def boundary_dofs(mesh: StructuredTriMesh, space_kind: str) -> np.ndarray:
     """Sorted indices of degrees of freedom on the boundary.
 
-    ``space_kind`` is one of ``"p1"``, ``"p2"``, ``"p2-vector"``.  For the
-    vector space the layout is all x components first, then all y components,
-    so the second component of node ``d`` is dof ``n_p2_nodes + d``.
+    ``space_kind`` is ``"p1"`` or ``"p2"``.  A vector field on the P2 space
+    has the P2 boundary nodes as boundary dofs in each of its components.
     """
     kind = space_kind.lower()
     p1 = np.flatnonzero(mesh.vertex_on_boundary)
@@ -155,6 +154,4 @@ def boundary_dofs(mesh: StructuredTriMesh, space_kind: str) -> np.ndarray:
     p2.sort()
     if kind == "p2":
         return p2
-    if kind == "p2-vector":
-        return np.concatenate([p2, mesh.n_p2_nodes + p2])
     raise ValueError(f"unknown space kind: {space_kind!r}")

@@ -64,7 +64,6 @@ from .fem import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    assemble_vector_operators,
     field_at_quadrature,
     gradient_at_quadrature,
     interpolate,
@@ -72,7 +71,7 @@ from .fem import (
     p1_to_p2_prolongation,
     quadrature_integral,
 )
-from .mesh import StructuredTriMesh, boundary_dofs
+from .mesh import StructuredTriMesh
 from .sparse import RepeatedBlock, TwoLevelPreconditioner, bicgstab, cg
 
 __all__ = [
@@ -185,10 +184,10 @@ class SplitCoefficients:
 class Operators:
     """Assembled matrices and reusable eliminated systems for one mesh.
 
-    Holds everything that does not change between time steps: mass and
-    stiffness matrices for the scalar and vector spaces (the vector ones as
-    two copies of a scalar P2 block), the divergence coupling, and the
-    Dirichlet eliminations for the velocity systems.  The systems that
+    Holds everything that does not change between time steps: the P1 mass
+    and stiffness matrices, the velocity ones as two copies of the scalar P2
+    block (one per component of a (2, n) velocity), the divergence coupling,
+    and the Dirichlet eliminations for the velocity systems.  The systems that
     depend on tau are built for the tau last asked for and kept until
     another tau is asked for.
     """
@@ -196,10 +195,11 @@ class Operators:
     def __init__(self, mesh: StructuredTriMesh, velocity_bc=None):
         self.mesh = mesh
         self.scalar_space = FunctionSpace.p1(mesh)
-        self.velocity_space = FunctionSpace.p2_vector(mesh)
+        self.velocity_space = FunctionSpace.p2(mesh)
         self.mass_p1 = assemble_mass(self.scalar_space)
         self.stiff_p1 = assemble_stiffness(self.scalar_space)
-        self.mass_vec, self.stiff_vec = assemble_vector_operators(self.velocity_space)
+        self.mass_vec = RepeatedBlock(assemble_mass(self.velocity_space))
+        self.stiff_vec = RepeatedBlock(assemble_stiffness(self.velocity_space))
         self.div = assemble_div_coupling(self.velocity_space, self.scalar_space)
         self.div_t = self.div.T.tocsr()
         self.velocity_bc = velocity_bc
@@ -208,9 +208,8 @@ class Operators:
         self.mass_row = self.mass_p1 @ np.ones(self.scalar_space.n_dofs)
 
         self.velocity_dirichlet = self.velocity_space.boundary_dofs()
-        self._p2_dirichlet = boundary_dofs(mesh, "p2")
-        self._bnode_coords = self.velocity_space.node_coords[self._p2_dirichlet]
-        self.projection_system = DirichletSystem(self.mass_vec.block, self._p2_dirichlet)
+        self._bnode_coords = self.velocity_space.node_coords[self.velocity_dirichlet]
+        self.projection_system = DirichletSystem(self.mass_vec.block, self.velocity_dirichlet)
         # Coarse space: P1 functions that vanish on the boundary.
         self.prolongation = p1_to_p2_prolongation(mesh)[:, ~mesh.vertex_on_boundary]
         self._velocity_system = (None, None)
@@ -221,7 +220,7 @@ class Operators:
         if self._velocity_system[0] != params.tau:
             system = DirichletSystem(
                 (self.mass_vec.block / params.tau + self.stiff_vec.block).tocsr(),
-                self._p2_dirichlet,
+                self.velocity_dirichlet,
             )
             preconditioner = TwoLevelPreconditioner(system.matrix, self.prolongation, system.dofs)
             self._velocity_system = (params.tau, (system, preconditioner))
@@ -233,15 +232,15 @@ class Operators:
         return self._transport_base[1]
 
     def boundary_values(self, t: float) -> np.ndarray:
-        """Velocity Dirichlet data at time t, ordered like velocity_dirichlet."""
+        """Velocity Dirichlet data at time t, shape (2, nb), ordered like velocity_dirichlet."""
         if self.velocity_bc is None:
-            return np.zeros(self.velocity_dirichlet.shape[0])
+            return np.zeros((2, self.velocity_dirichlet.shape[0]))
         x = self._bnode_coords[:, 0]
         y = self._bnode_coords[:, 1]
         g = np.asarray(self.velocity_bc(x, y, t), dtype=float)
         if g.shape != (2,) + x.shape:
             raise ValueError(f"velocity boundary evaluator returned shape {g.shape}")
-        return np.concatenate([g[0], g[1]])
+        return g
 
     def integral_mean(self, values: np.ndarray) -> float:
         return float(self.mass_row @ values) / self.area
@@ -290,7 +289,7 @@ def step_concentrations(
     """Implicit transport solves for both species at t_next."""
     base = ops.transport_base(params)
     convection = assemble_convection(state.u, ops.scalar_space)
-    drift = assemble_drift(state.phi, +1, ops.scalar_space)
+    drift = assemble_drift(state.phi)
     out = []
     for name, c_old, sgn, f in (
         ("c1", state.c1, +1.0, sources.f_c1),
@@ -363,16 +362,16 @@ def compute_velocity_split(
     matrix = RepeatedBlock(system.matrix)
     forcing = _momentum_forcing(ops, state)
 
-    rhs1 = ops.mass_vec @ state.u.values / params.tau + ops.div_t @ state.p.values
+    rhs1 = ops.mass_vec @ state.u.values.ravel() / params.tau + ops.div_t @ state.p.values
     if sources.f_u is not None:
-        rhs1 = rhs1 + assemble_load(ops.velocity_space, sources.f_u, t_next).values
+        rhs1 = rhs1 + assemble_load(ops.velocity_space, sources.f_u, t_next).values.ravel()
     g = ops.boundary_values(t_next)
     x0 = state.u.values.copy()
-    x0[ops.velocity_dirichlet] = g
+    x0[:, ops.velocity_dirichlet] = g
     u1, report = cg(
         matrix,
         system.reduce_rhs(rhs1, g),
-        x0=x0,
+        x0=x0.ravel(),
         tol=params.tol,
         max_iter=params.max_iter,
         preconditioner=preconditioner,
@@ -389,8 +388,8 @@ def compute_velocity_split(
     _require_converged(report, "tentative velocity (coupling part)")
 
     return VelocitySplit(
-        u1=FieldVector(ops.velocity_space, u1),
-        u2=FieldVector(ops.velocity_space, u2),
+        u1=FieldVector(ops.velocity_space, u1.reshape(2, -1)),
+        u2=FieldVector(ops.velocity_space, u2.reshape(2, -1)),
         forcing=forcing,
     )
 
@@ -420,8 +419,8 @@ def solve_xi(
     sqrt_energy = sqrt(energy)
     tau = params.tau
 
-    coupling_u1 = float(split.forcing @ split.u1.values)
-    coupling_u2 = float(split.forcing @ split.u2.values)
+    coupling_u1 = float(np.vdot(split.forcing, split.u1.values))
+    coupling_u2 = float(np.vdot(split.forcing, split.u2.values))
     a = 2.0 * energy - tau * coupling_u2
     b = 2.0 * state.r * sqrt_energy + tau * coupling_u1
 
@@ -481,7 +480,8 @@ def pressure_projection(ops: Operators, u_hat_next: FieldVector, state: State, p
     """Pressure update (pure Neumann) and L2 projection of the velocity."""
     tau = params.tau
     t_next = state.time + tau
-    rhs = ops.stiff_p1 @ state.p.values - (ops.div @ u_hat_next.values) / tau
+    u_hat = u_hat_next.values.ravel()
+    rhs = ops.stiff_p1 @ state.p.values - (ops.div @ u_hat) / tau
     p_vals, report = cg(
         ops.stiff_p1,
         rhs,
@@ -494,19 +494,19 @@ def pressure_projection(ops: Operators, u_hat_next: FieldVector, state: State, p
     p_vals -= ops.integral_mean(p_vals)
 
     delta = p_vals - state.p.values
-    rhs_u = ops.mass_vec @ u_hat_next.values + tau * (ops.div_t @ delta)
+    rhs_u = ops.mass_vec @ u_hat + tau * (ops.div_t @ delta)
     g = ops.boundary_values(t_next)
     u_vals, report = cg(
         RepeatedBlock(ops.projection_system.matrix),
         ops.projection_system.reduce_rhs(rhs_u, g),
-        x0=u_hat_next.values,
+        x0=u_hat,
         tol=params.tol,
         max_iter=params.max_iter,
     )
     _require_converged(report, "velocity projection")
     return (
         FieldVector(ops.scalar_space, p_vals),
-        FieldVector(ops.velocity_space, u_vals),
+        FieldVector(ops.velocity_space, u_vals.reshape(2, -1)),
     )
 
 
@@ -541,7 +541,8 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources: SourceT
     )
 
     # Dissipation terms of the energy identity, all at the new time level.
-    diss_u = tau * float(u_hat.values @ (ops.stiff_vec @ u_hat.values))
+    uh = u_hat.values.ravel()
+    diss_u = tau * float(uh @ (ops.stiff_vec @ uh))
     charge = c1_next.values - c2_next.values
     diss_charge = tau * float(charge @ (ops.mass_p1 @ charge))
     total_q = field_at_quadrature(c1_next) + field_at_quadrature(c2_next)
@@ -557,16 +558,16 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources: SourceT
     # where w = u_hat - tau grad(dp) is the unprojected end-of-step velocity.
     e_old = discrete_energy(state, params, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1)
     e_new = discrete_energy(new_state, params, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1)
-    du = u_hat.values - state.u.values
+    du = uh - state.u.values.ravel()
     increment_u = 0.5 * float(du @ (ops.mass_vec @ du))
     increment_r = (r_next - state.r) ** 2
     delta_p = p_next.values - state.p.values
     w_norm_sq = (
-        float(u_hat.values @ (ops.mass_vec @ u_hat.values))
-        + 2.0 * tau * float(delta_p @ (ops.div @ u_hat.values))
+        float(uh @ (ops.mass_vec @ uh))
+        + 2.0 * tau * float(delta_p @ (ops.div @ uh))
         + tau**2 * float(delta_p @ (ops.stiff_p1 @ delta_p))
     )
-    u_new_norm_sq = float(u_next.values @ (ops.mass_vec @ u_next.values))
+    u_new_norm_sq = float(np.vdot(u_next.values, ops.mass_vec @ u_next.values.ravel()))
     projection_defect = 0.5 * (w_norm_sq - u_new_norm_sq)
     residual = (
         e_new

@@ -14,9 +14,8 @@ from math import factorial
 import numpy as np
 
 from .fem import (
-    FieldVector,
+    DirichletSystem,
     FunctionSpace,
-    apply_dirichlet,
     assemble_load,
     assemble_stiffness,
     interpolate,
@@ -79,14 +78,14 @@ def check_operator_structure() -> CheckResult:
 
     mesh = build_rect_mesh((-1.0, -1.0, 1.0, 1.0), 7, 7)
     p1 = FunctionSpace.p1(mesh)
-    vec = FunctionSpace.p2_vector(mesh)
+    p2 = FunctionSpace.p2(mesh)
     mass = assemble_mass(p1)
     stiff = assemble_stiffness(p1)
     ones = np.ones(p1.n_dofs)
-    u = interpolate(vec, lambda x, y, t: np.array([np.sin(x + 2 * y), np.cos(x * y)]), 0.0)
+    u = interpolate(p2, lambda x, y, t: np.array([np.sin(x + 2 * y), np.cos(x * y)]), 0.0)
     phi = interpolate(p1, lambda x, y, t: np.cos(x) * np.sin(y), 0.0)
     conv = assemble_convection(u, p1)
-    drift = assemble_drift(phi, +1)
+    drift = assemble_drift(phi)
     scale = max(1.0, float(np.abs(conv.data).max()), float(np.abs(drift.data).max()))
     worst = max(
         float(np.abs((mass - mass.T).data).max() if (mass - mass.T).nnz else 0.0),
@@ -155,7 +154,7 @@ def check_singular_neumann_solver(seed: int) -> CheckResult:
     x_pinv = np.linalg.pinv(sing) @ b
     # Jacobi needs a positive diagonal; the deflated matrix may not have one.
     x, report = cg(
-        csr_matrix(sing), b, tol=1e-13, project_out_constants=True, diagonal_precondition=False
+        csr_matrix(sing), b, tol=1e-13, project_out_constants=True, preconditioner=lambda r: r.copy()
     )
     if not report.converged:
         return CheckResult("singular_neumann_solver", False, "projected cg failed")
@@ -171,8 +170,8 @@ def check_dirichlet_pinning() -> CheckResult:
     rhs = assemble_load(p1, lambda x, y, t: np.ones_like(x), 0.0).values
     dofs = p1.boundary_dofs()
     g = np.linspace(-1.0, 1.0, dofs.shape[0])
-    mat, reduced = apply_dirichlet(stiff, rhs, dofs, g)
-    x, report = cg(mat, reduced, tol=1e-13)
+    system = DirichletSystem(stiff, dofs)
+    x, report = cg(system.matrix, system.reduce_rhs(rhs, g), tol=1e-13)
     if not report.converged:
         return CheckResult("dirichlet_pinning", False, "solve failed")
     worst = float(np.abs(x[dofs] - g).max())
@@ -294,13 +293,14 @@ def check_splitting_linearity() -> CheckResult:
     split = compute_velocity_split(ops, state, params, SourceTerms.none(), params.tau)
     xi = 0.7321
     system, _ = ops.velocity_system(params)
-    rhs = ops.mass_vec @ state.u.values / params.tau + ops.div_t @ state.p.values - xi * split.forcing
+    rhs = ops.mass_vec @ state.u.values.ravel() / params.tau + ops.div_t @ state.p.values
+    rhs -= xi * split.forcing.ravel()
     direct, report = cg(
         RepeatedBlock(system.matrix), system.reduce_rhs(rhs), tol=1e-14, max_iter=100000
     )
     if not report.converged:
         return CheckResult("splitting_linearity", False, "direct solve failed")
-    combined = split.u1.values + xi * split.u2.values
+    combined = (split.u1.values + xi * split.u2.values).ravel()
     scale = max(1.0, float(np.abs(direct).max()))
     worst = float(np.abs(combined - direct).max()) / scale
     return _check("splitting_linearity", worst, 1e-9, "superposition defect")

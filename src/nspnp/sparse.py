@@ -15,8 +15,8 @@ commutes with it whenever ones span the kernel.
 ``RepeatedBlock`` applies diag(B, B) without building it, and
 ``TwoLevelPreconditioner`` is a symmetric two-level cycle for ``cg`` whose
 coarse operator is factored once by LAPACK's banded Cholesky.  Both act on
-vectors that hold one copy after the other, so a vector field stored
-component by component is solved with one scalar block.
+flat vectors that hold one copy after the other: values.ravel() of a (2, n)
+vector field, which is solved with one scalar block.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "SolveReport",
     "RepeatedBlock",
     "TwoLevelPreconditioner",
-    "spmv",
     "cg",
     "bicgstab",
 ]
@@ -59,14 +58,6 @@ class SolveReport:
     iterations: int
     residual: float
     converged: bool
-
-
-def spmv(matrix: CsrMatrix, x) -> np.ndarray:
-    """Matrix-vector product with a shape check."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (matrix.shape[1],):
-        raise ValueError(f"shape mismatch: matrix {matrix.shape}, vector {x.shape}")
-    return matrix @ x
 
 
 def _per_row(matrix, x: np.ndarray) -> np.ndarray:
@@ -165,7 +156,6 @@ def cg(
     tol: float = 1e-12,
     max_iter: int | None = None,
     project_out_constants: bool = False,
-    diagonal_precondition: bool = True,
     preconditioner=None,
 ):
     """Preconditioned conjugate gradients for symmetric positive (semi)definite systems.
@@ -192,12 +182,14 @@ def cg(
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     if project_out_constants:
         _deflate(x)
-    inv_diag = None
-    if preconditioner is None and diagonal_precondition:
+    if preconditioner is None:
         d = matrix.diagonal()
         if np.any(d <= 0):
             raise ValueError("Jacobi preconditioning needs a positive diagonal")
         inv_diag = 1.0 / d
+
+        def preconditioner(rv):
+            return inv_diag * rv
 
     def true_residual(xv):
         rt = b - matrix @ xv
@@ -206,10 +198,7 @@ def cg(
         return rt
 
     def fresh_direction(rv):
-        if preconditioner is not None:
-            zv = preconditioner(rv)
-        else:
-            zv = inv_diag * rv if inv_diag is not None else rv.copy()
+        zv = preconditioner(rv)
         if project_out_constants:
             _deflate(zv)
         return zv
@@ -263,9 +252,8 @@ def bicgstab(
     x0=None,
     tol: float = 1e-12,
     max_iter: int | None = None,
-    diagonal_precondition: bool = True,
 ):
-    """Stabilized biconjugate gradients (van der Vorst) for nonsymmetric systems.
+    """Jacobi-preconditioned stabilized biconjugate gradients (van der Vorst).
 
     Returns (x, SolveReport).  On a rho breakdown the method restarts once
     from the current iterate with a fresh shadow residual; a second breakdown
@@ -281,15 +269,10 @@ def bicgstab(
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(iterations=0, residual=0.0, converged=True)
 
-    inv_diag = None
-    if diagonal_precondition:
-        d = matrix.diagonal()
-        if np.any(d == 0):
-            raise ValueError("Jacobi preconditioning needs a nonzero diagonal")
-        inv_diag = 1.0 / d
-
-    def precond(v):
-        return inv_diag * v if inv_diag is not None else v
+    d = matrix.diagonal()
+    if np.any(d == 0):
+        raise ValueError("Jacobi preconditioning needs a nonzero diagonal")
+    inv_diag = 1.0 / d
 
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     r = b - matrix @ x
@@ -327,7 +310,7 @@ def bicgstab(
             continue
         beta = (rho_next / rho) * (alpha / omega)
         p = r + beta * (p - omega * v)
-        p_hat = precond(p)
+        p_hat = inv_diag * p
         v = matrix @ p_hat
         denom = float(r_shadow @ v)
         if denom == 0.0:
@@ -343,7 +326,7 @@ def bicgstab(
             x += alpha * p_hat
             converged = True
             break
-        s_hat = precond(s)
+        s_hat = inv_diag * s
         t = matrix @ s_hat
         tt = float(t @ t)
         if tt == 0.0:

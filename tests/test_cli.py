@@ -53,7 +53,6 @@ tol = 1e-8
 max_iter = 5000
 out = results
 emit_svg = yes
-seed = 3
 """
     config = parse_config(text)
     assert config.case == "example2"
@@ -65,7 +64,9 @@ seed = 3
     assert config.max_iter == 5000
     assert config.out == "results"
     assert config.emit_svg is True
-    assert config.seed == 3
+    # run and convergence are deterministic; they take no seed.
+    with pytest.raises(ConfigError, match="line 2: unknown key 'seed'"):
+        parse_config("case=example1\nseed = 3\n")
 
 
 def test_parse_empty_taus_gives_empty_tuple():

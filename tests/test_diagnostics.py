@@ -90,7 +90,7 @@ def test_energies_match_independent_decomposition(ops):
     state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
 
     e = discrete_energy(state, params, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1)
-    u, p = state.u.values, state.p.values
+    u, p = state.u.values.ravel(), state.p.values
     kinetic = 0.5 * u @ (ops.mass_vec @ u)
     pressure = 0.5 * params.tau**2 * (p @ (ops.stiff_p1 @ p))
     assert e == pytest.approx(kinetic + pressure + state.r**2, abs=1e-12 * max(1.0, e))

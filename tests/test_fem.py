@@ -11,7 +11,6 @@ from nspnp.fem import (
     DirichletSystem,
     FieldVector,
     FunctionSpace,
-    apply_dirichlet,
     assemble_convection,
     assemble_div_coupling,
     assemble_drift,
@@ -20,7 +19,9 @@ from nspnp.fem import (
     assemble_stiffness,
     error_norms,
     field_at_quadrature,
+    gradient_at_quadrature,
     interpolate,
+    load_from_quadrature,
     p1_to_p2_prolongation,
     quadrature_integral,
     shape_eval,
@@ -195,12 +196,12 @@ def test_stiffness_kernel_and_symmetry():
 def test_convection_and_drift_annihilated_by_constants():
     mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 6, 6)
     p1 = FunctionSpace.p1(mesh)
-    vel = FunctionSpace.p2_vector(mesh)
+    vel = FunctionSpace.p2(mesh)
     u = interpolate(vel, lambda x, y, t: np.stack([y * (1 - y), np.sin(x)]), 0.0)
     phi = interpolate(p1, lambda x, y, t: np.cos(np.pi * x) * y, 0.0)
 
     k = assemble_convection(u, p1)
-    d = assemble_drift(phi, +1.0, p1)
+    d = assemble_drift(phi)
     rng = np.random.default_rng(3)
     z = rng.standard_normal(p1.n_dofs)
     ones = np.ones(p1.n_dofs)
@@ -209,29 +210,19 @@ def test_convection_and_drift_annihilated_by_constants():
         assert abs(ones @ (mat @ z)) <= 1e-12 * scale
 
 
-def test_drift_sign_flip():
-    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 4, 4)
-    p1 = FunctionSpace.p1(mesh)
-    phi = interpolate(p1, lambda x, y, t: x * x + y, 0.0)
-    plus = assemble_drift(phi, +1.0, p1)
-    minus = assemble_drift(phi, -1.0, p1)
-    residual = (plus + minus).tocoo()
-    assert residual.nnz == 0 or np.abs(residual.data).max() < 1e-15
-
-
 def test_div_coupling_on_linear_fields():
     mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 5, 5)
     pres = FunctionSpace.p1(mesh)
-    vel = FunctionSpace.p2_vector(mesh)
+    vel = FunctionSpace.p2(mesh)
     b = assemble_div_coupling(vel, pres)
     m1 = assemble_mass(pres)
     ones = np.ones(pres.n_dofs)
 
     expanding = interpolate(vel, lambda x, y, t: np.stack([x, y]), 0.0)
-    np.testing.assert_allclose(b @ expanding.values, 2.0 * (m1 @ ones), atol=1e-13)
+    np.testing.assert_allclose(b @ expanding.values.ravel(), 2.0 * (m1 @ ones), atol=1e-13)
 
     rotating = interpolate(vel, lambda x, y, t: np.stack([-y, x]), 0.0)
-    np.testing.assert_allclose(b @ rotating.values, 0.0, atol=1e-13)
+    np.testing.assert_allclose(b @ rotating.values.ravel(), 0.0, atol=1e-13)
 
 
 def test_load_vector_integrates_constants():
@@ -251,12 +242,11 @@ def test_quadrature_integral_of_interpolant():
 
 def test_interpolate_rejects_wrong_shape():
     mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 2, 2)
-    p1 = FunctionSpace.p1(mesh)
-    vel = FunctionSpace.p2_vector(mesh)
+    p2 = FunctionSpace.p2(mesh)
     with pytest.raises(ValueError):
-        interpolate(p1, lambda x, y, t: np.stack([x, y]), 0.0)
+        interpolate(p2, lambda x, y, t: np.stack([x, y, x + y]), 0.0)
     with pytest.raises(ValueError):
-        interpolate(vel, lambda x, y, t: x + y, 0.0)
+        interpolate(p2, lambda x, y, t: np.stack([x[:-1], y[:-1]]), 0.0)
 
 
 def test_dirichlet_elimination_pins_values_and_keeps_symmetry():
@@ -277,18 +267,12 @@ def test_dirichlet_elimination_pins_values_and_keeps_symmetry():
     if diff.nnz:
         assert np.abs(diff.data).max() < 1e-14
 
-    mat2, rhs2 = apply_dirichlet(a, np.zeros(p2.n_dofs), bdofs, g[bdofs])
-    assert (mat2 - system.matrix).nnz == 0
-    np.testing.assert_allclose(rhs2, rhs, atol=0.0)
-
-    # Two copies one after the other reduce copy by copy.
-    load = np.arange(2 * p2.n_dofs, dtype=float)
-    values = np.concatenate([g[bdofs], -2.0 * g[bdofs]])
+    # The rows of a (2, n) load reduce copy by copy, returned one after the other.
+    load = np.arange(2 * p2.n_dofs, dtype=float).reshape(2, -1)
+    values = np.stack([g[bdofs], -2.0 * g[bdofs]])
     stacked = system.reduce_rhs(load, values)
-    np.testing.assert_array_equal(stacked[: p2.n_dofs], system.reduce_rhs(load[: p2.n_dofs], g[bdofs]))
-    np.testing.assert_array_equal(
-        stacked[p2.n_dofs :], system.reduce_rhs(load[p2.n_dofs :], -2.0 * g[bdofs])
-    )
+    np.testing.assert_array_equal(stacked[: p2.n_dofs], system.reduce_rhs(load[0], g[bdofs]))
+    np.testing.assert_array_equal(stacked[p2.n_dofs :], system.reduce_rhs(load[1], -2.0 * g[bdofs]))
 
 
 def test_prolongation_reproduces_linear_functions():
@@ -309,3 +293,59 @@ def test_field_vector_validates_length():
     p1 = FunctionSpace.p1(mesh)
     with pytest.raises(ValueError):
         FieldVector(p1, np.zeros(p1.n_dofs + 1))
+
+
+def test_vector_kernels_equal_scalar_kernels_on_each_row():
+    # One code path: a (2, n) field gives the two scalar results, stacked.
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 5, 5)
+    p2 = FunctionSpace.p2(mesh)
+    rows = (
+        lambda x, y, t: np.sin(np.pi * x) * np.cos(y) + t,
+        lambda x, y, t: x * x * y - np.exp(y) * t,
+    )
+
+    def stacked(*fs):
+        return lambda x, y, t: np.stack([f(x, y, t) for f in fs])
+
+    def close(got, want):
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-14 * scale
+
+    t = 0.3
+    field = interpolate(p2, stacked(*rows), t)
+    scalars = [interpolate(p2, f, t) for f in rows]
+    assert field.values.shape == (2, p2.n_dofs)
+    close(field.values, np.stack([s.values for s in scalars]))
+
+    values_q = field_at_quadrature(field)
+    close(values_q, np.stack([field_at_quadrature(s) for s in scalars], axis=-1))
+    close(
+        gradient_at_quadrature(field),
+        np.stack([gradient_at_quadrature(s) for s in scalars], axis=-2),
+    )
+    close(
+        load_from_quadrature(p2, values_q),
+        np.stack([load_from_quadrature(p2, values_q[..., c]) for c in range(2)]),
+    )
+    close(
+        assemble_load(p2, stacked(*rows), t).values,
+        np.stack([assemble_load(p2, f, t).values for f in rows]),
+    )
+
+    # Against exact fields other than the interpolated ones, so the errors are not zero.
+    exact = stacked(lambda x, y, t: np.cos(x + y), lambda x, y, t: x * y * y)
+    exact_grad = lambda x, y, t: np.stack(  # noqa: E731
+        [np.stack([-np.sin(x + y), -np.sin(x + y)]), np.stack([y * y, 2 * x * y])]
+    )
+    per_row = np.array(
+        [
+            error_norms(
+                scalars[c],
+                lambda x, y, t, c=c: exact(x, y, t)[c],
+                lambda x, y, t, c=c: exact_grad(x, y, t)[c],
+                t,
+            )
+            for c in range(2)
+        ]
+    )
+    close(np.array(error_norms(field, exact, exact_grad, t)), np.sqrt((per_row**2).sum(axis=0)))

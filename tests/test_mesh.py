@@ -101,11 +101,9 @@ def test_boundary_dofs_spaces():
     )
     assert on_outline.all()
     assert len(p2) == 12 + 12  # boundary vertices plus boundary-edge midpoints
-    vec = boundary_dofs(mesh, "p2-vector")
-    n = mesh.n_p2_nodes
-    np.testing.assert_array_equal(vec, np.concatenate([p2, p2 + n]))
-    with pytest.raises(ValueError):
-        boundary_dofs(mesh, "p3")
+    for kind in ("p2-vector", "p3"):
+        with pytest.raises(ValueError):
+            boundary_dofs(mesh, kind)
 
 
 def test_rejects_anisotropic_and_bad_input():

@@ -189,8 +189,8 @@ def test_velocity_boundary_values_exact_trace():
     state, _ = advance(ops, state, params, case.sources)
     bdofs = ops.velocity_space.boundary_dofs()
     expected = ops.boundary_values(state.time)
-    np.testing.assert_allclose(state.u.values[bdofs], expected, atol=1e-13)
-    np.testing.assert_allclose(state.u_hat.values[bdofs], expected, atol=1e-13)
+    np.testing.assert_allclose(state.u.values[:, bdofs], expected, atol=1e-13)
+    np.testing.assert_allclose(state.u_hat.values[:, bdofs], expected, atol=1e-13)
 
 
 def test_pressure_and_potential_zero_mean(ex3_ops):
@@ -283,15 +283,15 @@ def test_velocity_split_matches_jacobi_oracle():
 
     system, _ = ops.velocity_system(params)
     matrix = RepeatedBlock(system.matrix)
-    rhs1 = ops.mass_vec @ state.u.values / params.tau + ops.div_t @ state.p.values
-    rhs1 = rhs1 + assemble_load(ops.velocity_space, case.sources.f_u, t_next).values
+    rhs1 = ops.mass_vec @ state.u.values.ravel() / params.tau + ops.div_t @ state.p.values
+    rhs1 = rhs1 + assemble_load(ops.velocity_space, case.sources.f_u, t_next).values.ravel()
     g = ops.boundary_values(t_next)
     # CG never moves the pinned entries of its start vectors.
-    np.testing.assert_array_equal(split.u1.values[ops.velocity_dirichlet], g)
-    np.testing.assert_array_equal(split.u2.values[ops.velocity_dirichlet], 0.0)
+    np.testing.assert_array_equal(split.u1.values[:, ops.velocity_dirichlet], g)
+    np.testing.assert_array_equal(split.u2.values[:, ops.velocity_dirichlet], 0.0)
     for got, rhs in (
-        (split.u1.values, system.reduce_rhs(rhs1, g)),
-        (split.u2.values, system.reduce_rhs(-split.forcing)),
+        (split.u1.values.ravel(), system.reduce_rhs(rhs1, g)),
+        (split.u2.values.ravel(), system.reduce_rhs(-split.forcing)),
     ):
         oracle, report = cg(matrix, rhs, tol=1e-14, max_iter=100_000)
         assert report.converged
