@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -102,6 +103,8 @@ def _parse_float(raw: str, key: str, lineno: int) -> float:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: {key} expects a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {lineno}: {key} must be finite, got {raw!r}")
     return value
 
 
@@ -203,13 +206,16 @@ def _resolve(config: RunConfig):
 
 
 def _params(config: RunConfig, case, tau: float) -> SchemeParams:
-    return SchemeParams(
-        tau=tau,
-        t_final=config.t_final if config.t_final is not None else case.t_final,
-        c0=config.c0 if config.c0 is not None else case.c0,
-        tol=config.tol,
-        max_iter=config.max_iter,
-    )
+    try:
+        return SchemeParams(
+            tau=tau,
+            t_final=config.t_final if config.t_final is not None else case.t_final,
+            c0=config.c0 if config.c0 is not None else case.c0,
+            tol=config.tol,
+            max_iter=config.max_iter,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _format(value) -> str:
@@ -355,6 +361,8 @@ def cmd_convergence(config: RunConfig, out_dir: str | Path = ".") -> int:
     if case.exact is None:
         raise ConfigError(f"case {case.name} has no closed-form solution to measure errors against")
     params = _params(config, case, taus[0])
+    for tau in taus[1:]:
+        _params(config, case, tau)  # every tau must divide t_final
     rows = convergence_study(case, params, list(taus), mesh=mesh, ops=ops)
 
     out = Path(out_dir)

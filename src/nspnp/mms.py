@@ -448,7 +448,7 @@ def run_case(case: ManufacturedCase, params: SchemeParams, mesh=None, ops=None):
             mesh = build_rect_mesh(case.bounds, case.nx, case.nx)
         ops = Operators(mesh, velocity_bc=case.velocity_bc)
     state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
-    records = [initial_record(ops, state, params)]
+    records = [initial_record(ops, state)]
     for _ in range(params.n_steps):
         state, record = advance(ops, state, params, case.sources)
         records.append(record)

@@ -11,6 +11,8 @@ drift blocks:
    (grad phi . grad theta_i), s_1 = +1, s_2 = -1.
 2. Electric potential, a pure Neumann Poisson solve:
        (grad phi, grad psi) = (c1 - c2, psi),  int phi = 0.
+   A_p, the P1 stiffness, is factored once per mesh with one dof pinned;
+   this and the pressure solve are each two triangular solves.
 3. Tentative velocity, split into a forcing-free part and a unit response to
    the explicit momentum coupling N = (u^n . grad u^n + (c1^n - c2^n) grad
    phi^n, v):
@@ -27,8 +29,9 @@ drift blocks:
        c = tau (||c1 - c2||_M^2 + int (c1 + c2) |grad phi|^2
              - (f_1 - f_2, phi))     [all at t^{n+1}]
    whose root nearest 1 is xi, and r^{n+1} = xi sqrt(E(phi^{n+1})).
-5. Pressure correction (pure Neumann) and an L2 velocity projection that
-   keeps the velocity in the boundary-condition-satisfying subspace:
+5. Pressure correction (pure Neumann, through the same factor of A_p) and an
+   L2 velocity projection that keeps the velocity in the
+   boundary-condition-satisfying subspace:
        A_p p^{n+1} = A_p p^n - (1/tau) B u_hat,  int p = 0
        M_v u^{n+1} = M_v u_hat + tau B^T (p^{n+1} - p^n).
 
@@ -72,7 +75,7 @@ from .fem import (
     quadrature_integral,
 )
 from .mesh import StructuredTriMesh
-from .sparse import RepeatedBlock, TwoLevelPreconditioner, bicgstab, cg
+from .sparse import NeumannSolver, RepeatedBlock, TwoLevelPreconditioner, bicgstab, cg
 
 __all__ = [
     "SchemeParams",
@@ -143,7 +146,7 @@ class SourceTerms:
 
 @dataclass
 class State:
-    """Discrete solution at one time level."""
+    """Discrete solution at one time level and its modified energy E_h."""
 
     c1: FieldVector
     c2: FieldVector
@@ -154,6 +157,7 @@ class State:
     r: float
     step_index: int
     time: float
+    E_h: float = float("nan")  # set by init_state and advance
 
 
 @dataclass(frozen=True)
@@ -178,6 +182,8 @@ class SplitCoefficients:
     c: float
     discriminant: float
     xi: float
+    charge_norm_sq: float     # ||c1 - c2||_M^2 at t^{n+1}, a part of c
+    drift_dissipation: float  # int (c1 + c2) |grad phi|^2 at t^{n+1}, a part of c
     degenerate: str | None = None
 
 
@@ -185,11 +191,11 @@ class Operators:
     """Assembled matrices and reusable eliminated systems for one mesh.
 
     Holds everything that does not change between time steps: the P1 mass
-    and stiffness matrices, the velocity ones as two copies of the scalar P2
-    block (one per component of a (2, n) velocity), the divergence coupling,
-    and the Dirichlet eliminations for the velocity systems.  The systems that
-    depend on tau are built for the tau last asked for and kept until
-    another tau is asked for.
+    and stiffness matrices with the stiffness's pinned factor, the velocity
+    ones as two copies of the scalar P2 block (one per component of a (2, n)
+    velocity), the divergence coupling, and the Dirichlet eliminations for
+    the velocity systems.  The systems that depend on tau are built for the
+    tau last asked for and kept until another tau is asked for.
     """
 
     def __init__(self, mesh: StructuredTriMesh, velocity_bc=None):
@@ -198,6 +204,7 @@ class Operators:
         self.velocity_space = FunctionSpace.p2(mesh)
         self.mass_p1 = assemble_mass(self.scalar_space)
         self.stiff_p1 = assemble_stiffness(self.scalar_space)
+        self._neumann = NeumannSolver(self.stiff_p1)
         self.mass_vec = RepeatedBlock(assemble_mass(self.velocity_space))
         self.stiff_vec = RepeatedBlock(assemble_stiffness(self.velocity_space))
         self.div = assemble_div_coupling(self.velocity_space, self.scalar_space)
@@ -245,6 +252,12 @@ class Operators:
     def integral_mean(self, values: np.ndarray) -> float:
         return float(self.mass_row @ values) / self.area
 
+    def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:
+        """The zero-mean x with stiff_p1 @ x = rhs, rhs first losing its mean."""
+        x = self._neumann(rhs)
+        x -= self.integral_mean(x)
+        return x
+
 
 def _require_converged(report, label: str):
     if not report.converged:
@@ -270,7 +283,7 @@ def init_state(ops: Operators, c1_0, c2_0, u_0, p_0, params: SchemeParams) -> St
     p.values -= ops.integral_mean(p.values)
     phi = step_potential(ops, c1, c2)
     energy = 0.5 * float(phi.values @ (ops.stiff_p1 @ phi.values)) + params.c0
-    return State(
+    state = State(
         c1=c1,
         c2=c2,
         phi=phi,
@@ -281,6 +294,8 @@ def init_state(ops: Operators, c1_0, c2_0, u_0, p_0, params: SchemeParams) -> St
         step_index=0,
         time=0.0,
     )
+    state.E_h = discrete_energy(state, params, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1)
+    return state
 
 
 def step_concentrations(
@@ -307,14 +322,7 @@ def step_concentrations(
     return out[0], out[1]
 
 
-def step_potential(
-    ops: Operators,
-    c1_next: FieldVector,
-    c2_next: FieldVector,
-    warm=None,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
-):
+def step_potential(ops: Operators, c1_next: FieldVector, c2_next: FieldVector):
     """Pure Neumann Poisson solve (grad phi, grad psi) = (c1 - c2, psi), int phi = 0."""
     rhs = ops.mass_p1 @ (c1_next.values - c2_next.values)
     total = abs(rhs.sum())
@@ -324,17 +332,7 @@ def step_potential(
             "projecting it out",
             RuntimeWarning,
         )
-    x, report = cg(
-        ops.stiff_p1,
-        rhs,
-        x0=warm,
-        tol=tol,
-        max_iter=max_iter,
-        project_out_constants=True,
-    )
-    _require_converged(report, "potential")
-    x -= ops.integral_mean(x)
-    return FieldVector(ops.scalar_space, x)
+    return FieldVector(ops.scalar_space, ops.solve_neumann(rhs))
 
 
 def _momentum_forcing(ops: Operators, state: State) -> np.ndarray:
@@ -471,7 +469,8 @@ def solve_xi(
             xi = max(r1, r2)
 
     coeffs = SplitCoefficients(
-        a=a, b=b, c=c, discriminant=disc, xi=xi, degenerate=degenerate
+        a=a, b=b, c=c, discriminant=disc, xi=xi, charge_norm_sq=charge_norm_sq,
+        drift_dissipation=drift_dissipation, degenerate=degenerate,
     )
     return xi, xi * sqrt_energy, coeffs
 
@@ -481,17 +480,7 @@ def pressure_projection(ops: Operators, u_hat_next: FieldVector, state: State, p
     tau = params.tau
     t_next = state.time + tau
     u_hat = u_hat_next.values.ravel()
-    rhs = ops.stiff_p1 @ state.p.values - (ops.div @ u_hat) / tau
-    p_vals, report = cg(
-        ops.stiff_p1,
-        rhs,
-        x0=state.p.values,
-        tol=params.tol,
-        max_iter=params.max_iter,
-        project_out_constants=True,
-    )
-    _require_converged(report, "pressure")
-    p_vals -= ops.integral_mean(p_vals)
+    p_vals = ops.solve_neumann(ops.stiff_p1 @ state.p.values - (ops.div @ u_hat) / tau)
 
     delta = p_vals - state.p.values
     rhs_u = ops.mass_vec @ u_hat + tau * (ops.div_t @ delta)
@@ -518,9 +507,7 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources: SourceT
     t_next = state.time + tau
 
     c1_next, c2_next = step_concentrations(ops, state, params, sources, t_next)
-    phi_next = step_potential(
-        ops, c1_next, c2_next, warm=state.phi.values, tol=params.tol, max_iter=params.max_iter
-    )
+    phi_next = step_potential(ops, c1_next, c2_next)
     split = compute_velocity_split(ops, state, params, sources, t_next)
     xi, r_next, coeffs = solve_xi(
         ops, state, split, c1_next, c2_next, phi_next, params, sources, t_next
@@ -543,21 +530,15 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources: SourceT
     # Dissipation terms of the energy identity, all at the new time level.
     uh = u_hat.values.ravel()
     diss_u = tau * float(uh @ (ops.stiff_vec @ uh))
-    charge = c1_next.values - c2_next.values
-    diss_charge = tau * float(charge @ (ops.mass_p1 @ charge))
-    total_q = field_at_quadrature(c1_next) + field_at_quadrature(c2_next)
-    grad_phi_q = gradient_at_quadrature(phi_next)
-    diss_drift = tau * quadrature_integral(
-        ops.scalar_space, total_q * np.sum(grad_phi_q**2, axis=-1)
-    )
+    diss_charge = tau * coeffs.charge_norm_sq
+    diss_drift = tau * coeffs.drift_dissipation
 
     # Exact discrete energy balance (source-free, homogeneous boundary data):
     # E_new - E_old = -diss_u - diss_charge - diss_drift
     #                 - 0.5 ||u_hat - u_old||_M^2 - (r_new - r_old)^2
     #                 - 0.5 (||w||_M^2 - ||u_new||_M^2)
     # where w = u_hat - tau grad(dp) is the unprojected end-of-step velocity.
-    e_old = discrete_energy(state, params, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1)
-    e_new = discrete_energy(new_state, params, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1)
+    new_state.E_h = discrete_energy(new_state, params, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1)
     du = uh - state.u.values.ravel()
     increment_u = 0.5 * float(du @ (ops.mass_vec @ du))
     increment_r = (r_next - state.r) ** 2
@@ -570,8 +551,8 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources: SourceT
     u_new_norm_sq = float(np.vdot(u_next.values, ops.mass_vec @ u_next.values.ravel()))
     projection_defect = 0.5 * (w_norm_sq - u_new_norm_sq)
     residual = (
-        e_new
-        - e_old
+        new_state.E_h
+        - state.E_h
         + diss_u
         + diss_charge
         + diss_drift
@@ -591,7 +572,7 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources: SourceT
         max_c1=max_c1,
         min_c2=min_c2,
         max_c2=max_c2,
-        E_h=e_new,
+        E_h=new_state.E_h,
         E_orig=original_energy(new_state, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1),
         diss_u=diss_u,
         diss_charge=diss_charge,
@@ -603,7 +584,7 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources: SourceT
     return new_state, record
 
 
-def initial_record(ops: Operators, state: State, params: SchemeParams) -> DiagRecord:
+def initial_record(ops: Operators, state: State) -> DiagRecord:
     """Step-0 diagnostics row so traces include the initial condition."""
     min_c1, max_c1 = extrema(state.c1)
     min_c2, max_c2 = extrema(state.c2)
@@ -616,7 +597,7 @@ def initial_record(ops: Operators, state: State, params: SchemeParams) -> DiagRe
         max_c1=max_c1,
         min_c2=min_c2,
         max_c2=max_c2,
-        E_h=discrete_energy(state, params, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1),
+        E_h=state.E_h,
         E_orig=original_energy(state, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1),
         diss_u=0.0,
         diss_charge=0.0,

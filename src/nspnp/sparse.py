@@ -1,22 +1,20 @@
-"""Compressed sparse row matrices and deterministic Krylov solvers.
+"""Compressed sparse row matrices, deterministic Krylov solvers and banded factors.
 
 Storage is scipy's CSR format: ``indptr`` holds the row offsets, ``indices``
-the column indices, ``data`` the values.  The solvers below are written
+the column indices, ``data`` the values.  The Krylov solvers are written
 directly against matrix-vector products so their iteration history (and hence
 every digit of the output) is a pure function of the inputs; no threading or
 order-of-reduction surprises.
-
-``cg`` optionally projects the right-hand side and every iterate onto the
-orthogonal complement of the constant vector.  That keeps pure Neumann
-(consistent singular) systems well posed without modifying the matrix: the
-operator is symmetric positive definite on that subspace and the projection
-commutes with it whenever ones span the kernel.
 
 ``RepeatedBlock`` applies diag(B, B) without building it, and
 ``TwoLevelPreconditioner`` is a symmetric two-level cycle for ``cg`` whose
 coarse operator is factored once by LAPACK's banded Cholesky.  Both act on
 flat vectors that hold one copy after the other: values.ravel() of a (2, n)
 vector field, which is solved with one scalar block.
+
+``NeumannSolver`` solves pure Neumann (consistent singular) systems, whose
+kernel is spanned by ones, directly: one dof is pinned and the rest of the
+matrix is factored once by the same banded Cholesky.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ __all__ = [
     "SolveReport",
     "RepeatedBlock",
     "TwoLevelPreconditioner",
+    "NeumannSolver",
     "cg",
     "bicgstab",
 ]
@@ -58,6 +57,17 @@ class SolveReport:
     iterations: int
     residual: float
     converged: bool
+
+
+def _cholesky_banded(matrix) -> np.ndarray:
+    """Upper Cholesky factor of a sparse SPD matrix in LAPACK band storage (band + 1 rows)."""
+    coo = scipy.sparse.coo_matrix(matrix)
+    upper = coo.row <= coo.col
+    rows, cols = coo.row[upper], coo.col[upper]
+    band = int((cols - rows).max(initial=0))  # 0 for an empty matrix (one-cell mesh)
+    banded = np.zeros((band + 1, coo.shape[0]))
+    banded[band + rows - cols, cols] = coo.data[upper]
+    return cholesky_banded(banded)
 
 
 def _per_row(matrix, x: np.ndarray) -> np.ndarray:
@@ -97,11 +107,8 @@ class TwoLevelPreconditioner:
 
     One application to a residual r is damped Jacobi, a coarse-grid
     correction with the Galerkin operator P^T A P, and damped Jacobi again.
-    The coarse operator is factored once by banded Cholesky, which stores
-    (bandwidth + 1) numbers per coarse dof: on the structured meshes, whose
-    vertices are numbered row by row, the bandwidth is the number of cells
-    per row.  The cycle is symmetric, and positive definite when
-    _OMEGA * lambda_max(D^-1 A) < 2.
+    The coarse operator is factored once by banded Cholesky.  The cycle is
+    symmetric, and positive definite when _OMEGA * lambda_max(D^-1 A) < 2.
 
     fixed lists the constrained dofs, whose rows and columns of the matrix
     are identity.  Their rows of the prolongation are zeroed here, so the
@@ -126,13 +133,7 @@ class TwoLevelPreconditioner:
         self.weight = weight
         self.prolongation = (scipy.sparse.diags(free) @ prolongation).tocsr()
         self.restriction = self.prolongation.T.tocsr()
-        coarse = (self.restriction @ matrix @ self.prolongation).tocoo()
-        upper = coarse.row <= coarse.col
-        rows, cols = coarse.row[upper], coarse.col[upper]
-        band = int((cols - rows).max(initial=0))  # a one-cell mesh has no coarse dofs
-        banded = np.zeros((band + 1, coarse.shape[0]))  # LAPACK upper band storage
-        banded[band + rows - cols, cols] = coarse.data[upper]
-        self.coarse_factor = cholesky_banded(banded)
+        self.coarse_factor = _cholesky_banded(self.restriction @ matrix @ self.prolongation)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = r.reshape(-1, self.n)  # one row per copy
@@ -144,9 +145,21 @@ class TwoLevelPreconditioner:
         return z.ravel()
 
 
-def _deflate(v: np.ndarray) -> np.ndarray:
-    v -= v.mean()
-    return v
+class NeumannSolver:
+    """Solves A x = b for SPD A whose kernel is spanned by ones, b first losing its mean.
+
+    The first dof is pinned to zero and the rest of A, positive definite, is
+    factored once by banded Cholesky; callers shift x to the mean they need.
+    """
+
+    def __init__(self, matrix):
+        self.factor = _cholesky_banded(scipy.sparse.csr_matrix(matrix)[1:, 1:])
+
+    def __call__(self, b) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        x = np.zeros(b.shape)
+        x[1:] = cho_solve_banded((self.factor, False), b[1:] - b.mean(), check_finite=False)
+        return x
 
 
 def cg(
@@ -155,33 +168,26 @@ def cg(
     x0=None,
     tol: float = 1e-12,
     max_iter: int | None = None,
-    project_out_constants: bool = False,
     preconditioner=None,
 ):
-    """Preconditioned conjugate gradients for symmetric positive (semi)definite systems.
+    """Preconditioned conjugate gradients for symmetric positive definite systems.
 
-    Returns (x, SolveReport).  tol is relative to ||b||.  With
-    project_out_constants the right-hand side, the initial guess, and every
-    preconditioned residual are deflated by their mean, which solves
-    consistent singular systems whose kernel is spanned by ones.
-    preconditioner, a symmetric positive definite map r -> z, replaces the
-    Jacobi preconditioner when given.
+    Returns (x, SolveReport).  tol is relative to ||b||.  preconditioner, a
+    symmetric positive definite map r -> z, replaces the Jacobi
+    preconditioner when given.  A non-finite residual norm stops the
+    iteration and is reported as not converged.
     """
-    b = np.asarray(b, dtype=float).copy()
+    b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"shape mismatch: matrix {matrix.shape}, rhs {b.shape}")
     if max_iter is None:
         max_iter = 10 * n
-    if project_out_constants:
-        _deflate(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(iterations=0, residual=0.0, converged=True)
 
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if project_out_constants:
-        _deflate(x)
     if preconditioner is None:
         d = matrix.diagonal()
         if np.any(d <= 0):
@@ -191,26 +197,15 @@ def cg(
         def preconditioner(rv):
             return inv_diag * rv
 
-    def true_residual(xv):
-        rt = b - matrix @ xv
-        if project_out_constants:
-            _deflate(rt)
-        return rt
-
-    def fresh_direction(rv):
-        zv = preconditioner(rv)
-        if project_out_constants:
-            _deflate(zv)
-        return zv
-
-    r = true_residual(x)
-    z = fresh_direction(r)
+    r = b - matrix @ x
+    z = preconditioner(r)
     p = z.copy()
     rz = float(r @ z)
     iterations = 0
     refreshes = 0
-    converged = np.linalg.norm(r) <= tol * bnorm
-    while not converged and iterations < max_iter:
+    rnorm = np.linalg.norm(r)
+    converged = rnorm <= tol * bnorm
+    while not converged and iterations < max_iter and np.isfinite(rnorm):
         q = matrix @ p
         pq = float(p @ q)
         if pq <= 0.0:
@@ -218,29 +213,28 @@ def cg(
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        if project_out_constants:
-            _deflate(r)
-            _deflate(x)
         iterations += 1
-        if np.linalg.norm(r) <= tol * bnorm:
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tol * bnorm:
             # The recurrence residual drifts from the true one near the end;
             # verify against b - A x and, on a near miss, keep iterating from
             # the recomputed residual instead of reporting failure.
-            r = true_residual(x)
-            if np.linalg.norm(r) <= tol * bnorm or refreshes >= 5:
-                converged = np.linalg.norm(r) <= tol * bnorm
+            r = b - matrix @ x
+            rnorm = np.linalg.norm(r)
+            if rnorm <= tol * bnorm or refreshes >= 5:
+                converged = rnorm <= tol * bnorm
                 break
             refreshes += 1
-            z = fresh_direction(r)
+            z = preconditioner(r)
             p = z.copy()
             rz = float(r @ z)
             continue
-        z = fresh_direction(r)
+        z = preconditioner(r)
         rz_next = float(r @ z)
         p = z + (rz_next / rz) * p
         rz = rz_next
 
-    true_res = np.linalg.norm(true_residual(x)) / bnorm
+    true_res = np.linalg.norm(b - matrix @ x) / bnorm
     return x, SolveReport(
         iterations=iterations, residual=float(true_res), converged=bool(true_res <= tol)
     )
@@ -257,7 +251,7 @@ def bicgstab(
 
     Returns (x, SolveReport).  On a rho breakdown the method restarts once
     from the current iterate with a fresh shadow residual; a second breakdown
-    reports failure.
+    reports failure, and so does a non-finite residual norm.
     """
     b = np.asarray(b, dtype=float).copy()
     n = b.shape[0]
@@ -283,7 +277,8 @@ def bicgstab(
     iterations = 0
     restarted = False
     refreshes = 0
-    converged = np.linalg.norm(r) <= tol * bnorm
+    rnorm = np.linalg.norm(r)
+    converged = rnorm <= tol * bnorm
 
     def verified(xv) -> bool:
         return np.linalg.norm(b - matrix @ xv) <= tol * bnorm
@@ -297,7 +292,7 @@ def bicgstab(
         v[:] = 0.0
         p[:] = 0.0
 
-    while not converged and iterations < max_iter:
+    while not converged and iterations < max_iter and np.isfinite(rnorm):
         rho_next = float(r_shadow @ r)
         if abs(rho_next) < _BREAKDOWN * max(
             1.0, float(np.linalg.norm(r_shadow) * np.linalg.norm(r))
@@ -339,7 +334,8 @@ def bicgstab(
         rho = rho_next
         if omega == 0.0:
             break
-        if np.linalg.norm(r) <= tol * bnorm:
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tol * bnorm:
             if verified(x):
                 converged = True
                 break

@@ -221,8 +221,25 @@ def test_main_empty_tau_list_is_usage_error(tmp_path, capsys):
     assert "nonempty tau list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("command", "text", "fragment"),
+    [
+        ("run", "case=example3\nnx=4\ntau=0.25\nt_final=0.6\n", "not an integer multiple"),
+        ("convergence", "case=example1\nnx=4\ntaus=0.2 0.25\nt_final=0.6\n", "not an integer multiple"),
+        ("run", "case=example3\nnx=4\ntau=nan\nt_final=0.1\n", "line 3: tau must be finite"),
+        ("run", "case=example3\nnx=4\ntau=inf\nt_final=0.1\n", "line 3: tau must be finite"),
+        ("run", "case=example3\nnx=4\ntau=0.1\nt_final=0.1\nc0=inf\n", "line 5: c0 must be finite"),
+    ],
+    ids=["t_final-not-multiple", "later-tau-not-multiple", "tau-nan", "tau-inf", "c0-inf"],
+)
+def test_main_invalid_parameters_are_usage_errors(tmp_path, capsys, command, text, fragment):
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_main_solver_failure_exits_one(tmp_path, capsys):
-    # One Krylov iteration cannot reach 1e-10 on the initial potential solve.
+    # One Krylov iteration cannot reach 1e-10 on the first step's c1 transport solve.
     cfg = write_config(
         tmp_path, "case=example3\nnx=4\ntau=0.1\nt_final=0.1\nmax_iter=1\n"
     )

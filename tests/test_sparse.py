@@ -1,4 +1,4 @@
-"""Iterative solvers against dense oracles, singular systems, warm starts, preconditioners."""
+"""Solvers against dense oracles, singular systems, warm starts, preconditioners."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nspnp.fem import DirichletSystem, FunctionSpace, assemble_mass, assemble_stiffness, p1_to_p2_prolongation
 from nspnp.mesh import build_rect_mesh
-from nspnp.sparse import RepeatedBlock, SolveReport, TwoLevelPreconditioner, bicgstab, cg
+from nspnp.sparse import NeumannSolver, RepeatedBlock, SolveReport, TwoLevelPreconditioner, bicgstab, cg
 
 
 def random_spd(n: int, seed: int) -> np.ndarray:
@@ -127,20 +127,25 @@ def test_cg_and_bicgstab_agree_on_spd():
     assert np.linalg.norm(x1 - x2) / np.linalg.norm(x1) < 1e-10
 
 
-def test_projected_cg_on_singular_neumann_system():
-    n = 18
-    a = neumann_laplacian_1d(n)
-    rng = np.random.default_rng(4)
-    b = rng.standard_normal(n)
-    b -= b.mean()  # compatible right-hand side
+def random_singular(n: int, seed: int) -> np.ndarray:
+    """Dense symmetric positive semidefinite matrix whose kernel is exactly span(ones)."""
+    a = random_spd(n, seed)
+    centre = np.eye(n) - np.ones((n, n)) / n
+    return centre @ a @ centre
+
+
+@pytest.mark.parametrize(
+    "a", [neumann_laplacian_1d(18), random_singular(25, seed=6)], ids=["laplacian-1d", "dense"]
+)
+def test_neumann_solve_matches_pinv(a):
+    n = a.shape[0]
+    b = np.random.default_rng(4).standard_normal(n)
+    x = NeumannSolver(sp.csr_matrix(a))(b)
+    assert x[0] == 0.0  # the pinned dof
+    b -= b.mean()  # the consistent part, which the solve sees
     x_ref = np.linalg.pinv(a) @ b  # minimum-norm solution has zero mean here
-    x, report = cg(
-        sp.csr_matrix(a), b, tol=1e-12, project_out_constants=True, preconditioner=lambda r: r.copy()
-    )
-    assert report.converged
-    assert abs(x.mean()) < 1e-12
-    assert np.linalg.norm(x - x_ref) < 1e-8
-    assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-11
+    assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-12
+    np.testing.assert_allclose(x - x.mean(), x_ref, rtol=0, atol=1e-10 * np.abs(x_ref).max())
 
 
 def test_warm_start_at_solution_converges_immediately():
@@ -170,6 +175,16 @@ def test_nonconvergence_reported_not_raised():
     assert not report.converged
     assert report.iterations == 1
     assert report.residual > 1e-14
+
+
+@pytest.mark.parametrize("solver", [cg, bicgstab])
+def test_non_finite_residual_stops_at_once(solver):
+    a = sp.csr_matrix(random_spd(30, seed=3))
+    b = np.ones(30)
+    b[7] = np.nan
+    x, report = solver(a, b, max_iter=1000)
+    assert report.iterations <= 1
+    assert not report.converged and np.isnan(report.residual)
 
 
 def test_report_residual_is_true_relative_residual():
