@@ -8,11 +8,26 @@ barycentrics themselves; quadratic ones use the local node order
 [v0, v1, v2, m12, m20, m01] with vertex functions l*(2l - 1) and midpoint
 functions 4*l_i*l_j.
 
-All integrals use one fixed 7-point rule that is exact for polynomials of
-total degree 5 (centroid plus two symmetric orbits).  Weights sum to one, so
-an element integral is area * sum(w_q * f(x_q)).  Every bilinear form in this
-package has integrand degree at most 5 (P2 x grad-P2 x grad-P2 is 1+1+1+... at
-most 5 via P1 coefficients), hence assembly commits no quadrature error.
+Integrals over elements use one fixed 7-point rule that is exact for
+polynomials of total degree 5 (centroid plus two symmetric orbits).  Weights
+sum to one, so an element integral is area * sum(w_q * f(x_q)).  Every
+bilinear form in this package has integrand degree at most 5 (P2 x grad-P2 x
+grad-P2 is 1+1+1+... at most 5 via P1 coefficients), hence assembly commits
+no quadrature error.
+
+The per-step transport blocks are assembled in closed form instead, since
+P1 gradients are constant on each triangle: the convection block from the
+reference P1 x P2 mass R[j, k] = int theta_j psi_k (the rule evaluates it
+once), the drift block as the rank-one area/3 (grad theta_i . grad phi).
+Both equal the quadrature to round-off.
+
+Sparsity pattern
+----------------
+SparsityPattern maps every element entry to its slot of csr.data, so
+assembly is one bincount with no COO-to-CSR conversion.  The square
+matrices on a space (mass, stiffness, convection, drift) share the
+space's pattern, built once, and with it indptr and indices: matrices on
+one pattern add by adding their data.
 
 Field evaluators
 ----------------
@@ -34,6 +49,7 @@ coupling and the flat vectors the solvers see use that layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix, diags
@@ -43,6 +59,7 @@ from .sparse import CsrMatrix
 
 __all__ = [
     "QuadratureRule",
+    "SparsityPattern",
     "FunctionSpace",
     "FieldVector",
     "DirichletSystem",
@@ -54,6 +71,7 @@ __all__ = [
     "assemble_drift",
     "assemble_div_coupling",
     "assemble_load",
+    "element_gradient",
     "p1_to_p2_prolongation",
     "error_norms",
     "interpolate",
@@ -124,6 +142,61 @@ def shape_eval(kind: str, bary) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"unknown element kind: {kind!r}")
 
 
+@dataclass(frozen=True)
+class SparsityPattern:
+    """CSR structure of the matrices that couple two sets of element dofs.
+
+    entries[t, i, j] is the index into csr.data of the entry that couples
+    row dof i and column dof j of triangle t.  Columns are sorted within
+    each row.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    entries: np.ndarray  # (t, n_row_dofs, n_col_dofs)
+    shape: tuple[int, int]
+
+    @classmethod
+    def build(cls, row_dofs: np.ndarray, col_dofs: np.ndarray, shape) -> "SparsityPattern":
+        n_rows, n_cols = shape
+        t, ni = row_dofs.shape
+        nj = col_dofs.shape[1]
+        rows = np.repeat(row_dofs, nj, axis=1).astype(np.int64)
+        keys = (rows * n_cols + np.tile(col_dofs, (1, ni))).ravel()
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        first = np.ones(keys.shape, dtype=bool)
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        unique = sorted_keys[first]
+        slots = np.empty(keys.shape, dtype=np.int64)
+        slots[order] = np.cumsum(first) - 1
+        row_counts = np.bincount(unique // n_cols, minlength=n_rows)
+        # scipy picks the index dtype; the stored arrays are shared by every matrix.
+        template = CsrMatrix(
+            (np.zeros(unique.size), unique % n_cols, np.concatenate([[0], np.cumsum(row_counts)])),
+            shape=shape,
+        )
+        return cls(
+            indptr=template.indptr,
+            indices=template.indices,
+            entries=slots.astype(template.indices.dtype).reshape(t, ni, nj),
+            shape=(n_rows, n_cols),
+        )
+
+    def matrix(self, data: np.ndarray) -> CsrMatrix:
+        """The matrix with the given csr.data on this pattern."""
+        return CsrMatrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def assemble(self, element_matrices: np.ndarray) -> CsrMatrix:
+        """Sum of the element matrices, one bincount into csr.data."""
+        data = np.bincount(
+            self.entries.ravel(),
+            weights=np.broadcast_to(element_matrices, self.entries.shape).ravel(),
+            minlength=self.indices.shape[0],
+        )
+        return self.matrix(data)
+
+
 class FunctionSpace:
     """Nodal Lagrange space with precomputed assembly tables.
 
@@ -164,9 +237,12 @@ class FunctionSpace:
         self.basis_values = np.array(vals)            # (q, nloc)
         ref_grads = np.array(rgrads)                  # (q, nloc, 2)
         # Physical gradients per triangle and quad point: J^{-T} grad_ref.
-        self.basis_gradients = np.einsum("tab,qnb->tqna", inv_jac_t, ref_grads)
+        nq, nloc, _ = ref_grads.shape
+        self.basis_gradients = (
+            ref_grads.reshape(nq * nloc, 2) @ inv_jac_t.transpose(0, 2, 1)
+        ).reshape(mesh.n_triangles, nq, nloc, 2)
         # Physical quadrature points and premultiplied weights.
-        self.quad_xy = np.einsum("qk,tkd->tqd", self.rule.points, verts)
+        self.quad_xy = self.rule.points @ verts
         self.w_area = self.rule.weights[None, :] * self.area[:, None]
 
     @classmethod
@@ -176,6 +252,11 @@ class FunctionSpace:
     @classmethod
     def p2(cls, mesh: StructuredTriMesh) -> "FunctionSpace":
         return cls(mesh, "p2")
+
+    @cached_property
+    def pattern(self) -> SparsityPattern:
+        """The pattern of the square matrices on this space."""
+        return SparsityPattern.build(self.element_dofs, self.element_dofs, (self.n_dofs,) * 2)
 
     def boundary_dofs(self) -> np.ndarray:
         return boundary_dofs(self.mesh, self.kind)
@@ -253,67 +334,72 @@ def quadrature_integral(space: FunctionSpace, values: np.ndarray) -> float:
 # matrix assembly
 # ---------------------------------------------------------------------------
 
-def _scatter(element_matrices, row_dofs, col_dofs, shape) -> CsrMatrix:
-    t, ni, nj = element_matrices.shape
-    rows = np.broadcast_to(row_dofs[:, :, None], (t, ni, nj))
-    cols = np.broadcast_to(col_dofs[:, None, :], (t, ni, nj))
-    mat = coo_matrix(
-        (element_matrices.ravel(), (rows.ravel(), cols.ravel())), shape=shape
-    ).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
-
-
 def assemble_mass(space: FunctionSpace) -> CsrMatrix:
     """Mass matrix (basis_j, basis_i)."""
     ref = np.einsum("q,qi,qj->ij", space.rule.weights, space.basis_values, space.basis_values)
-    elem = space.area[:, None, None] * ref[None, :, :]
-    n = space.n_dofs
-    return _scatter(elem, space.element_dofs, space.element_dofs, (n, n))
+    return space.pattern.assemble(space.area[:, None, None] * ref[None, :, :])
 
 
 def assemble_stiffness(space: FunctionSpace) -> CsrMatrix:
     """Stiffness matrix (grad basis_j, grad basis_i)."""
-    elem = np.einsum(
-        "q,tqia,tqja->tij", space.rule.weights, space.basis_gradients, space.basis_gradients
-    )
-    elem *= space.area[:, None, None]
-    n = space.n_dofs
-    return _scatter(elem, space.element_dofs, space.element_dofs, (n, n))
+    # Per triangle, rows i of (nloc, 2q) gradient tables: one batched matmul.
+    grads = space.basis_gradients
+    t, nq, nloc, dim = grads.shape
+    table = np.moveaxis(grads, 2, 1).reshape(t, nloc, nq * dim)
+    weighted = np.moveaxis(grads * space.w_area[:, :, None, None], 2, 1).reshape(t, nloc, nq * dim)
+    return space.pattern.assemble(weighted @ table.transpose(0, 2, 1))
+
+
+def _require_p1(space: FunctionSpace, what: str):
+    if space.kind != "p1":
+        raise ValueError(f"{what} needs a P1 space, got {space.kind!r}")
+
+
+def element_gradient(field: FieldVector) -> np.ndarray:
+    """Gradient of a scalar P1 field on each triangle, where it is constant: shape (t, 2)."""
+    sp = field.space
+    _require_p1(sp, "element_gradient")
+    return np.einsum("tid,ti->td", sp.basis_gradients[:, 0], field.values[sp.element_dofs])
 
 
 def assemble_convection(u_field: FieldVector, space: FunctionSpace) -> CsrMatrix:
-    """Weak convection on the scalar space: K[i,j] = -int c_j (u . grad theta_i).
+    """Weak convection on the P1 space: K[i,j] = -int c_j (u . grad theta_i).
 
     Integration by parts of (u . grad c, theta) with div u = 0 and u.n = 0 on
     the boundary moves the derivative onto the test function; in this form
     ones annihilate K exactly (columns sum to zero) for any discrete u, which
     is what makes the ion masses exactly conserved.
+
+    grad theta_i is constant on a triangle, so with R[j, k] = int theta_j
+    psi_k on the reference triangle (psi the velocity basis, unit area),
+    K_e[i, j] = -area sum_d d_d theta_i (R u_d)_j.
     """
+    _require_p1(space, "assemble_convection")
     if u_field.space.mesh is not space.mesh:
         raise ValueError("velocity and scalar space live on different meshes")
-    u_q = field_at_quadrature(u_field)  # (t, q, 2)
-    elem = -np.einsum(
-        "tq,tqd,tqid,qj->tij", space.w_area, u_q, space.basis_gradients, space.basis_values
-    )
-    n = space.n_dofs
-    return _scatter(elem, space.element_dofs, space.element_dofs, (n, n))
+    vel = u_field.space
+    ref = np.einsum("q,qj,qk->jk", space.rule.weights, space.basis_values, vel.basis_values)
+    weighted = u_field.values[:, vel.element_dofs] @ ref.T  # (2, t, 3): (R u_d)_j
+    weighted *= -space.area[:, None]
+    grads = space.basis_gradients[:, 0]
+    elem = grads[:, :, None, 0] * weighted[0, :, None, :]
+    elem += grads[:, :, None, 1] * weighted[1, :, None, :]
+    return space.pattern.assemble(elem)
 
 
 def assemble_drift(phi_field: FieldVector) -> CsrMatrix:
-    """Electromigration matrix on phi's space: D[i,j] = int c_j (grad phi . grad theta_i).
+    """Electromigration matrix on phi's P1 space: D[i,j] = int c_j (grad phi . grad theta_i).
 
     The cation equation adds it and the anion equation subtracts it.  Columns
-    sum to zero because sum_i theta_i = 1.
+    sum to zero because sum_i theta_i = 1.  Both gradients are constant on a
+    triangle and int theta_j = area/3, so D_e[i, j] = (grad theta_i . grad
+    phi) area/3 for every j: rank one.
     """
     space = phi_field.space
-    gphi = gradient_at_quadrature(phi_field)  # (t, q, 2)
-    elem = np.einsum(
-        "tq,tqd,tqid,qj->tij", space.w_area, gphi, space.basis_gradients, space.basis_values
-    )
-    n = space.n_dofs
-    return _scatter(elem, space.element_dofs, space.element_dofs, (n, n))
+    _require_p1(space, "assemble_drift")
+    row = np.einsum("tid,td->ti", space.basis_gradients[:, 0], element_gradient(phi_field))
+    row *= space.area[:, None] / 3.0
+    return space.pattern.assemble(row[:, :, None])
 
 
 def assemble_div_coupling(vel_space: FunctionSpace, pres_space: FunctionSpace) -> CsrMatrix:
@@ -337,7 +423,8 @@ def assemble_div_coupling(vel_space: FunctionSpace, pres_space: FunctionSpace) -
     n = vel_space.n_dofs
     cols = np.hstack([vel_space.element_dofs, vel_space.element_dofs + n])
     shape = (pres_space.n_dofs, 2 * n)
-    return _scatter(elem.reshape(t, ni, 2 * nloc), pres_space.element_dofs, cols, shape)
+    pattern = SparsityPattern.build(pres_space.element_dofs, cols, shape)
+    return pattern.assemble(elem.reshape(t, ni, 2 * nloc))
 
 
 def assemble_load(space: FunctionSpace, f, t: float) -> FieldVector:

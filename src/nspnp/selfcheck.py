@@ -98,11 +98,11 @@ def check_operator_structure() -> CheckResult:
 
 
 def check_solvers_against_dense(seed: int) -> CheckResult:
-    """cg, cg with a given preconditioner, and bicgstab agree with dense elimination.
+    """cg and bicgstab, each also with a given preconditioner, agree with dense elimination.
 
     The systems are random, up to 50x50.  The preconditioner is block
-    Jacobi with 4x4 blocks, solved densely: the block-diagonal part of an
-    SPD matrix is SPD.
+    Jacobi with 4x4 blocks of the system, solved densely: the block-diagonal
+    part of an SPD matrix is SPD.
     """
     from scipy.sparse import csr_matrix
 
@@ -118,8 +118,8 @@ def check_solvers_against_dense(seed: int) -> CheckResult:
             return CheckResult("solvers_vs_dense", False, f"cg failed at n={n}")
         worst = max(worst, float(np.abs(x - x_dense).max() / np.abs(x_dense).max()))
 
-        block = np.arange(n) // 4
-        block_jacobi = np.where(block[:, None] == block[None, :], spd, 0.0)
+        same_block = (np.arange(n)[:, None] // 4) == (np.arange(n)[None, :] // 4)
+        block_jacobi = np.where(same_block, spd, 0.0)
         x, report = cg(
             csr_matrix(spd), b, tol=1e-14, preconditioner=lambda r: np.linalg.solve(block_jacobi, r)
         )
@@ -132,6 +132,14 @@ def check_solvers_against_dense(seed: int) -> CheckResult:
         x, report = bicgstab(csr_matrix(nonsym), b, tol=1e-14)
         if not report.converged:
             return CheckResult("solvers_vs_dense", False, f"bicgstab failed at n={n}")
+        worst = max(worst, float(np.abs(x - x_dense).max() / np.abs(x_dense).max()))
+
+        block_jacobi = np.where(same_block, nonsym, 0.0)
+        x, report = bicgstab(
+            csr_matrix(nonsym), b, tol=1e-14, preconditioner=lambda r: np.linalg.solve(block_jacobi, r)
+        )
+        if not report.converged:
+            return CheckResult("solvers_vs_dense", False, f"preconditioned bicgstab failed at n={n}")
         worst = max(worst, float(np.abs(x - x_dense).max() / np.abs(x_dense).max()))
     return _check("solvers_vs_dense", worst, 1e-8, "relative defect")
 

@@ -6,15 +6,22 @@ directly against matrix-vector products so their iteration history (and hence
 every digit of the output) is a pure function of the inputs; no threading or
 order-of-reduction surprises.
 
+``BandedCholesky`` factors a sparse SPD matrix once by LAPACK's banded
+Cholesky and then solves with it.  It has three users: the coarse operator
+of ``TwoLevelPreconditioner``, the pinned stiffness of ``NeumannSolver`` and
+the preconditioner M/tau + A of the transport solves.
+
 ``RepeatedBlock`` applies diag(B, B) without building it, and
-``TwoLevelPreconditioner`` is a symmetric two-level cycle for ``cg`` whose
-coarse operator is factored once by LAPACK's banded Cholesky.  Both act on
-flat vectors that hold one copy after the other: values.ravel() of a (2, n)
-vector field, which is solved with one scalar block.
+``TwoLevelPreconditioner`` is a symmetric two-level cycle for ``cg``.  Both
+act on flat vectors that hold one copy after the other: values.ravel() of a
+(2, n) vector field, which is solved with one scalar block.
 
 ``NeumannSolver`` solves pure Neumann (consistent singular) systems, whose
 kernel is spanned by ones, directly: one dof is pinned and the rest of the
-matrix is factored once by the same banded Cholesky.
+matrix is factored once.
+
+``cg`` and ``bicgstab`` take an optional ``preconditioner``, a map r -> z;
+without one they precondition with the diagonal (Jacobi).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ CsrMatrix = scipy.sparse.csr_matrix
 __all__ = [
     "CsrMatrix",
     "SolveReport",
+    "BandedCholesky",
     "RepeatedBlock",
     "TwoLevelPreconditioner",
     "NeumannSolver",
@@ -59,15 +67,27 @@ class SolveReport:
     converged: bool
 
 
-def _cholesky_banded(matrix) -> np.ndarray:
-    """Upper Cholesky factor of a sparse SPD matrix in LAPACK band storage (band + 1 rows)."""
-    coo = scipy.sparse.coo_matrix(matrix)
-    upper = coo.row <= coo.col
-    rows, cols = coo.row[upper], coo.col[upper]
-    band = int((cols - rows).max(initial=0))  # 0 for an empty matrix (one-cell mesh)
-    banded = np.zeros((band + 1, coo.shape[0]))
-    banded[band + rows - cols, cols] = coo.data[upper]
-    return cholesky_banded(banded)
+class BandedCholesky:
+    """Solves A x = b for a sparse SPD matrix A, factored once by banded Cholesky.
+
+    The factor is the upper one in LAPACK band storage, band + 1 rows, the
+    band being the largest column distance of a nonzero from the diagonal.
+    On the row-major vertex numbering of a structured mesh that is one mesh
+    row, so the factor of a P1 matrix holds about nx^3 doubles.  b may hold
+    one right-hand side per column.
+    """
+
+    def __init__(self, matrix):
+        coo = scipy.sparse.coo_matrix(matrix)
+        upper = coo.row <= coo.col
+        rows, cols = coo.row[upper], coo.col[upper]
+        band = int((cols - rows).max(initial=0))  # 0 for an empty matrix (one-cell mesh)
+        banded = np.zeros((band + 1, coo.shape[0]))
+        banded[band + rows - cols, cols] = coo.data[upper]
+        self.factor = cholesky_banded(banded)
+
+    def __call__(self, b) -> np.ndarray:
+        return cho_solve_banded((self.factor, False), b, check_finite=False)
 
 
 def _per_row(matrix, x: np.ndarray) -> np.ndarray:
@@ -133,13 +153,13 @@ class TwoLevelPreconditioner:
         self.weight = weight
         self.prolongation = (scipy.sparse.diags(free) @ prolongation).tocsr()
         self.restriction = self.prolongation.T.tocsr()
-        self.coarse_factor = _cholesky_banded(self.restriction @ matrix @ self.prolongation)
+        self.coarse_solve = BandedCholesky(self.restriction @ matrix @ self.prolongation)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = r.reshape(-1, self.n)  # one row per copy
         z = self.weight * r
         defect = _per_row(self.restriction, r - _per_row(self.matrix, z))
-        correction = cho_solve_banded((self.coarse_factor, False), defect.T, check_finite=False)
+        correction = self.coarse_solve(defect.T)
         z += _per_row(self.prolongation, correction.T)
         z += self.weight * (r - _per_row(self.matrix, z))
         return z.ravel()
@@ -153,12 +173,12 @@ class NeumannSolver:
     """
 
     def __init__(self, matrix):
-        self.factor = _cholesky_banded(scipy.sparse.csr_matrix(matrix)[1:, 1:])
+        self.solve = BandedCholesky(scipy.sparse.csr_matrix(matrix)[1:, 1:])
 
     def __call__(self, b) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         x = np.zeros(b.shape)
-        x[1:] = cho_solve_banded((self.factor, False), b[1:] - b.mean(), check_finite=False)
+        x[1:] = self.solve(b[1:] - b.mean())
         return x
 
 
@@ -246,12 +266,16 @@ def bicgstab(
     x0=None,
     tol: float = 1e-12,
     max_iter: int | None = None,
+    preconditioner=None,
 ):
-    """Jacobi-preconditioned stabilized biconjugate gradients (van der Vorst).
+    """Right-preconditioned stabilized biconjugate gradients (van der Vorst).
 
-    Returns (x, SolveReport).  On a rho breakdown the method restarts once
-    from the current iterate with a fresh shadow residual; a second breakdown
-    reports failure, and so does a non-finite residual norm.
+    Returns (x, SolveReport).  preconditioner, a map r -> z approximating
+    the inverse of the matrix, replaces the Jacobi preconditioner when
+    given; it is applied on the right, so the residual the method monitors
+    is that of the unpreconditioned system.  On a rho breakdown the method
+    restarts once from the current iterate with a fresh shadow residual; a
+    second breakdown reports failure, and so does a non-finite residual norm.
     """
     b = np.asarray(b, dtype=float).copy()
     n = b.shape[0]
@@ -263,10 +287,14 @@ def bicgstab(
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(iterations=0, residual=0.0, converged=True)
 
-    d = matrix.diagonal()
-    if np.any(d == 0):
-        raise ValueError("Jacobi preconditioning needs a nonzero diagonal")
-    inv_diag = 1.0 / d
+    if preconditioner is None:
+        d = matrix.diagonal()
+        if np.any(d == 0):
+            raise ValueError("Jacobi preconditioning needs a nonzero diagonal")
+        inv_diag = 1.0 / d
+
+        def preconditioner(rv):
+            return inv_diag * rv
 
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     r = b - matrix @ x
@@ -305,7 +333,7 @@ def bicgstab(
             continue
         beta = (rho_next / rho) * (alpha / omega)
         p = r + beta * (p - omega * v)
-        p_hat = inv_diag * p
+        p_hat = preconditioner(p)
         v = matrix @ p_hat
         denom = float(r_shadow @ v)
         if denom == 0.0:
@@ -321,7 +349,7 @@ def bicgstab(
             x += alpha * p_hat
             converged = True
             break
-        s_hat = inv_diag * s
+        s_hat = preconditioner(s)
         t = matrix @ s_hat
         tt = float(t @ t)
         if tt == 0.0:

@@ -210,6 +210,64 @@ def test_convection_and_drift_annihilated_by_constants():
         assert abs(ones @ (mat @ z)) <= 1e-12 * scale
 
 
+def _quadrature_oracle(space, vector_q):
+    """The quadrature assembly the closed forms replaced: sum_T sum_q area w_q (v . grad theta_i) theta_j."""
+    from scipy.sparse import coo_matrix
+
+    elem = np.einsum(
+        "tq,tqd,tqid,qj->tij", space.w_area, vector_q, space.basis_gradients, space.basis_values
+    )
+    t = elem.shape[0]
+    rows = np.broadcast_to(space.element_dofs[:, :, None], (t, 3, 3)).ravel()
+    cols = np.broadcast_to(space.element_dofs[:, None, :], (t, 3, 3)).ravel()
+    n = space.n_dofs
+    return coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).toarray()
+
+
+def test_closed_form_transport_kernels_match_quadrature():
+    # K and D in closed form against the degree-5 quadrature they replace,
+    # on a random P2 velocity and a random P1 potential.
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 6, 6)
+    p1 = FunctionSpace.p1(mesh)
+    p2 = FunctionSpace.p2(mesh)
+    rng = np.random.default_rng(11)
+    u = FieldVector(p2, rng.standard_normal((2, p2.n_dofs)))
+    phi = FieldVector(p1, rng.standard_normal(p1.n_dofs))
+    for got, want in (
+        (assemble_convection(u, p1), -_quadrature_oracle(p1, field_at_quadrature(u))),
+        (assemble_drift(phi), _quadrature_oracle(p1, gradient_at_quadrature(phi))),
+    ):
+        assert np.abs(got.toarray() - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_matrices_on_a_space_share_its_pattern():
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 0.75), 4, 3)
+    p1 = FunctionSpace.p1(mesh)
+    u = interpolate(FunctionSpace.p2(mesh), lambda x, y, t: np.stack([x * y, -y]), 0.0)
+    phi = interpolate(p1, lambda x, y, t: x - y * y, 0.0)
+    mats = [assemble_mass(p1), assemble_stiffness(p1), assemble_convection(u, p1), assemble_drift(phi)]
+    for mat in mats:
+        assert np.shares_memory(mat.indices, p1.pattern.indices)
+        assert np.shares_memory(mat.indptr, p1.pattern.indptr)
+        assert mat.has_sorted_indices
+    # The pattern holds exactly the couplings of the triangles: no more, no fewer.
+    coupled = np.zeros((p1.n_dofs, p1.n_dofs), dtype=bool)
+    for tri in p1.element_dofs:
+        coupled[np.ix_(tri, tri)] = True
+    pattern = p1.pattern.matrix(np.ones(p1.pattern.indices.shape[0])).toarray()
+    np.testing.assert_array_equal(pattern != 0, coupled)
+
+
+def test_transport_kernels_reject_p2_spaces():
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 3, 3)
+    p2 = FunctionSpace.p2(mesh)
+    u = FieldVector(p2, np.ones((2, p2.n_dofs)))
+    with pytest.raises(ValueError, match="P1"):
+        assemble_convection(u, p2)
+    with pytest.raises(ValueError, match="P1"):
+        assemble_drift(FieldVector(p2, np.ones(p2.n_dofs)))
+
+
 def test_div_coupling_on_linear_fields():
     mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 5, 5)
     pres = FunctionSpace.p1(mesh)

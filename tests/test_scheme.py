@@ -12,7 +12,7 @@ from nspnp.diagnostics import DIAG_COLUMNS
 from nspnp.fem import assemble_load, interpolate
 from nspnp.mesh import build_rect_mesh
 from nspnp.mms import example1, example3
-from nspnp.sparse import RepeatedBlock, cg
+from nspnp.sparse import RepeatedBlock, bicgstab, cg
 from nspnp.scheme import (
     Operators,
     SchemeParams,
@@ -56,6 +56,15 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SchemeParams(tau=0.3, t_final=1.0, c0=1.0)  # horizon not a multiple
     assert SchemeParams(tau=0.1, t_final=1.0, c0=1.0).n_steps == 10
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("name", ["tau", "t_final", "c0", "tol"])
+def test_params_reject_non_finite_values(name, value):
+    fields = dict(tau=0.1, t_final=1.0, c0=1.0, tol=1e-10)
+    fields[name] = value
+    with pytest.raises(ValueError, match=name):
+        SchemeParams(**fields)
 
 
 def test_init_state_bootstraps_potential_and_r(ex3_ops):
@@ -288,6 +297,64 @@ def test_velocity_iterations_stay_flat_under_refinement(nx, monkeypatch):
         compute_velocity_split(ops, state, params, case.sources, state.time + params.tau)
         assert len(iterations) == 2
         assert max(iterations) <= 30
+
+
+@pytest.mark.parametrize("nx", [16, 32])
+def test_transport_iterations_stay_few(nx, monkeypatch):
+    # Preconditioned by the factor of M/tau + A, BiCGStab only has to resolve
+    # convection and drift: a few iterations per species at every resolution.
+    iterations = []
+
+    def counting_bicgstab(*args, **kwargs):
+        x, report = bicgstab(*args, **kwargs)
+        iterations.append(report.iterations)
+        return x, report
+
+    monkeypatch.setattr(scheme, "bicgstab", counting_bicgstab)
+    case = example3()
+    ops = Operators(build_rect_mesh(case.bounds, nx, nx), velocity_bc=case.velocity_bc)
+    small_run(case, ops, tau=0.05, steps=4, c0=case.c0)
+    assert len(iterations) == 8
+    assert np.mean(iterations) <= 10
+
+
+def test_transport_systems_share_the_pattern_of_the_base(ex3_ops, monkeypatch):
+    case, ops = ex3_ops
+    params = SchemeParams(tau=0.05, t_final=0.1, c0=5.0)
+    state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
+    state, _ = advance(ops, state, params, case.sources)
+    base, factor = ops.transport_base(params)
+    systems = []
+
+    def capturing_bicgstab(matrix, *args, **kwargs):
+        systems.append(matrix)
+        assert kwargs["preconditioner"] is factor
+        return bicgstab(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scheme, "bicgstab", capturing_bicgstab)
+    step_concentrations(ops, state, params, case.sources, state.time + params.tau)
+    assert len(systems) == 2
+    convection = scheme.assemble_convection(state.u, ops.scalar_space)
+    drift = scheme.assemble_drift(state.phi)
+    for system, sign in zip(systems, (1.0, -1.0)):
+        assert np.shares_memory(system.indices, base.indices)
+        assert np.shares_memory(system.indptr, base.indptr)
+        want = (ops.mass_p1 / params.tau + ops.stiff_p1 + convection + sign * drift).toarray()
+        assert np.abs(system.toarray() - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_drift_dissipation_matches_quadrature(ex3_ops):
+    # The closed form of int (c1 + c2) |grad phi|^2 against the 7-point rule.
+    case, ops = ex3_ops
+    params, state, _ = small_run(case, ops, steps=1)
+    split = compute_velocity_split(ops, state, params, case.sources, state.time + params.tau)
+    _, _, coeffs = solve_xi(
+        ops, state, split, state.c1, state.c2, state.phi, params, case.sources, state.time
+    )
+    total_q = scheme.field_at_quadrature(state.c1) + scheme.field_at_quadrature(state.c2)
+    grad_q = scheme.gradient_at_quadrature(state.phi)
+    want = scheme.quadrature_integral(ops.scalar_space, total_q * np.sum(grad_q**2, axis=-1))
+    assert coeffs.drift_dissipation == pytest.approx(want, rel=1e-13)
 
 
 def test_velocity_split_matches_jacobi_oracle():

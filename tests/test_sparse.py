@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from nspnp.fem import DirichletSystem, FunctionSpace, assemble_mass, assemble_stiffness, p1_to_p2_prolongation
 from nspnp.mesh import build_rect_mesh
-from nspnp.sparse import NeumannSolver, RepeatedBlock, SolveReport, TwoLevelPreconditioner, bicgstab, cg
+from nspnp.sparse import (
+    BandedCholesky,
+    NeumannSolver,
+    RepeatedBlock,
+    SolveReport,
+    TwoLevelPreconditioner,
+    bicgstab,
+    cg,
+)
 
 
 def random_spd(n: int, seed: int) -> np.ndarray:
@@ -59,6 +67,57 @@ def test_preconditioned_cg_matches_dense_solve(n):
     x, report = cg(sp.csr_matrix(a), b, tol=1e-13, preconditioner=lambda r: np.linalg.solve(block_jacobi, r))
     assert report.converged
     assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-8
+
+
+def nonsymmetric(n):
+    rng = np.random.default_rng(2 * n)
+    return rng.standard_normal((n, n)) + n * np.eye(n), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", [5, 17, 50])
+def test_preconditioned_bicgstab_matches_dense_solve(n):
+    a, b = nonsymmetric(n)
+    block = np.arange(n) // 4
+    block_jacobi = np.where(block[:, None] == block[None, :], a, 0.0)
+    x_ref = np.linalg.solve(a, b)
+    x, report = bicgstab(
+        sp.csr_matrix(a), b, tol=1e-13, preconditioner=lambda r: np.linalg.solve(block_jacobi, r)
+    )
+    assert report.converged
+    assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-8
+
+
+@pytest.mark.parametrize("n", [5, 17, 50])
+def test_bicgstab_with_the_exact_inverse_takes_one_iteration(n):
+    a, b = nonsymmetric(n)
+    inverse = np.linalg.inv(a)
+    x, report = bicgstab(sp.csr_matrix(a), b, tol=1e-12, preconditioner=lambda r: inverse @ r)
+    assert report.converged
+    assert report.iterations <= 1
+
+
+@pytest.mark.parametrize("n", [5, 17, 50])
+def test_bicgstab_default_is_jacobi_bit_for_bit(n):
+    a, b = nonsymmetric(n)
+    inv_diag = 1.0 / np.diag(a)
+    x, report = bicgstab(sp.csr_matrix(a), b, tol=1e-13)
+    x_jacobi, report_jacobi = bicgstab(
+        sp.csr_matrix(a), b, tol=1e-13, preconditioner=lambda r: inv_diag * r
+    )
+    np.testing.assert_array_equal(x, x_jacobi)
+    assert report == report_jacobi
+
+
+def test_banded_cholesky_matches_dense_solve():
+    # A 2-D five-point Laplacian plus a shift: band 6 on a 6 x 5 grid.
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(6, 6))
+    a = (sp.kronsum(lap, sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(5, 5))) + sp.eye(30)).tocsr()
+    b = np.random.default_rng(9).standard_normal((30, 3))
+    solve = BandedCholesky(a)
+    assert solve.factor.shape == (7, 30)
+    x_ref = np.linalg.solve(a.toarray(), b)
+    np.testing.assert_allclose(solve(b), x_ref, rtol=0, atol=1e-13 * np.abs(x_ref).max())
+    np.testing.assert_allclose(solve(b[:, 0]), x_ref[:, 0], rtol=0, atol=1e-13 * np.abs(x_ref).max())
 
 
 def test_repeated_block_matches_block_diagonal():
