@@ -10,12 +10,22 @@ functions 4*l_i*l_j.
 
 Integrals over elements use one fixed 7-point rule that is exact for
 polynomials of total degree 5 (centroid plus two symmetric orbits).  Weights
-sum to one, so an element integral is area * sum(w_q * f(x_q)).  Every
-bilinear form in this package has integrand degree at most 5 (P2 x grad-P2 x
-grad-P2 is 1+1+1+... at most 5 via P1 coefficients), hence assembly commits
-no quadrature error.
+sum to one, so an element integral is area * sum(w_q * f(x_q)).  The
+integrand degrees of the forms are: mass 4, stiffness 2, divergence
+coupling 2, (u . grad u, v) 5 and ((c1 - c2) grad phi, v) 3, so assembly
+commits no quadrature error.  Loads of analytic sources are not exact.
 
-The per-step transport blocks are assembled in closed form instead, since
+Reference tables
+----------------
+A triangle is the image x = v0 + J xi of the reference one.  A FunctionSpace
+holds the basis values (q, nloc) and reference gradients (q, nloc, 2) at the
+quadrature points, and per triangle the barycentric gradients (t, 3, 2): the
+P1 basis gradients, whose rows 1 and 2 are J^{-1}, mapping a reference
+gradient row g to g J^{-1}.  Each kernel is a GEMM against a reference table
+followed by that 2x2 map; the stiffness and divergence coupling are area
+J^{-1} J^{-T} and area J^{-1}, as (t, 4), times a reference tensor.
+
+The per-step transport blocks are assembled in closed form, since
 P1 gradients are constant on each triangle: the convection block from the
 reference P1 x P2 mass R[j, k] = int theta_j psi_k (the rule evaluates it
 once), the drift block as the rank-one area/3 (grad theta_i . grad phi).
@@ -198,7 +208,7 @@ class SparsityPattern:
 
 
 class FunctionSpace:
-    """Nodal Lagrange space with precomputed assembly tables.
+    """Nodal Lagrange space: reference tables and the per-triangle affine map.
 
     Kinds: "p1" (vertex dofs) and "p2" (vertex + edge midpoint dofs).
     """
@@ -227,23 +237,16 @@ class FunctionSpace:
         if np.any(det <= 0):
             raise ValueError("mesh contains non-counterclockwise triangles")
         self.area = 0.5 * det
-        inv_jac_t = np.empty((mesh.n_triangles, 2, 2))
-        inv_jac_t[:, 0, 0] = e2[:, 1] / det
-        inv_jac_t[:, 0, 1] = -e1[:, 1] / det
-        inv_jac_t[:, 1, 0] = -e2[:, 0] / det
-        inv_jac_t[:, 1, 1] = e1[:, 0] / det
+        # Barycentric gradients: rows 1 and 2 are J^{-1}, row 0 their negative sum.
+        jinv = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=1).reshape(-1, 2, 2)
+        jinv /= det[:, None, None]
+        self.bary_gradients = np.concatenate([-jinv.sum(axis=1, keepdims=True), jinv], axis=1)
 
         vals, rgrads = zip(*(shape_eval(kind, p) for p in self.rule.points))
-        self.basis_values = np.array(vals)            # (q, nloc)
-        ref_grads = np.array(rgrads)                  # (q, nloc, 2)
-        # Physical gradients per triangle and quad point: J^{-T} grad_ref.
-        nq, nloc, _ = ref_grads.shape
-        self.basis_gradients = (
-            ref_grads.reshape(nq * nloc, 2) @ inv_jac_t.transpose(0, 2, 1)
-        ).reshape(mesh.n_triangles, nq, nloc, 2)
-        # Physical quadrature points and premultiplied weights.
-        self.quad_xy = self.rule.points @ verts
-        self.w_area = self.rule.weights[None, :] * self.area[:, None]
+        self.basis_values = np.array(vals)      # (q, nloc)
+        self.ref_gradients = np.array(rgrads)   # (q, nloc, 2)
+        # x and y of the physical quadrature points, each (t, q).
+        self.quad_xy = np.ascontiguousarray(np.moveaxis(self.rule.points @ verts, -1, 0))
 
     @classmethod
     def p1(cls, mesh: StructuredTriMesh) -> "FunctionSpace":
@@ -300,7 +303,7 @@ def interpolate(space: FunctionSpace, f, t: float) -> FieldVector:
 def field_at_quadrature(field: FieldVector) -> np.ndarray:
     """Values at quadrature points: (t, q) for scalars, (t, q, 2) for vectors."""
     sp = field.space
-    return np.einsum("qi,...ti->tq...", sp.basis_values, field.values[..., sp.element_dofs])
+    return np.moveaxis(field.values[..., sp.element_dofs] @ sp.basis_values.T, (-2, -1), (0, 1))
 
 
 def gradient_at_quadrature(field: FieldVector) -> np.ndarray:
@@ -309,7 +312,10 @@ def gradient_at_quadrature(field: FieldVector) -> np.ndarray:
     Vector output is ordered [component, partial].
     """
     sp = field.space
-    return np.einsum("tqid,...ti->tq...d", sp.basis_gradients, field.values[..., sp.element_dofs])
+    nq, nloc, _ = sp.ref_gradients.shape
+    ref = field.values[..., sp.element_dofs] @ sp.ref_gradients.transpose(1, 0, 2).reshape(nloc, 2 * nq)
+    grads = ref.reshape(ref.shape[:-1] + (nq, 2)) @ sp.bary_gradients[:, 1:]   # g J^{-1}
+    return np.moveaxis(grads, (-3, -2), (0, 1))
 
 
 def load_from_quadrature(space: FunctionSpace, values: np.ndarray) -> np.ndarray:
@@ -318,8 +324,8 @@ def load_from_quadrature(space: FunctionSpace, values: np.ndarray) -> np.ndarray
     ``values`` has shape (t, q) for a scalar g, (t, q, 2) for a vector one;
     the load has shape (n,) or (2, n).
     """
-    weighted = np.moveaxis(values, (0, 1), (-2, -1)) * space.w_area   # (..., t, q)
-    fe = np.einsum("...tq,qi->...ti", weighted, space.basis_values)
+    weighted_basis = space.rule.weights[:, None] * space.basis_values
+    fe = (np.moveaxis(values, (0, 1), (-2, -1)) @ weighted_basis) * space.area[:, None]
     dofs = space.element_dofs.ravel()
     rows = [np.bincount(dofs, weights=w, minlength=space.n_dofs) for w in fe.reshape(-1, dofs.size)]
     return np.stack(rows).reshape(fe.shape[:-2] + (space.n_dofs,))
@@ -327,7 +333,7 @@ def load_from_quadrature(space: FunctionSpace, values: np.ndarray) -> np.ndarray
 
 def quadrature_integral(space: FunctionSpace, values: np.ndarray) -> float:
     """Integral over the domain of a quantity sampled at quadrature points."""
-    return float(np.einsum("tq,tq->", space.w_area, values))
+    return float(space.area @ (values @ space.rule.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +348,13 @@ def assemble_mass(space: FunctionSpace) -> CsrMatrix:
 
 def assemble_stiffness(space: FunctionSpace) -> CsrMatrix:
     """Stiffness matrix (grad basis_j, grad basis_i)."""
-    # Per triangle, rows i of (nloc, 2q) gradient tables: one batched matmul.
-    grads = space.basis_gradients
-    t, nq, nloc, dim = grads.shape
-    table = np.moveaxis(grads, 2, 1).reshape(t, nloc, nq * dim)
-    weighted = np.moveaxis(grads * space.w_area[:, :, None, None], 2, 1).reshape(t, nloc, nq * dim)
-    return space.pattern.assemble(weighted @ table.transpose(0, 2, 1))
+    # K_e[i, j] = sum_kl (area J^{-1} J^{-T})[k, l] S[k, l, i, j], S the reference tensor.
+    ref = space.ref_gradients
+    nloc = ref.shape[1]
+    tensor = np.einsum("q,qik,qjl->klij", space.rule.weights, ref, ref).reshape(4, nloc * nloc)
+    jinv = space.bary_gradients[:, 1:]
+    geometry = (jinv @ jinv.transpose(0, 2, 1)) * space.area[:, None, None]
+    return space.pattern.assemble((geometry.reshape(-1, 4) @ tensor).reshape(-1, nloc, nloc))
 
 
 def _require_p1(space: FunctionSpace, what: str):
@@ -359,7 +366,7 @@ def element_gradient(field: FieldVector) -> np.ndarray:
     """Gradient of a scalar P1 field on each triangle, where it is constant: shape (t, 2)."""
     sp = field.space
     _require_p1(sp, "element_gradient")
-    return np.einsum("tid,ti->td", sp.basis_gradients[:, 0], field.values[sp.element_dofs])
+    return np.einsum("ti,tid->td", field.values[sp.element_dofs], sp.bary_gradients)
 
 
 def assemble_convection(u_field: FieldVector, space: FunctionSpace) -> CsrMatrix:
@@ -381,10 +388,7 @@ def assemble_convection(u_field: FieldVector, space: FunctionSpace) -> CsrMatrix
     ref = np.einsum("q,qj,qk->jk", space.rule.weights, space.basis_values, vel.basis_values)
     weighted = u_field.values[:, vel.element_dofs] @ ref.T  # (2, t, 3): (R u_d)_j
     weighted *= -space.area[:, None]
-    grads = space.basis_gradients[:, 0]
-    elem = grads[:, :, None, 0] * weighted[0, :, None, :]
-    elem += grads[:, :, None, 1] * weighted[1, :, None, :]
-    return space.pattern.assemble(elem)
+    return space.pattern.assemble(space.bary_gradients @ weighted.transpose(1, 0, 2))
 
 
 def assemble_drift(phi_field: FieldVector) -> CsrMatrix:
@@ -397,7 +401,7 @@ def assemble_drift(phi_field: FieldVector) -> CsrMatrix:
     """
     space = phi_field.space
     _require_p1(space, "assemble_drift")
-    row = np.einsum("tid,td->ti", space.basis_gradients[:, 0], element_gradient(phi_field))
+    row = np.einsum("tid,td->ti", space.bary_gradients, element_gradient(phi_field))
     row *= space.area[:, None] / 3.0
     return space.pattern.assemble(row[:, :, None])
 
@@ -414,24 +418,22 @@ def assemble_div_coupling(vel_space: FunctionSpace, pres_space: FunctionSpace) -
         raise ValueError("div coupling needs (p2, p1) spaces")
     if vel_space.mesh is not pres_space.mesh:
         raise ValueError("spaces live on different meshes")
-    # Element entries area w q_i(x_q) d_d psi_j(x_q), laid out (t, i, d, j) so
-    # that a C reshape packs columns as d*nloc + j: x block first, then y.
-    elem = np.einsum(
-        "tq,qi,tqjd->tidj", pres_space.w_area, pres_space.basis_values, vel_space.basis_gradients
-    )
-    t, ni, _, nloc = elem.shape
+    # Element entries sum_k (area J^{-1})[k, d] T[k, i, j], T[k, i, j] = int q_i d_k psi_j on the
+    # reference triangle, laid out (t, i, d, j): a C reshape packs columns as d*nloc + j.
+    tensor = np.einsum("q,qi,qjk,ed->keidj", pres_space.rule.weights, pres_space.basis_values,
+                       vel_space.ref_gradients, np.eye(2)).reshape(4, -1)
+    geometry = vel_space.bary_gradients[:, 1:] * vel_space.area[:, None, None]
+    elem = geometry.reshape(-1, 4) @ tensor
     n = vel_space.n_dofs
     cols = np.hstack([vel_space.element_dofs, vel_space.element_dofs + n])
     shape = (pres_space.n_dofs, 2 * n)
     pattern = SparsityPattern.build(pres_space.element_dofs, cols, shape)
-    return pattern.assemble(elem.reshape(t, ni, 2 * nloc))
+    return pattern.assemble(elem.reshape(pres_space.element_dofs.shape + (-1,)))
 
 
 def assemble_load(space: FunctionSpace, f, t: float) -> FieldVector:
     """Right-hand-side vector (f(t), basis_i) by quadrature, one row per component of f."""
-    x = space.quad_xy[..., 0]
-    y = space.quad_xy[..., 1]
-    g = np.asarray(f(x, y, t), dtype=float)
+    g = np.asarray(f(*space.quad_xy, t), dtype=float)
     return FieldVector(space, load_from_quadrature(space, np.moveaxis(g, (-2, -1), (0, 1))))
 
 
@@ -441,13 +443,11 @@ def error_norms(field: FieldVector, exact, exact_grad, t: float) -> tuple[float,
     Vector fields sum the squared errors over their components.
     """
     sp = field.space
-    x = sp.quad_xy[..., 0]
-    y = sp.quad_xy[..., 1]
     squares = []
     for at_quadrature, f in ((field_at_quadrature, exact), (gradient_at_quadrature, exact_grad)):
         # In place: one quadrature-layout array (t, q, ...) per norm.
         diff = at_quadrature(field)
-        diff -= np.moveaxis(np.asarray(f(x, y, t), dtype=float), (-2, -1), (0, 1))
+        diff -= np.moveaxis(np.asarray(f(*sp.quad_xy, t), dtype=float), (-2, -1), (0, 1))
         diff *= diff
         squares.append(quadrature_integral(sp, diff.sum(axis=tuple(range(2, diff.ndim)))))
     l2sq, h1sq = squares

@@ -57,6 +57,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import copysign, isfinite, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -124,6 +125,8 @@ class SchemeParams:
             value = getattr(self, name)
             if not (isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
         n = round(self.t_final / self.tau)
         if n < 1 or abs(n * self.tau - self.t_final) > 1e-9 * self.t_final:
             raise ValueError(
@@ -360,7 +363,7 @@ def _momentum_forcing(ops: Operators, state: State) -> np.ndarray:
     """Explicit coupling load N_i = (u . grad u + (c1 - c2) grad phi, v_i) at t^n."""
     u_q = field_at_quadrature(state.u)            # (t, q, 2)
     grad_u_q = gradient_at_quadrature(state.u)    # (t, q, comp, partial)
-    advect = np.einsum("tqd,tqcd->tqc", u_q, grad_u_q)
+    advect = u_q[..., 0, None] * grad_u_q[..., 0] + u_q[..., 1, None] * grad_u_q[..., 1]
     charge_q = field_at_quadrature(state.c1) - field_at_quadrature(state.c2)
     grad_phi_q = gradient_at_quadrature(state.phi)
     return load_from_quadrature(

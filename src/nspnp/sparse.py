@@ -20,8 +20,8 @@ act on flat vectors that hold one copy after the other: values.ravel() of a
 kernel is spanned by ones, directly: one dof is pinned and the rest of the
 matrix is factored once.
 
-``cg`` and ``bicgstab`` take an optional ``preconditioner``, a map r -> z;
-without one they precondition with the diagonal (Jacobi).
+Both Krylov solvers take a ``preconditioner``, a map r -> z.  ``bicgstab``
+requires one; ``cg`` preconditions with the diagonal (Jacobi) without one.
 """
 
 from __future__ import annotations
@@ -266,16 +266,17 @@ def bicgstab(
     x0=None,
     tol: float = 1e-12,
     max_iter: int | None = None,
-    preconditioner=None,
+    *,
+    preconditioner,
 ):
     """Right-preconditioned stabilized biconjugate gradients (van der Vorst).
 
     Returns (x, SolveReport).  preconditioner, a map r -> z approximating
-    the inverse of the matrix, replaces the Jacobi preconditioner when
-    given; it is applied on the right, so the residual the method monitors
-    is that of the unpreconditioned system.  On a rho breakdown the method
-    restarts once from the current iterate with a fresh shadow residual; a
-    second breakdown reports failure, and so does a non-finite residual norm.
+    the inverse of the matrix, is applied on the right, so the residual the
+    method monitors is that of the unpreconditioned system.  On a rho
+    breakdown the method restarts once from the current iterate with a fresh
+    shadow residual; a second breakdown reports failure, and so does a
+    non-finite residual norm.
     """
     b = np.asarray(b, dtype=float).copy()
     n = b.shape[0]
@@ -286,15 +287,6 @@ def bicgstab(
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(iterations=0, residual=0.0, converged=True)
-
-    if preconditioner is None:
-        d = matrix.diagonal()
-        if np.any(d == 0):
-            raise ValueError("Jacobi preconditioning needs a nonzero diagonal")
-        inv_diag = 1.0 / d
-
-        def preconditioner(rv):
-            return inv_diag * rv
 
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     r = b - matrix @ x

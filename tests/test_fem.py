@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 from nspnp.fem import (
     DirichletSystem,
@@ -17,6 +19,7 @@ from nspnp.fem import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
+    element_gradient,
     error_norms,
     field_at_quadrature,
     gradient_at_quadrature,
@@ -73,14 +76,39 @@ def reference_triangle_mesh() -> StructuredTriMesh:
     )
 
 
+def oracle_tables(space: FunctionSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Per-triangle quadrature weights (t, q) and physical basis gradients (t, q, nloc, 2).
+
+    Built from the vertices with a dense inverse of each Jacobian, independently
+    of the space's geometry table: the layout the kernels no longer store.
+    """
+    verts = space.mesh.vertices[space.mesh.triangles]
+    jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
+    w_area = 0.5 * np.linalg.det(jac)[:, None] * space.rule.weights
+    grads = np.einsum("qik,tkd->tqid", space.ref_gradients, np.linalg.inv(jac))
+    return w_area, grads
+
+
+def dense_assembly(rows: np.ndarray, cols: np.ndarray, elem: np.ndarray, shape) -> np.ndarray:
+    """Sum of the element matrices elem (t, ni, nj) through COO, as a dense array."""
+    r = np.broadcast_to(rows[:, :, None], elem.shape).ravel()
+    c = np.broadcast_to(cols[:, None, :], elem.shape).ravel()
+    return coo_matrix((elem.ravel(), (r, c)), shape=shape).toarray()
+
+
+def sheared_mesh(n: int) -> StructuredTriMesh:
+    """The unit square mesh moved by (x, y) -> (x + 0.3 y, 0.2 x + 0.9 y), still counterclockwise."""
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), n, n)
+    x, y = mesh.vertices.T
+    return dataclasses.replace(mesh, vertices=np.stack([x + 0.3 * y, 0.2 * x + 0.9 * y], axis=1))
+
+
 def element_matrix(space: FunctionSpace, kind: str) -> np.ndarray:
     """Element integral of products of basis values or gradients, triangle 0."""
+    w_area, grads = oracle_tables(space)
     if kind == "mass":
-        return np.einsum(
-            "q,qi,qj->ij", space.w_area[0], space.basis_values, space.basis_values
-        )
-    grads = space.basis_gradients[0]  # (q, nloc, 2)
-    return np.einsum("q,qid,qjd->ij", space.w_area[0], grads, grads)
+        return np.einsum("q,qi,qj->ij", w_area[0], space.basis_values, space.basis_values)
+    return np.einsum("q,qid,qjd->ij", w_area[0], grads[0], grads[0])
 
 
 def test_p2_reference_mass_matrix():
@@ -212,16 +240,9 @@ def test_convection_and_drift_annihilated_by_constants():
 
 def _quadrature_oracle(space, vector_q):
     """The quadrature assembly the closed forms replaced: sum_T sum_q area w_q (v . grad theta_i) theta_j."""
-    from scipy.sparse import coo_matrix
-
-    elem = np.einsum(
-        "tq,tqd,tqid,qj->tij", space.w_area, vector_q, space.basis_gradients, space.basis_values
-    )
-    t = elem.shape[0]
-    rows = np.broadcast_to(space.element_dofs[:, :, None], (t, 3, 3)).ravel()
-    cols = np.broadcast_to(space.element_dofs[:, None, :], (t, 3, 3)).ravel()
-    n = space.n_dofs
-    return coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).toarray()
+    w_area, grads = oracle_tables(space)
+    elem = np.einsum("tq,tqd,tqid,qj->tij", w_area, vector_q, grads, space.basis_values)
+    return dense_assembly(space.element_dofs, space.element_dofs, elem, (space.n_dofs,) * 2)
 
 
 def test_closed_form_transport_kernels_match_quadrature():
@@ -238,6 +259,41 @@ def test_closed_form_transport_kernels_match_quadrature():
         (assemble_drift(phi), _quadrature_oracle(p1, gradient_at_quadrature(phi))),
     ):
         assert np.abs(got.toarray() - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "mesh", [build_rect_mesh((0.0, 0.0, 1.0, 1.0), 4, 4), sheared_mesh(4)], ids=["square", "sheared"]
+)
+def test_reference_kernels_match_the_physical_gradient_table(mesh):
+    # Every kernel against the per-triangle (t, q, nloc, 2) gradient table and
+    # its einsums, on Jacobians of a general affine map as well.
+    p1 = FunctionSpace.p1(mesh)
+    p2 = FunctionSpace.p2(mesh)
+    rng = np.random.default_rng(23)
+    u = FieldVector(p2, rng.standard_normal((2, p2.n_dofs)))
+    phi = FieldVector(p1, rng.standard_normal(p1.n_dofs))
+    (w1, g1), (w2, g2) = oracle_tables(p1), oracle_tables(p2)
+    u_e = u.values[:, p2.element_dofs]
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    close(gradient_at_quadrature(u), np.einsum("tqid,cti->tqcd", g2, u_e))
+    close(gradient_at_quadrature(phi), np.einsum("tqid,ti->tqd", g1, phi.values[p1.element_dofs]))
+    close(element_gradient(phi), np.einsum("tid,ti->td", g1[:, 0], phi.values[p1.element_dofs]))
+    for space, w, g in ((p1, w1, g1), (p2, w2, g2)):
+        elem = np.einsum("tq,tqid,tqjd->tij", w, g, g)
+        want = dense_assembly(space.element_dofs, space.element_dofs, elem, (space.n_dofs,) * 2)
+        close(assemble_stiffness(space).toarray(), want)
+    n = p2.n_dofs
+    elem = np.einsum("tq,qi,tqjd->tidj", w1, p1.basis_values, g2).reshape(mesh.n_triangles, 3, -1)
+    cols = np.hstack([p2.element_dofs, p2.element_dofs + n])
+    close(
+        assemble_div_coupling(p2, p1).toarray(),
+        dense_assembly(p1.element_dofs, cols, elem, (p1.n_dofs, 2 * n)),
+    )
+    u_q = np.einsum("qi,cti->tqc", p2.basis_values, u_e)
+    close(assemble_convection(u, p1).toarray(), -_quadrature_oracle(p1, u_q))
 
 
 def test_matrices_on_a_space_share_its_pattern():

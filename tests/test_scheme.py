@@ -55,6 +55,9 @@ def test_params_validation():
         SchemeParams(tau=0.1, t_final=1.0, c0=-1.0)
     with pytest.raises(ValueError):
         SchemeParams(tau=0.3, t_final=1.0, c0=1.0)  # horizon not a multiple
+    for max_iter in (0, -5, 2.5):
+        with pytest.raises(ValueError, match="max_iter"):
+            SchemeParams(tau=0.1, t_final=1.0, c0=1.0, max_iter=max_iter)
     assert SchemeParams(tau=0.1, t_final=1.0, c0=1.0).n_steps == 10
 
 
