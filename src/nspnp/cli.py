@@ -25,11 +25,9 @@ from typing import Sequence
 
 from .diagnostics import DiagRecord
 from .mesh import build_rect_mesh
-from .mms import ERROR_FIELDS, case_by_name, convergence_study, run_case
+from .mms import CASES, ERROR_FIELDS, case_by_name, convergence_study, run_case
 from .scheme import Operators, SchemeParams
 from .selfcheck import run_all
-
-_CASE_NAMES = ("example1", "example2", "example3")
 
 ERRORS_COLUMNS = (
     ("tau",)
@@ -142,9 +140,9 @@ def parse_config(text: str) -> RunConfig:
         seen[key] = lineno
 
         if key == "case":
-            if raw not in _CASE_NAMES:
+            if raw not in CASES:
                 raise ConfigError(
-                    f"line {lineno}: unknown case {raw!r}; expected one of {', '.join(_CASE_NAMES)}"
+                    f"line {lineno}: unknown case {raw!r}; expected one of {', '.join(CASES)}"
                 )
             fields["case"] = raw
         elif key in ("nx", "ny"):
@@ -191,7 +189,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
     if "case" not in fields:
-        raise ConfigError("case is required (case=example1|example2|example3)")
+        raise ConfigError(f"case is required (case={'|'.join(CASES)})")
     return RunConfig(**fields)  # type: ignore[arg-type]
 
 

@@ -1,20 +1,35 @@
 """Benchmark cases: two manufactured solutions and one decay problem.
 
-The manufactured cases (example1, example2) prescribe smooth exact fields and
-carry the source terms that make them solve the coupled system exactly; the
-sources were derived by hand from the strong residuals
+The manufactured cases are two members of one smooth family on (-1, 1)^2.
+With G = cos(pi x) cos(pi y) and a time profile q(t),
 
-    f_ci = dt c_i + u . grad c_i - lap c_i -+ div(c_i grad phi)
-    f_u  = dt u + (u . grad) u - lap u + grad p + (c1 - c2) grad phi
+    c_i = m + b_i G q,  b_2 = b_1 - 2       phi = G q / pi^2
+    u   = s q (sin 2pi x cos 2pi y, -sin 2pi y cos 2pi x)
+    p   = sin 2pi x sin 2pi y q
 
-and are cross-checked against finite differences of the exact fields in the
-test suite (two independent routes to the same object).  The potential
-equation -lap phi = c1 - c2 is satisfied identically, so it needs no source.
+    example1: m = 0,   b_1 = 3, s = 1,  q = sin t,    q' = cos t
+    example2: m = 1.1, b_1 = 1, s = pi, q = sin^2 t,  q' = sin 2t
 
-Both manufactured velocities are tangential to the boundary (u . n = 0) but
-not zero there, so runs impose the exact trace as Dirichlet data; the decay
-case (example3) is a genuine no-slip problem with no sources, used for the
-structure-preservation diagnostics.
+-lap G = 2 pi^2 G, so -lap phi = 2 G q = c1 - c2 and the potential equation
+needs no source.  u is divergence free and tangential to the boundary
+(u . n = 0) but not zero there, so runs impose its trace as Dirichlet data.
+The sources are the strong residuals (sigma_1 = +1, sigma_2 = -1)
+
+    f_ci = dt c_i + u . grad c_i - lap c_i - sigma_i div(c_i grad phi)
+    f_u  = dt u + (u . grad) u - lap u + grad p + (c1 - c2) grad phi,
+
+derived once for the family: with u . grad G = -pi s q A, grad phi =
+q grad G / pi^2 and lap phi = -2 G q,
+
+    f_ci = b_i G q' - pi s b_i q^2 A + 2 pi^2 b_i G q
+           - sigma_i (b_i q^2 |grad G|^2 / pi^2 - 2 m G q - 2 b_i q^2 G^2),
+    A    = sin 2pi x cos 2pi y sin pi x cos pi y - sin 2pi y cos 2pi x cos pi x sin pi y,
+
+and f_u follows from -lap u = 8 pi^2 u and (u . grad) u = 2 pi s^2 q^2
+(sin 2pi x cos 2pi x, sin 2pi y cos 2pi y).  Tests check the sources
+against finite differences and the published cases against fixed values.
+The decay case (example3) is a no-slip problem with no sources, used for
+the structure-preservation diagnostics.
 """
 
 from __future__ import annotations
@@ -29,6 +44,7 @@ from .mesh import build_rect_mesh
 from .scheme import Operators, SchemeParams, SourceTerms, advance, init_state, initial_record
 
 __all__ = [
+    "CASES",
     "ManufacturedCase",
     "ErrorReport",
     "example1",
@@ -78,138 +94,94 @@ class ErrorReport:
 
 
 def _trig(x, y):
-    pi = np.pi
-    return {
-        "cx": np.cos(pi * x),
-        "cy": np.cos(pi * y),
-        "sx": np.sin(pi * x),
-        "sy": np.sin(pi * y),
-        "s2x": np.sin(2 * pi * x),
-        "c2x": np.cos(2 * pi * x),
-        "s2y": np.sin(2 * pi * y),
-        "c2y": np.cos(2 * pi * y),
-    }
+    """(sin, cos) of pi x and pi y, then of 2 pi x and 2 pi y by the double-angle identities."""
+    sx, cx = np.sin(np.pi * x), np.cos(np.pi * x)
+    sy, cy = np.sin(np.pi * y), np.cos(np.pi * y)
+    return sx, cx, sy, cy, 2 * sx * cx, 2 * cx * cx - 1, 2 * sy * cy, 2 * cy * cy - 1
 
 
-def example1() -> ManufacturedCase:
-    """Oscillating manufactured solution on (-1, 1)^2 with unit-amplitude velocity."""
+def _family(name, m, b1, s, q, dq, **settings) -> ManufacturedCase:
+    """Family member (m, b1, s, q, q' = dq) of the module docstring; settings: nx, t_final, taus."""
     pi = np.pi
 
-    def c1(x, y, t):
-        g = _trig(x, y)
-        return 3 * g["cx"] * g["cy"] * np.sin(t)
+    def species(b, sigma):
+        def value(x, y, t):
+            _, cx, _, cy, *_ = _trig(x, y)
+            return m + b * cx * cy * q(t)
 
-    def grad_c1(x, y, t):
-        g = _trig(x, y)
-        return np.array([
-            -3 * pi * g["sx"] * g["cy"] * np.sin(t),
-            -3 * pi * g["cx"] * g["sy"] * np.sin(t),
-        ])
+        def grad(x, y, t):
+            sx, cx, sy, cy, *_ = _trig(x, y)
+            a = -pi * b * q(t)
+            return np.array([a * sx * cy, a * cx * sy])
 
-    def c2(x, y, t):
-        g = _trig(x, y)
-        return g["cx"] * g["cy"] * np.sin(t)
+        def source(x, y, t):
+            sx, cx, sy, cy, s2x, c2x, s2y, c2y = _trig(x, y)
+            g, qt = cx * cy, q(t)
+            advect = s2x * c2y * sx * cy - s2y * c2x * cx * sy
+            grad_g_sq = sx * sx * cy * cy + cx * cx * sy * sy  # |grad G|^2 / pi^2
+            return (
+                b * g * dq(t)
+                - pi * s * b * qt**2 * advect
+                + 2 * pi**2 * b * g * qt
+                - sigma * (b * qt**2 * grad_g_sq - 2 * m * g * qt - 2 * b * qt**2 * g * g)
+            )
 
-    def grad_c2(x, y, t):
-        g = _trig(x, y)
-        return np.array([
-            -pi * g["sx"] * g["cy"] * np.sin(t),
-            -pi * g["cx"] * g["sy"] * np.sin(t),
-        ])
+        return value, grad, source
+
+    c1, grad_c1, f_c1 = species(b1, +1.0)
+    c2, grad_c2, f_c2 = species(b1 - 2.0, -1.0)
 
     def phi(x, y, t):
-        g = _trig(x, y)
-        return g["cx"] * g["cy"] * np.sin(t) / pi**2
+        _, cx, _, cy, *_ = _trig(x, y)
+        return cx * cy * q(t) / pi**2
 
     def grad_phi(x, y, t):
-        g = _trig(x, y)
-        return np.array([
-            -g["sx"] * g["cy"] * np.sin(t) / pi,
-            -g["cx"] * g["sy"] * np.sin(t) / pi,
-        ])
+        sx, cx, sy, cy, *_ = _trig(x, y)
+        a = -q(t) / pi
+        return np.array([a * sx * cy, a * cx * sy])
 
     def u(x, y, t):
-        g = _trig(x, y)
-        return np.array([
-            g["s2x"] * g["c2y"] * np.sin(t),
-            -g["s2y"] * g["c2x"] * np.sin(t),
-        ])
+        *_, s2x, c2x, s2y, c2y = _trig(x, y)
+        a = s * q(t)
+        return np.array([a * s2x * c2y, -a * s2y * c2x])
 
     def grad_u(x, y, t):
-        g = _trig(x, y)
-        s = np.sin(t)
-        return np.array([
-            [2 * pi * g["c2x"] * g["c2y"] * s, -2 * pi * g["s2x"] * g["s2y"] * s],
-            [2 * pi * g["s2y"] * g["s2x"] * s, -2 * pi * g["c2y"] * g["c2x"] * s],
-        ])
+        *_, s2x, c2x, s2y, c2y = _trig(x, y)
+        a = 2 * pi * s * q(t)
+        cc, ss = a * c2x * c2y, a * s2x * s2y
+        return np.array([[cc, -ss], [ss, -cc]])
 
     def p(x, y, t):
-        g = _trig(x, y)
-        return g["s2x"] * g["s2y"] * np.sin(t)
+        *_, s2x, _, s2y, _ = _trig(x, y)
+        return s2x * s2y * q(t)
 
     def grad_p(x, y, t):
-        g = _trig(x, y)
-        return np.array([
-            2 * pi * g["c2x"] * g["s2y"] * np.sin(t),
-            2 * pi * g["s2x"] * g["c2y"] * np.sin(t),
-        ])
-
-    def f_c1(x, y, t):
-        g = _trig(x, y)
-        s = np.sin(t)
-        adv = g["s2x"] * g["c2y"] * g["sx"] * g["cy"] - g["s2y"] * g["c2x"] * g["cx"] * g["sy"]
-        grads = g["sx"] ** 2 * g["cy"] ** 2 + g["cx"] ** 2 * g["sy"] ** 2
-        return (
-            3 * g["cx"] * g["cy"] * np.cos(t)
-            - 3 * pi * s**2 * adv
-            + 6 * pi**2 * g["cx"] * g["cy"] * s
-            - 3 * s**2 * grads
-            + 6 * s**2 * g["cx"] ** 2 * g["cy"] ** 2
-        )
-
-    def f_c2(x, y, t):
-        g = _trig(x, y)
-        s = np.sin(t)
-        adv = g["s2x"] * g["c2y"] * g["sx"] * g["cy"] - g["s2y"] * g["c2x"] * g["cx"] * g["sy"]
-        grads = g["sx"] ** 2 * g["cy"] ** 2 + g["cx"] ** 2 * g["sy"] ** 2
-        return (
-            g["cx"] * g["cy"] * np.cos(t)
-            - pi * s**2 * adv
-            + 2 * pi**2 * g["cx"] * g["cy"] * s
-            + s**2 * grads
-            - 2 * s**2 * g["cx"] ** 2 * g["cy"] ** 2
-        )
+        *_, s2x, c2x, s2y, c2y = _trig(x, y)
+        a = 2 * pi * q(t)
+        return np.array([a * c2x * s2y, a * s2x * c2y])
 
     def f_u(x, y, t):
-        g = _trig(x, y)
-        s = np.sin(t)
-        f1 = (
-            g["s2x"] * g["c2y"] * np.cos(t)
-            + 2 * pi * s**2 * g["s2x"] * g["c2x"]
-            + 8 * pi**2 * s * g["s2x"] * g["c2y"]
-            + 2 * pi * s * g["c2x"] * g["s2y"]
-            - (2 * s**2 / pi) * g["sx"] * g["cx"] * g["cy"] ** 2
-        )
-        f2 = (
-            -g["s2y"] * g["c2x"] * np.cos(t)
-            + 2 * pi * s**2 * g["s2y"] * g["c2y"]
-            - 8 * pi**2 * s * g["s2y"] * g["c2x"]
-            + 2 * pi * s * g["s2x"] * g["c2y"]
-            - (2 * s**2 / pi) * g["cx"] ** 2 * g["sy"] * g["cy"]
-        )
-        return np.array([f1, f2])
+        sx, cx, sy, cy, s2x, c2x, s2y, c2y = _trig(x, y)
+        qt, dqt, g = q(t), dq(t), cx * cy
+        return np.array([
+            (s * dqt + 8 * pi**2 * s * qt) * s2x * c2y
+            + 2 * pi * s * s * qt**2 * s2x * c2x
+            + 2 * pi * qt * c2x * s2y
+            - (2 * qt**2 / pi) * g * sx * cy,
+            -(s * dqt + 8 * pi**2 * s * qt) * s2y * c2x
+            + 2 * pi * s * s * qt**2 * s2y * c2y
+            + 2 * pi * qt * s2x * c2y
+            - (2 * qt**2 / pi) * g * cx * sy,
+        ])
 
     return ManufacturedCase(
-        name="example1",
+        name=name,
         bounds=(-1.0, -1.0, 1.0, 1.0),
-        nx=40,
         c0=10.0,
-        t_final=1.0,
-        taus=(1 / 10, 1 / 20, 1 / 40, 1 / 80),
-        c1_0=lambda x, y, t=0.0: c1(x, y, 0.0),
-        c2_0=lambda x, y, t=0.0: c2(x, y, 0.0),
-        u_0=lambda x, y, t=0.0: u(x, y, 0.0),
-        p_0=lambda x, y, t=0.0: p(x, y, 0.0),
+        c1_0=c1,
+        c2_0=c2,
+        u_0=u,
+        p_0=p,
         sources=SourceTerms(f_c1=f_c1, f_c2=f_c2, f_u=f_u),
         velocity_bc=u,
         exact={
@@ -219,145 +191,23 @@ def example1() -> ManufacturedCase:
             "u": (u, grad_u),
             "p": (p, grad_p),
         },
+        **settings,
+    )
+
+
+def example1() -> ManufacturedCase:
+    """Oscillating manufactured solution with unit-amplitude velocity: q = sin t."""
+    return _family(
+        "example1", m=0.0, b1=3.0, s=1.0, q=np.sin, dq=np.cos,
+        nx=40, t_final=1.0, taus=(1 / 10, 1 / 20, 1 / 40, 1 / 80),
     )
 
 
 def example2() -> ManufacturedCase:
-    """Smooth-start variant on (-1, 1)^2: sin^2 t ramp, strictly positive ions."""
-    pi = np.pi
-
-    def q(t):
-        return np.sin(t) ** 2
-
-    def dq(t):
-        return np.sin(2 * t)
-
-    def c1(x, y, t):
-        g = _trig(x, y)
-        return 1.1 + g["cx"] * g["cy"] * q(t)
-
-    def grad_c1(x, y, t):
-        g = _trig(x, y)
-        return np.array([
-            -pi * g["sx"] * g["cy"] * q(t),
-            -pi * g["cx"] * g["sy"] * q(t),
-        ])
-
-    def c2(x, y, t):
-        g = _trig(x, y)
-        return 1.1 - g["cx"] * g["cy"] * q(t)
-
-    def grad_c2(x, y, t):
-        g = _trig(x, y)
-        return np.array([
-            pi * g["sx"] * g["cy"] * q(t),
-            pi * g["cx"] * g["sy"] * q(t),
-        ])
-
-    def phi(x, y, t):
-        g = _trig(x, y)
-        return g["cx"] * g["cy"] * q(t) / pi**2
-
-    def grad_phi(x, y, t):
-        g = _trig(x, y)
-        return np.array([
-            -g["sx"] * g["cy"] * q(t) / pi,
-            -g["cx"] * g["sy"] * q(t) / pi,
-        ])
-
-    def u(x, y, t):
-        g = _trig(x, y)
-        return np.array([
-            pi * g["s2x"] * g["c2y"] * q(t),
-            -pi * g["s2y"] * g["c2x"] * q(t),
-        ])
-
-    def grad_u(x, y, t):
-        g = _trig(x, y)
-        qt = q(t)
-        return np.array([
-            [2 * pi**2 * g["c2x"] * g["c2y"] * qt, -2 * pi**2 * g["s2x"] * g["s2y"] * qt],
-            [2 * pi**2 * g["s2y"] * g["s2x"] * qt, -2 * pi**2 * g["c2y"] * g["c2x"] * qt],
-        ])
-
-    def p(x, y, t):
-        g = _trig(x, y)
-        return g["s2x"] * g["s2y"] * q(t)
-
-    def grad_p(x, y, t):
-        g = _trig(x, y)
-        return np.array([
-            2 * pi * g["c2x"] * g["s2y"] * q(t),
-            2 * pi * g["s2x"] * g["c2y"] * q(t),
-        ])
-
-    def f_c1(x, y, t):
-        g = _trig(x, y)
-        qt = q(t)
-        adv = g["s2x"] * g["c2y"] * g["sx"] * g["cy"] - g["s2y"] * g["c2x"] * g["cx"] * g["sy"]
-        grads = g["sx"] ** 2 * g["cy"] ** 2 + g["cx"] ** 2 * g["sy"] ** 2
-        return (
-            g["cx"] * g["cy"] * dq(t)
-            - pi**2 * qt**2 * adv
-            + 2 * pi**2 * g["cx"] * g["cy"] * qt
-            - qt**2 * grads
-            + 2.2 * g["cx"] * g["cy"] * qt
-            + 2 * qt**2 * g["cx"] ** 2 * g["cy"] ** 2
-        )
-
-    def f_c2(x, y, t):
-        g = _trig(x, y)
-        qt = q(t)
-        adv = g["s2x"] * g["c2y"] * g["sx"] * g["cy"] - g["s2y"] * g["c2x"] * g["cx"] * g["sy"]
-        grads = g["sx"] ** 2 * g["cy"] ** 2 + g["cx"] ** 2 * g["sy"] ** 2
-        return (
-            -g["cx"] * g["cy"] * dq(t)
-            + pi**2 * qt**2 * adv
-            - 2 * pi**2 * g["cx"] * g["cy"] * qt
-            - qt**2 * grads
-            - 2.2 * g["cx"] * g["cy"] * qt
-            + 2 * qt**2 * g["cx"] ** 2 * g["cy"] ** 2
-        )
-
-    def f_u(x, y, t):
-        g = _trig(x, y)
-        qt = q(t)
-        f1 = (
-            pi * g["s2x"] * g["c2y"] * dq(t)
-            + 2 * pi**3 * qt**2 * g["s2x"] * g["c2x"]
-            + 8 * pi**3 * qt * g["s2x"] * g["c2y"]
-            + 2 * pi * qt * g["c2x"] * g["s2y"]
-            - (2 * qt**2 / pi) * g["sx"] * g["cx"] * g["cy"] ** 2
-        )
-        f2 = (
-            -pi * g["s2y"] * g["c2x"] * dq(t)
-            + 2 * pi**3 * qt**2 * g["s2y"] * g["c2y"]
-            - 8 * pi**3 * qt * g["s2y"] * g["c2x"]
-            + 2 * pi * qt * g["s2x"] * g["c2y"]
-            - (2 * qt**2 / pi) * g["cx"] ** 2 * g["sy"] * g["cy"]
-        )
-        return np.array([f1, f2])
-
-    return ManufacturedCase(
-        name="example2",
-        bounds=(-1.0, -1.0, 1.0, 1.0),
-        nx=80,
-        c0=10.0,
-        t_final=0.1,
-        taus=(1 / 100, 1 / 200, 1 / 400, 1 / 800),
-        c1_0=lambda x, y, t=0.0: c1(x, y, 0.0),
-        c2_0=lambda x, y, t=0.0: c2(x, y, 0.0),
-        u_0=lambda x, y, t=0.0: u(x, y, 0.0),
-        p_0=lambda x, y, t=0.0: p(x, y, 0.0),
-        sources=SourceTerms(f_c1=f_c1, f_c2=f_c2, f_u=f_u),
-        velocity_bc=u,
-        exact={
-            "c1": (c1, grad_c1),
-            "c2": (c2, grad_c2),
-            "phi": (phi, grad_phi),
-            "u": (u, grad_u),
-            "p": (p, grad_p),
-        },
+    """Smooth-start variant with strictly positive ions: q = sin^2 t, m = 1.1."""
+    return _family(
+        "example2", m=1.1, b1=1.0, s=np.pi, q=lambda t: np.sin(t) ** 2, dq=lambda t: np.sin(2 * t),
+        nx=80, t_final=0.1, taus=(1 / 100, 1 / 200, 1 / 400, 1 / 800),
     )
 
 
@@ -396,20 +246,21 @@ def example3() -> ManufacturedCase:
         c2_0=c2_0,
         u_0=u_0,
         p_0=p_0,
-        sources=SourceTerms.none(),
+        sources=SourceTerms(),
         velocity_bc=None,
         exact=None,
     )
 
 
-_CASES = {"example1": example1, "example2": example2, "example3": example3}
+# Case name -> constructor; the one list of the published cases.
+CASES = {"example1": example1, "example2": example2, "example3": example3}
 
 
 def case_by_name(name: str) -> ManufacturedCase:
     try:
-        return _CASES[name]()
+        return CASES[name]()
     except KeyError:
-        raise ValueError(f"unknown case {name!r}; choose from {sorted(_CASES)}") from None
+        raise ValueError(f"unknown case {name!r}; choose from {sorted(CASES)}") from None
 
 
 def exact_eval(case: ManufacturedCase, field: str, x, y, t, grad: bool = False):
@@ -458,8 +309,7 @@ def run_case(case: ManufacturedCase, params: SchemeParams, mesh=None, ops=None):
         errors = {}
         for field in ERROR_FIELDS:
             value_fn, grad_fn = case.exact[field]
-            fv = {"c1": state.c1, "c2": state.c2, "phi": state.phi, "u": state.u, "p": state.p}[field]
-            errors[field] = error_norms(fv, value_fn, grad_fn, state.time)
+            errors[field] = error_norms(getattr(state, field), value_fn, grad_fn, state.time)
         report = ErrorReport(
             case=case.name,
             tau=params.tau,

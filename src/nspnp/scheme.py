@@ -146,14 +146,6 @@ class SourceTerms:
     f_c2: object = None
     f_u: object = None
 
-    @classmethod
-    def none(cls) -> "SourceTerms":
-        return cls()
-
-    @property
-    def has_concentration_sources(self) -> bool:
-        return self.f_c1 is not None or self.f_c2 is not None
-
 
 @dataclass
 class State:
@@ -313,26 +305,23 @@ def init_state(ops: Operators, c1_0, c2_0, u_0, p_0, params: SchemeParams) -> St
     return state
 
 
-def step_concentrations(
-    ops: Operators, state: State, params: SchemeParams, sources: SourceTerms, t_next: float
-):
-    """Implicit transport solves for both species at t_next.
+def step_concentrations(ops: Operators, state: State, params: SchemeParams, loads: np.ndarray):
+    """Implicit transport solves for both species at t^{n+1}.
 
-    All matrices share the P1 pattern, so each system is one sum of data
-    arrays; the factor of M/tau + A preconditions BiCGStab on the right.
+    loads holds the source loads (f_i(t^{n+1}), theta) as rows of a (2, n)
+    array.  All matrices share the P1 pattern, so each system is one sum of
+    data arrays; the factor of M/tau + A preconditions BiCGStab on the right.
     """
     base, factor = ops.transport_base(params)
     convection = assemble_convection(state.u, ops.scalar_space)
     drift = assemble_drift(state.phi)
     out = []
-    for name, c_old, sgn, f in (
-        ("c1", state.c1, +1.0, sources.f_c1),
-        ("c2", state.c2, -1.0, sources.f_c2),
+    for name, c_old, sgn, load in (
+        ("c1", state.c1, +1.0, loads[0]),
+        ("c2", state.c2, -1.0, loads[1]),
     ):
         system = ops.scalar_space.pattern.matrix(base.data + convection.data + sgn * drift.data)
-        rhs = ops.mass_p1 @ c_old.values / params.tau
-        if f is not None:
-            rhs = rhs + assemble_load(ops.scalar_space, f, t_next).values
+        rhs = ops.mass_p1 @ c_old.values / params.tau + load
         x, report = bicgstab(
             system,
             rhs,
@@ -433,10 +422,12 @@ def solve_xi(
     c2_next: FieldVector,
     phi_next: FieldVector,
     params: SchemeParams,
-    sources: SourceTerms,
-    t_next: float,
+    loads: np.ndarray,
 ):
-    """Resolve the auxiliary-variable quadratic; returns (xi, r_next, coeffs)."""
+    """Resolve the auxiliary-variable quadratic; returns (xi, r_next, coeffs).
+
+    loads are the (2, n) ion source loads at t^{n+1}, as for step_concentrations.
+    """
     energy = 0.5 * float(phi_next.values @ (ops.stiff_p1 @ phi_next.values)) + params.c0
     sqrt_energy = sqrt(energy)
     tau = params.tau
@@ -455,13 +446,7 @@ def solve_xi(
     grad_phi = element_gradient(phi_next)
     drift_dissipation = float(np.sum(sp.area * total * np.sum(grad_phi**2, axis=1)))
     c = tau * (charge_norm_sq + drift_dissipation)
-    if sources.has_concentration_sources:
-        work = np.zeros(ops.scalar_space.n_dofs)
-        if sources.f_c1 is not None:
-            work += assemble_load(ops.scalar_space, sources.f_c1, t_next).values
-        if sources.f_c2 is not None:
-            work -= assemble_load(ops.scalar_space, sources.f_c2, t_next).values
-        c -= tau * float(work @ phi_next.values)
+    c -= tau * float((loads[0] - loads[1]) @ phi_next.values)
 
     disc = b * b - 4.0 * a * c
     degenerate = None
@@ -527,16 +512,19 @@ def pressure_projection(ops: Operators, u_hat_next: FieldVector, state: State, p
 def advance(ops: Operators, state: State, params: SchemeParams, sources: SourceTerms | None = None):
     """One full time step; returns (new state, diagnostics record)."""
     if sources is None:
-        sources = SourceTerms.none()
+        sources = SourceTerms()
     tau = params.tau
     t_next = state.time + tau
+    # Ion source loads at t^{n+1}, assembled once for the transport and the xi stages.
+    loads = np.zeros((2, ops.scalar_space.n_dofs))
+    for row, f in zip(loads, (sources.f_c1, sources.f_c2)):
+        if f is not None:
+            row[:] = assemble_load(ops.scalar_space, f, t_next).values
 
-    c1_next, c2_next = step_concentrations(ops, state, params, sources, t_next)
+    c1_next, c2_next = step_concentrations(ops, state, params, loads)
     phi_next = step_potential(ops, c1_next, c2_next)
     split = compute_velocity_split(ops, state, params, sources, t_next)
-    xi, r_next, coeffs = solve_xi(
-        ops, state, split, c1_next, c2_next, phi_next, params, sources, t_next
-    )
+    xi, r_next, coeffs = solve_xi(ops, state, split, c1_next, c2_next, phi_next, params, loads)
     u_hat = FieldVector(ops.velocity_space, split.u1.values + xi * split.u2.values)
     p_next, u_next = pressure_projection(ops, u_hat, state, params)
 

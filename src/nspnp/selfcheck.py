@@ -294,7 +294,7 @@ def check_splitting_linearity() -> CheckResult:
         lambda x, y, t: np.zeros_like(np.asarray(x, float)),
         params,
     )
-    split = compute_velocity_split(ops, state, params, SourceTerms.none(), params.tau)
+    split = compute_velocity_split(ops, state, params, SourceTerms(), params.tau)
     xi = 0.7321
     system, _ = ops.velocity_system(params)
     rhs = ops.mass_vec @ state.u.values.ravel() / params.tau + ops.div_t @ state.p.values

@@ -109,6 +109,81 @@ def test_example1_concentration_source_at_time_zero(rng):
     ]), atol=1e-13)
 
 
+# Exact values, gradients and sources of the published cases at three fixed
+# (x, y, t), as the earlier hand-written per-case formulas gave them.  The
+# finite-difference check only shows that a family is self-consistent; these
+# pin its parameters (b_1, m, s, q) to the published ones.
+PUBLISHED_POINTS = (
+    np.array([-0.15, 0.81, -0.55]),
+    np.array([0.62, 0.27, -0.33]),
+    np.array([0.9, 0.2, 0.65]),
+)
+PUBLISHED_VALUES = {
+    "example1": {
+        "c1": [-0.7707969177134208, -0.32599145711908734, -0.14457592449764417],
+        "grad_c1": [[-1.2338311281355687, -0.6959996377787784, 2.8676974919826668],
+                    [-6.116086460898231, 1.1616501463213904, -0.7680079953096702]],
+        "c2": [-0.2569323059044736, -0.10866381903969576, -0.048191974832548064],
+        "grad_c2": [[-0.4112770427118562, -0.23199987925959276, 0.9558991639942223],
+                    [-2.038695486966077, 0.38721671544046343, -0.2560026651032234]],
+        "phi": [-0.026032685350196476, -0.011009946764198773, -0.004882867932095523],
+        "grad_phi": [[-0.041671076772485584, -0.02350650237146139, 0.09685283473861575],
+                     [-0.20656303982569515, 0.03923325593452605, -0.025938493043851596]],
+        "u": [[0.46196548452651737, 0.02315131329165442, -0.0900941440374201],
+              [0.31518465845014637, -0.07255836675019545, -0.504372746631411]],
+        "grad_u": [[[-2.1088730545134355, -0.05759326851271223, 1.7422095632918082],
+                    [-2.7257366756757335, 1.1514660588478156, 1.0296924270144152]],
+                   [[2.7257366756757335, -1.1514660588478154, -1.0296924270144152],
+                    [2.1088730545134355, 0.057593268512712216, -1.7422095632918082]]],
+        "p": [0.4338144655006634, -0.18326151506817312, -0.16388063962363483],
+        "grad_p": [[-1.980363615022376, 0.45589766387777586, 3.1690674309762934],
+                   [2.902614744801112, 0.1454639915160345, -0.5660782020788393]],
+        "f_c1": [-19.242959322749, -8.134469410127394, -3.198725944301289],
+        "f_c2": [-5.801861624942737, -2.7174305492269726, -0.8770881129766053],
+        "f_u": [[33.049638605469774, 2.318287862592016, -4.748640841468748],
+                [30.068739163605688, -5.980819971509586, -40.07923161983538]],
+    },
+    "example2": {
+        "c1": [0.8987380108323856, 1.0784118317897482, 1.0708348719657685],
+        "grad_c1": [[-0.3221643748682088, -0.046091260757038295, 0.5784971793037484],
+                    [-1.5969650354766345, 0.07692808572921851, -0.15492933275266682]],
+        "c2": [1.3012619891676145, 1.121588168210252, 1.1291651280342316],
+        "grad_c2": [[0.3221643748682088, 0.046091260757038295, -0.5784971793037484],
+                    [1.5969650354766345, -0.07692808572921851, 0.15492933275266682]],
+        "phi": [-0.02039210296467406, -0.00218733875573262, -0.0029550452935086574],
+        "grad_phi": [[-0.032642075789040735, -0.004670021095470754, 0.0586140189408095],
+                     [-0.16180638762992056, 0.007794444701423653, -0.015697623375417812]],
+        "u": [[1.1368481189421107, 0.014449616924634518, -0.17129141624080613],
+              [0.7756360552470943, -0.04528644189681473, -0.9589382640438437]],
+        "grad_u": [[[-5.189713182941668, -0.03594615376512132, 3.3123744797506576],
+                    [-6.707749206955327, 0.7186738498358688, 1.9577018684197127]],
+                   [[6.707749206955327, -0.7186738498358688, -1.957701868419713],
+                    [5.189713182941669, 0.03594615376512132, -3.3123744797506576]]],
+        "p": [0.3398185446123332, -0.036408442559082974, -0.09917833526355076],
+        "grad_p": [[-1.5512721104941891, 0.09057288379362947, 1.9178765280876875],
+                   [2.2736962378842214, 0.028899233849269037, -0.34258283248161225]],
+        "f_c1": [-6.527770274311148, -0.6906554457470931, -0.7017523277425324],
+        "f_c2": [6.15196531244049, 0.6908899240332796, 0.6324746126350029],
+        "f_u": [[78.92540314743506, 1.3411693472120385, -14.50551279979997],
+                [76.46262987807734, -4.0059339302635, -75.06754075474693]],
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_published_cases_match_their_closed_forms(name):
+    case = case_by_name(name)
+    x, y, t = PUBLISHED_POINTS
+    got = {}
+    for field in ERROR_FIELDS:
+        got[field] = exact_eval(case, field, x, y, t)
+        got[f"grad_{field}"] = exact_eval(case, field, x, y, t, grad=True)
+    got["f_c1"], got["f_c2"], got["f_u"] = source_eval(case, x, y, t)
+    assert set(got) == set(PUBLISHED_VALUES[name])
+    for key, want in PUBLISHED_VALUES[name].items():
+        np.testing.assert_allclose(got[key], want, rtol=1e-13, atol=0.0, err_msg=key)
+
+
 def test_source_eval_zero_for_source_free_case(rng):
     case = example3()
     x, y, t = sample_points(case, rng)

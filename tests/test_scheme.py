@@ -116,8 +116,9 @@ def test_sourced_mass_balance_matches_load_integral():
     ops = Operators(mesh, velocity_bc=case.velocity_bc)
     params = SchemeParams(tau=0.1, t_final=0.1, c0=10.0)
     state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
-    c1, c2 = step_concentrations(ops, state, params, case.sources, t_next=0.1)
     load = assemble_load(ops.scalar_space, case.sources.f_c1, 0.1)
+    loads = np.stack([load.values, assemble_load(ops.scalar_space, case.sources.f_c2, 0.1).values])
+    c1, c2 = step_concentrations(ops, state, params, loads)
     before = np.sum(ops.mass_p1 @ state.c1.values)
     after = np.sum(ops.mass_p1 @ c1.values)
     assert after - before == pytest.approx(params.tau * load.values.sum(), abs=1e-9)
@@ -335,7 +336,7 @@ def test_transport_systems_share_the_pattern_of_the_base(ex3_ops, monkeypatch):
         return bicgstab(matrix, *args, **kwargs)
 
     monkeypatch.setattr(scheme, "bicgstab", capturing_bicgstab)
-    step_concentrations(ops, state, params, case.sources, state.time + params.tau)
+    step_concentrations(ops, state, params, np.zeros((2, ops.scalar_space.n_dofs)))
     assert len(systems) == 2
     convection = scheme.assemble_convection(state.u, ops.scalar_space)
     drift = scheme.assemble_drift(state.phi)
@@ -351,9 +352,8 @@ def test_drift_dissipation_matches_quadrature(ex3_ops):
     case, ops = ex3_ops
     params, state, _ = small_run(case, ops, steps=1)
     split = compute_velocity_split(ops, state, params, case.sources, state.time + params.tau)
-    _, _, coeffs = solve_xi(
-        ops, state, split, state.c1, state.c2, state.phi, params, case.sources, state.time
-    )
+    no_sources = np.zeros((2, ops.scalar_space.n_dofs))
+    _, _, coeffs = solve_xi(ops, state, split, state.c1, state.c2, state.phi, params, no_sources)
     total_q = scheme.field_at_quadrature(state.c1) + scheme.field_at_quadrature(state.c2)
     grad_q = scheme.gradient_at_quadrature(state.phi)
     want = scheme.quadrature_integral(ops.scalar_space, total_q * np.sum(grad_q**2, axis=-1))
