@@ -393,11 +393,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="advance one case and write per-step diagnostics")
     p_run.add_argument("--config", required=True, help="path to key=value config file")
-    p_run.add_argument("--out", default=".", help="output directory (default: cwd)")
+    p_run.add_argument("--out", help="output directory (default: config out, else cwd)")
 
     p_conv = sub.add_parser("convergence", help="time-step sweep with error table output")
     p_conv.add_argument("--config", required=True, help="path to key=value config file")
-    p_conv.add_argument("--out", default=".", help="output directory (default: cwd)")
+    p_conv.add_argument("--out", help="output directory (default: config out, else cwd)")
 
     p_check = sub.add_parser("selfcheck", help="run built-in property checks")
     p_check.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
@@ -422,9 +422,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = config.out if config.out is not None else args.out
-    if args.out != ".":
-        out_dir = args.out
+    out_dir = args.out if args.out is not None else config.out if config.out is not None else "."
     try:
         if args.command == "run":
             return cmd_run(config, out_dir)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sparse import matvec
+
 __all__ = [
     "DiagRecord",
     "DIAG_COLUMNS",
@@ -78,25 +80,25 @@ def mass(c, mass_matrix) -> float:
     return float(np.sum(mass_matrix @ c.values))
 
 
-def discrete_energy(state, params, *, mass_vec, stiff_p1) -> float:
+def discrete_energy(state, params, *, mass_p2, stiff_p1) -> float:
     """Modified energy 0.5 ||u||^2 + (tau^2/2) ||grad p||^2 + r^2.
 
     This is the quantity the scheme dissipates unconditionally.
     """
-    u = state.u.values.ravel()
+    u = state.u.values
     p = state.p.values
     return float(
-        0.5 * (u @ (mass_vec @ u))
+        0.5 * np.vdot(u, matvec(mass_p2, u))
         + 0.5 * params.tau**2 * (p @ (stiff_p1 @ p))
         + state.r**2
     )
 
 
-def original_energy(state, *, mass_vec, stiff_p1) -> float:
+def original_energy(state, *, mass_p2, stiff_p1) -> float:
     """Physical energy 0.5 ||u||^2 + 0.5 ||grad phi||^2."""
-    u = state.u.values.ravel()
+    u = state.u.values
     phi = state.phi.values
-    return float(0.5 * (u @ (mass_vec @ u)) + 0.5 * (phi @ (stiff_p1 @ phi)))
+    return float(0.5 * np.vdot(u, matvec(mass_p2, u)) + 0.5 * (phi @ (stiff_p1 @ phi)))
 
 
 def extrema(c) -> tuple[float, float]:

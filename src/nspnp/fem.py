@@ -51,9 +51,9 @@ Vector fields
 A velocity lives on the scalar P2 space and stores its coefficients as a
 (2, n) array, one row per component.  Every kernel takes component axes as
 leading axes of the coefficients and as trailing axes of quadrature-point
-values, so scalars and vectors share one code path.  values.ravel() puts all
-x components first, then all y components; the columns of the divergence
-coupling and the flat vectors the solvers see use that layout.
+values, so scalars and vectors share one code path, and the solvers take
+the (2, n) array as it is.  Only the divergence coupling has one column per
+entry of values.ravel(): all x components first, then all y components.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags
+from scipy.sparse import coo_matrix, diags, hstack
 
 from .mesh import StructuredTriMesh, boundary_dofs, p2_node_coords, p2_numbering
 from .sparse import CsrMatrix
@@ -154,25 +154,22 @@ def shape_eval(kind: str, bary) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SparsityPattern:
-    """CSR structure of the matrices that couple two sets of element dofs.
+    """CSR structure of the square matrices that couple the dofs of a space.
 
     entries[t, i, j] is the index into csr.data of the entry that couples
-    row dof i and column dof j of triangle t.  Columns are sorted within
-    each row.
+    local dofs i and j of triangle t.  Columns are sorted within each row.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    entries: np.ndarray  # (t, n_row_dofs, n_col_dofs)
+    entries: np.ndarray  # (t, nloc, nloc)
     shape: tuple[int, int]
 
     @classmethod
-    def build(cls, row_dofs: np.ndarray, col_dofs: np.ndarray, shape) -> "SparsityPattern":
-        n_rows, n_cols = shape
-        t, ni = row_dofs.shape
-        nj = col_dofs.shape[1]
-        rows = np.repeat(row_dofs, nj, axis=1).astype(np.int64)
-        keys = (rows * n_cols + np.tile(col_dofs, (1, ni))).ravel()
+    def build(cls, element_dofs: np.ndarray, n: int) -> "SparsityPattern":
+        t, nloc = element_dofs.shape
+        rows = np.repeat(element_dofs, nloc, axis=1).astype(np.int64)
+        keys = (rows * n + np.tile(element_dofs, (1, nloc))).ravel()
         order = np.argsort(keys)
         sorted_keys = keys[order]
         first = np.ones(keys.shape, dtype=bool)
@@ -180,17 +177,17 @@ class SparsityPattern:
         unique = sorted_keys[first]
         slots = np.empty(keys.shape, dtype=np.int64)
         slots[order] = np.cumsum(first) - 1
-        row_counts = np.bincount(unique // n_cols, minlength=n_rows)
+        row_counts = np.bincount(unique // n, minlength=n)
         # scipy picks the index dtype; the stored arrays are shared by every matrix.
         template = CsrMatrix(
-            (np.zeros(unique.size), unique % n_cols, np.concatenate([[0], np.cumsum(row_counts)])),
-            shape=shape,
+            (np.zeros(unique.size), unique % n, np.concatenate([[0], np.cumsum(row_counts)])),
+            shape=(n, n),
         )
         return cls(
             indptr=template.indptr,
             indices=template.indices,
-            entries=slots.astype(template.indices.dtype).reshape(t, ni, nj),
-            shape=(n_rows, n_cols),
+            entries=slots.astype(template.indices.dtype).reshape(t, nloc, nloc),
+            shape=(n, n),
         )
 
     def matrix(self, data: np.ndarray) -> CsrMatrix:
@@ -259,7 +256,7 @@ class FunctionSpace:
     @cached_property
     def pattern(self) -> SparsityPattern:
         """The pattern of the square matrices on this space."""
-        return SparsityPattern.build(self.element_dofs, self.element_dofs, (self.n_dofs,) * 2)
+        return SparsityPattern.build(self.element_dofs, self.n_dofs)
 
     def boundary_dofs(self) -> np.ndarray:
         return boundary_dofs(self.mesh, self.kind)
@@ -419,16 +416,22 @@ def assemble_div_coupling(vel_space: FunctionSpace, pres_space: FunctionSpace) -
     if vel_space.mesh is not pres_space.mesh:
         raise ValueError("spaces live on different meshes")
     # Element entries sum_k (area J^{-1})[k, d] T[k, i, j], T[k, i, j] = int q_i d_k psi_j on the
-    # reference triangle, laid out (t, i, d, j): a C reshape packs columns as d*nloc + j.
-    tensor = np.einsum("q,qi,qjk,ed->keidj", pres_space.rule.weights, pres_space.basis_values,
-                       vel_space.ref_gradients, np.eye(2)).reshape(4, -1)
+    # reference triangle, laid out (t, d, i, j).
+    tensor = np.einsum("q,qi,qjk->kij", pres_space.rule.weights, pres_space.basis_values,
+                       vel_space.ref_gradients)
     geometry = vel_space.bary_gradients[:, 1:] * vel_space.area[:, None, None]
-    elem = geometry.reshape(-1, 4) @ tensor
-    n = vel_space.n_dofs
-    cols = np.hstack([vel_space.element_dofs, vel_space.element_dofs + n])
-    shape = (pres_space.n_dofs, 2 * n)
-    pattern = SparsityPattern.build(pres_space.element_dofs, cols, shape)
-    return pattern.assemble(elem.reshape(pres_space.element_dofs.shape + (-1,)))
+    elem = (geometry.transpose(0, 2, 1).reshape(-1, 2) @ tensor.reshape(2, -1)).reshape(
+        (-1, 2) + tensor.shape[1:])
+    # The P1 dofs are the first P2 dofs and the first three local P2 dofs are the vertices, so
+    # the P2 pattern's vertex rows hold the columns and slots of each component's block.
+    pattern, nv = vel_space.pattern, pres_space.n_dofs
+    slots, size = pattern.entries[:, :3].ravel(), pattern.indptr[nv]
+    blocks = [
+        CsrMatrix((np.bincount(slots, weights=elem[:, d].ravel(), minlength=size),
+                   pattern.indices[:size], pattern.indptr[: nv + 1]), shape=(nv, vel_space.n_dofs))
+        for d in range(2)
+    ]
+    return hstack(blocks, format="csr")
 
 
 def assemble_load(space: FunctionSpace, f, t: float) -> FieldVector:
@@ -479,14 +482,13 @@ class DirichletSystem:
     The eliminated matrix has identity rows and columns at the constrained
     dofs; reduce_rhs subtracts the lifted boundary values from the interior
     load and pins the constrained entries, so solving the reduced system gives
-    the constrained solution directly.  reduce_rhs also takes several copies,
-    such as the rows of a (2, n) vector field, with boundary values shaped
-    (copies, nb), and returns them flat, one after the other.
+    the constrained solution directly.  reduce_rhs also takes a stack, such
+    as a (2, n) vector field, with boundary values shaped (2, nb), and
+    returns the shape it was given.
     """
 
     def __init__(self, matrix: CsrMatrix, dofs):
         n = matrix.shape[0]
-        self.n = n
         self.dofs = np.asarray(dofs, dtype=np.int64)
         keep = np.ones(n)
         keep[self.dofs] = 0.0
@@ -498,9 +500,9 @@ class DirichletSystem:
         self._columns = matrix.tocsc()[:, self.dofs].tocsr()
 
     def reduce_rhs(self, rhs: np.ndarray, values=0.0) -> np.ndarray:
-        out = np.array(rhs, dtype=float, copy=True).reshape(-1, self.n)
-        vals = np.broadcast_to(np.asarray(values, dtype=float), (out.shape[0], self.dofs.shape[0]))
+        out = np.array(rhs, dtype=float, copy=True)
+        vals = np.broadcast_to(np.asarray(values, dtype=float), out.shape[:-1] + self.dofs.shape)
         if np.any(vals):
             out -= (self._columns @ vals.T).T
-        out[:, self.dofs] = vals
-        return out.ravel()
+        out[..., self.dofs] = vals
+        return out

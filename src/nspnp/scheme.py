@@ -22,9 +22,9 @@ drift blocks:
    phi^n, v):
        (M_v/tau + A_v) u1 = M_v u^n / tau + B^T p^n + (f_u, v)
        (M_v/tau + A_v) u2 = -N
-   with u_hat = u1 + xi u2.  M_v/tau + A_v is two copies of one scalar P2
-   block; CG solves both components at once, preconditioned by a two-level
-   cycle whose coarse space is P1 on the same mesh.
+   with u_hat = u1 + xi u2.  M_v/tau + A_v is one scalar P2 block acting on
+   both rows of the (2, n) velocity; CG solves both components at once,
+   preconditioned by a two-level cycle whose coarse space is P1 on the mesh.
 4. The auxiliary scalar r tracks sqrt(E(phi) + C0); eliminating r^{n+1} from
    its update equation against the split gives a scalar quadratic
        a xi^2 - b xi + c = 0,
@@ -84,10 +84,10 @@ from .mesh import StructuredTriMesh
 from .sparse import (
     BandedCholesky,
     NeumannSolver,
-    RepeatedBlock,
     TwoLevelPreconditioner,
     bicgstab,
     cg,
+    matvec,
 )
 
 __all__ = [
@@ -195,11 +195,11 @@ class Operators:
 
     Holds everything that does not change between time steps: the P1 mass
     and stiffness matrices on the P1 pattern, the stiffness's pinned
-    factor, the velocity ones as two copies of the scalar P2 block (one per
-    component of a (2, n) velocity), the divergence coupling, and the
-    Dirichlet eliminations for the velocity systems.  The systems that depend on tau (the velocity
-    system and M/tau + A of the transport, each with its preconditioner) are
-    built for the tau last asked for and kept until another tau is asked for.
+    factor, the scalar P2 mass and stiffness that act on each row of a
+    (2, n) velocity, the divergence coupling, and the Dirichlet elimination
+    of the projection.  The systems that depend on tau (the velocity system
+    and M/tau + A of the transport, each with its preconditioner) are built
+    for the tau last asked for and kept until another tau is asked for.
     """
 
     def __init__(self, mesh: StructuredTriMesh, velocity_bc=None):
@@ -209,8 +209,8 @@ class Operators:
         self.mass_p1 = assemble_mass(self.scalar_space)
         self.stiff_p1 = assemble_stiffness(self.scalar_space)
         self._neumann = NeumannSolver(self.stiff_p1)
-        self.mass_vec = RepeatedBlock(assemble_mass(self.velocity_space))
-        self.stiff_vec = RepeatedBlock(assemble_stiffness(self.velocity_space))
+        self.mass_p2 = assemble_mass(self.velocity_space)
+        self.stiff_p2 = assemble_stiffness(self.velocity_space)
         self.div = assemble_div_coupling(self.velocity_space, self.scalar_space)
         self.div_t = self.div.T.tocsr()
         self.velocity_bc = velocity_bc
@@ -220,17 +220,17 @@ class Operators:
 
         self.velocity_dirichlet = self.velocity_space.boundary_dofs()
         self._bnode_coords = self.velocity_space.node_coords[self.velocity_dirichlet]
-        self.projection_system = DirichletSystem(self.mass_vec.block, self.velocity_dirichlet)
+        self.projection_system = DirichletSystem(self.mass_p2, self.velocity_dirichlet)
         # Coarse space: P1 functions that vanish on the boundary.
         self.prolongation = p1_to_p2_prolongation(mesh)[:, ~mesh.vertex_on_boundary]
         self._velocity_system = (None, None)
         self._transport_base = (None, None)
 
     def velocity_system(self, params: SchemeParams):
-        """(scalar-block DirichletSystem of M/tau + A, its two-level preconditioner)."""
+        """(DirichletSystem of the scalar P2 M/tau + A, its two-level preconditioner)."""
         if self._velocity_system[0] != params.tau:
             system = DirichletSystem(
-                (self.mass_vec.block / params.tau + self.stiff_vec.block).tocsr(),
+                (self.mass_p2 / params.tau + self.stiff_p2).tocsr(),
                 self.velocity_dirichlet,
             )
             preconditioner = TwoLevelPreconditioner(system.matrix, self.prolongation, system.dofs)
@@ -255,6 +255,14 @@ class Operators:
         if g.shape != (2,) + x.shape:
             raise ValueError(f"velocity boundary evaluator returned shape {g.shape}")
         return g
+
+    def divergence(self, u: np.ndarray) -> np.ndarray:
+        """B u of a (2, n) velocity: (div u, q_i) for each P1 function q_i."""
+        return self.div @ u.ravel()
+
+    def pressure_load(self, p: np.ndarray) -> np.ndarray:
+        """B^T p of a P1 pressure as a (2, n) load: (p, div v_i) for each P2 v_i."""
+        return (self.div_t @ p).reshape(2, -1)
 
     def integral_mean(self, values: np.ndarray) -> float:
         return float(self.mass_row @ values) / self.area
@@ -301,7 +309,7 @@ def init_state(ops: Operators, c1_0, c2_0, u_0, p_0, params: SchemeParams) -> St
         step_index=0,
         time=0.0,
     )
-    state.E_h = discrete_energy(state, params, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1)
+    state.E_h = discrete_energy(state, params, mass_p2=ops.mass_p2, stiff_p1=ops.stiff_p1)
     return state
 
 
@@ -370,19 +378,18 @@ def compute_velocity_split(
     starts from zero.
     """
     system, preconditioner = ops.velocity_system(params)
-    matrix = RepeatedBlock(system.matrix)
     forcing = _momentum_forcing(ops, state)
 
-    rhs1 = ops.mass_vec @ state.u.values.ravel() / params.tau + ops.div_t @ state.p.values
+    rhs1 = matvec(ops.mass_p2, state.u.values) / params.tau + ops.pressure_load(state.p.values)
     if sources.f_u is not None:
-        rhs1 = rhs1 + assemble_load(ops.velocity_space, sources.f_u, t_next).values.ravel()
+        rhs1 = rhs1 + assemble_load(ops.velocity_space, sources.f_u, t_next).values
     g = ops.boundary_values(t_next)
     x0 = state.u.values.copy()
     x0[:, ops.velocity_dirichlet] = g
     u1, report = cg(
-        matrix,
+        system.matrix,
         system.reduce_rhs(rhs1, g),
-        x0=x0.ravel(),
+        x0=x0,
         tol=params.tol,
         max_iter=params.max_iter,
         preconditioner=preconditioner,
@@ -390,7 +397,7 @@ def compute_velocity_split(
     _require_converged(report, "tentative velocity (forcing-free part)")
 
     u2, report = cg(
-        matrix,
+        system.matrix,
         system.reduce_rhs(-forcing),
         tol=params.tol,
         max_iter=params.max_iter,
@@ -399,8 +406,8 @@ def compute_velocity_split(
     _require_converged(report, "tentative velocity (coupling part)")
 
     return VelocitySplit(
-        u1=FieldVector(ops.velocity_space, u1.reshape(2, -1)),
-        u2=FieldVector(ops.velocity_space, u2.reshape(2, -1)),
+        u1=FieldVector(ops.velocity_space, u1),
+        u2=FieldVector(ops.velocity_space, u2),
         forcing=forcing,
     )
 
@@ -489,14 +496,14 @@ def pressure_projection(ops: Operators, u_hat_next: FieldVector, state: State, p
     """Pressure update (pure Neumann) and L2 projection of the velocity."""
     tau = params.tau
     t_next = state.time + tau
-    u_hat = u_hat_next.values.ravel()
-    p_vals = ops.solve_neumann(ops.stiff_p1 @ state.p.values - (ops.div @ u_hat) / tau)
+    u_hat = u_hat_next.values
+    p_vals = ops.solve_neumann(ops.stiff_p1 @ state.p.values - ops.divergence(u_hat) / tau)
 
     delta = p_vals - state.p.values
-    rhs_u = ops.mass_vec @ u_hat + tau * (ops.div_t @ delta)
+    rhs_u = matvec(ops.mass_p2, u_hat) + tau * ops.pressure_load(delta)
     g = ops.boundary_values(t_next)
     u_vals, report = cg(
-        RepeatedBlock(ops.projection_system.matrix),
+        ops.projection_system.matrix,
         ops.projection_system.reduce_rhs(rhs_u, g),
         x0=u_hat,
         tol=params.tol,
@@ -505,7 +512,7 @@ def pressure_projection(ops: Operators, u_hat_next: FieldVector, state: State, p
     _require_converged(report, "velocity projection")
     return (
         FieldVector(ops.scalar_space, p_vals),
-        FieldVector(ops.velocity_space, u_vals.reshape(2, -1)),
+        FieldVector(ops.velocity_space, u_vals),
     )
 
 
@@ -541,8 +548,8 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources: SourceT
     )
 
     # Dissipation terms of the energy identity, all at the new time level.
-    uh = u_hat.values.ravel()
-    diss_u = tau * float(uh @ (ops.stiff_vec @ uh))
+    uh = u_hat.values
+    diss_u = tau * float(np.vdot(uh, matvec(ops.stiff_p2, uh)))
     diss_charge = tau * coeffs.charge_norm_sq
     diss_drift = tau * coeffs.drift_dissipation
 
@@ -551,17 +558,17 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources: SourceT
     #                 - 0.5 ||u_hat - u_old||_M^2 - (r_new - r_old)^2
     #                 - 0.5 (||w||_M^2 - ||u_new||_M^2)
     # where w = u_hat - tau grad(dp) is the unprojected end-of-step velocity.
-    new_state.E_h = discrete_energy(new_state, params, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1)
-    du = uh - state.u.values.ravel()
-    increment_u = 0.5 * float(du @ (ops.mass_vec @ du))
+    new_state.E_h = discrete_energy(new_state, params, mass_p2=ops.mass_p2, stiff_p1=ops.stiff_p1)
+    du = uh - state.u.values
+    increment_u = 0.5 * float(np.vdot(du, matvec(ops.mass_p2, du)))
     increment_r = (r_next - state.r) ** 2
     delta_p = p_next.values - state.p.values
     w_norm_sq = (
-        float(uh @ (ops.mass_vec @ uh))
-        + 2.0 * tau * float(delta_p @ (ops.div @ uh))
+        float(np.vdot(uh, matvec(ops.mass_p2, uh)))
+        + 2.0 * tau * float(delta_p @ ops.divergence(uh))
         + tau**2 * float(delta_p @ (ops.stiff_p1 @ delta_p))
     )
-    u_new_norm_sq = float(np.vdot(u_next.values, ops.mass_vec @ u_next.values.ravel()))
+    u_new_norm_sq = float(np.vdot(u_next.values, matvec(ops.mass_p2, u_next.values)))
     projection_defect = 0.5 * (w_norm_sq - u_new_norm_sq)
     residual = (
         new_state.E_h
@@ -573,36 +580,18 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources: SourceT
         + increment_r
         + projection_defect
     )
-
-    min_c1, max_c1 = extrema(c1_next)
-    min_c2, max_c2 = extrema(c2_next)
-    record = DiagRecord(
-        step=new_state.step_index,
-        time=t_next,
-        mass_c1=mass(c1_next, ops.mass_p1),
-        mass_c2=mass(c2_next, ops.mass_p1),
-        min_c1=min_c1,
-        max_c1=max_c1,
-        min_c2=min_c2,
-        max_c2=max_c2,
-        E_h=new_state.E_h,
-        E_orig=original_energy(new_state, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1),
-        diss_u=diss_u,
-        diss_charge=diss_charge,
-        diss_drift=diss_drift,
-        xi=xi,
-        r=r_next,
+    return new_state, _record(
+        ops, new_state, diss_u=diss_u, diss_charge=diss_charge, diss_drift=diss_drift, xi=xi,
         energy_residual=residual,
     )
-    return new_state, record
 
 
-def initial_record(ops: Operators, state: State) -> DiagRecord:
-    """Step-0 diagnostics row so traces include the initial condition."""
+def _record(ops: Operators, state: State, **step_terms) -> DiagRecord:
+    """The diagnostics row of a state; step_terms are the DiagRecord fields a step adds."""
     min_c1, max_c1 = extrema(state.c1)
     min_c2, max_c2 = extrema(state.c2)
     return DiagRecord(
-        step=0,
+        step=state.step_index,
         time=state.time,
         mass_c1=mass(state.c1, ops.mass_p1),
         mass_c2=mass(state.c2, ops.mass_p1),
@@ -611,10 +600,12 @@ def initial_record(ops: Operators, state: State) -> DiagRecord:
         min_c2=min_c2,
         max_c2=max_c2,
         E_h=state.E_h,
-        E_orig=original_energy(state, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1),
-        diss_u=0.0,
-        diss_charge=0.0,
-        diss_drift=0.0,
-        xi=1.0,
+        E_orig=original_energy(state, mass_p2=ops.mass_p2, stiff_p1=ops.stiff_p1),
         r=state.r,
+        **step_terms,
     )
+
+
+def initial_record(ops: Operators, state: State) -> DiagRecord:
+    """Step-0 diagnostics row so traces include the initial condition."""
+    return _record(ops, state, diss_u=0.0, diss_charge=0.0, diss_drift=0.0, xi=1.0)

@@ -25,7 +25,7 @@ from .fem import (
 from .mesh import build_rect_mesh
 from .mms import case_by_name, source_eval
 from .scheme import Operators, SchemeParams, SourceTerms, compute_velocity_split, init_state
-from .sparse import NeumannSolver, RepeatedBlock, bicgstab, cg
+from .sparse import NeumannSolver, bicgstab, cg, matvec
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -297,14 +297,12 @@ def check_splitting_linearity() -> CheckResult:
     split = compute_velocity_split(ops, state, params, SourceTerms(), params.tau)
     xi = 0.7321
     system, _ = ops.velocity_system(params)
-    rhs = ops.mass_vec @ state.u.values.ravel() / params.tau + ops.div_t @ state.p.values
-    rhs -= xi * split.forcing.ravel()
-    direct, report = cg(
-        RepeatedBlock(system.matrix), system.reduce_rhs(rhs), tol=1e-14, max_iter=100000
-    )
+    rhs = matvec(ops.mass_p2, state.u.values) / params.tau + ops.pressure_load(state.p.values)
+    rhs -= xi * split.forcing
+    direct, report = cg(system.matrix, system.reduce_rhs(rhs), tol=1e-14, max_iter=100000)
     if not report.converged:
         return CheckResult("splitting_linearity", False, "direct solve failed")
-    combined = (split.u1.values + xi * split.u2.values).ravel()
+    combined = split.u1.values + xi * split.u2.values
     scale = max(1.0, float(np.abs(direct).max()))
     worst = float(np.abs(combined - direct).max()) / scale
     return _check("splitting_linearity", worst, 1e-9, "superposition defect")

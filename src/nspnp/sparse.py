@@ -11,10 +11,10 @@ Cholesky and then solves with it.  It has three users: the coarse operator
 of ``TwoLevelPreconditioner``, the pinned stiffness of ``NeumannSolver`` and
 the preconditioner M/tau + A of the transport solves.
 
-``RepeatedBlock`` applies diag(B, B) without building it, and
-``TwoLevelPreconditioner`` is a symmetric two-level cycle for ``cg``.  Both
-act on flat vectors that hold one copy after the other: values.ravel() of a
-(2, n) vector field, which is solved with one scalar block.
+``cg`` and ``TwoLevelPreconditioner``, a symmetric two-level cycle for it,
+take a vector (n,) or a stack (k, n) of them: a (2, n) vector field is
+solved with one scalar block applied row by row, and inner products and
+norms are those of the stacked vector.
 
 ``NeumannSolver`` solves pure Neumann (consistent singular) systems, whose
 kernel is spanned by ones, directly: one dof is pinned and the rest of the
@@ -38,9 +38,9 @@ __all__ = [
     "CsrMatrix",
     "SolveReport",
     "BandedCholesky",
-    "RepeatedBlock",
     "TwoLevelPreconditioner",
     "NeumannSolver",
+    "matvec",
     "cg",
     "bicgstab",
 ]
@@ -90,36 +90,9 @@ class BandedCholesky:
         return cho_solve_banded((self.factor, False), b, check_finite=False)
 
 
-def _per_row(matrix, x: np.ndarray) -> np.ndarray:
-    """matrix @ row for each row of x; scipy's one-vector product beats its many-vector one."""
-    return np.stack([matrix @ row for row in x])
-
-
-class RepeatedBlock:
-    """The block-diagonal matrix diag(block, block), applied block by block.
-
-    A vector holds the two copies one after the other: entries [0, n) belong
-    to the first, [n, 2 n) to the second, n being the block size.  Only the
-    block is stored; nnz counts the nonzeros of the whole block-diagonal
-    matrix.
-    """
-
-    def __init__(self, block: CsrMatrix):
-        n = block.shape[0]
-        if block.shape != (n, n):
-            raise ValueError(f"block must be square, got {block.shape}")
-        self.block = block
-        self.shape = (2 * n, 2 * n)
-        self.nnz = 2 * block.nnz
-
-    def diagonal(self) -> np.ndarray:
-        return np.tile(self.block.diagonal(), 2)
-
-    def __matmul__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.shape[1],):
-            raise ValueError(f"shape mismatch: matrix {self.shape}, vector {x.shape}")
-        return _per_row(self.block, x.reshape(2, -1)).ravel()
+def matvec(matrix, x: np.ndarray) -> np.ndarray:
+    """matrix @ x for a vector x, row by row for a stack (k, n): scipy's one-vector product wins."""
+    return matrix @ x if x.ndim == 1 else np.stack([matrix @ row for row in x])
 
 
 class TwoLevelPreconditioner:
@@ -132,8 +105,8 @@ class TwoLevelPreconditioner:
 
     fixed lists the constrained dofs, whose rows and columns of the matrix
     are identity.  Their rows of the prolongation are zeroed here, so the
-    cycle passes their residual through unchanged.  A residual holding several
-    copies one after the other (see RepeatedBlock) is treated copy by copy.
+    cycle passes their residual through unchanged.  A stack (k, n) of
+    residuals is treated row by row.
     """
 
     def __init__(self, matrix: CsrMatrix, prolongation: CsrMatrix, fixed):
@@ -148,7 +121,6 @@ class TwoLevelPreconditioner:
         weight[fixed] = 1.0  # identity rows: exact solve
         free = np.ones(n)
         free[fixed] = 0.0
-        self.n = n
         self.matrix = matrix
         self.weight = weight
         self.prolongation = (scipy.sparse.diags(free) @ prolongation).tocsr()
@@ -156,13 +128,11 @@ class TwoLevelPreconditioner:
         self.coarse_solve = BandedCholesky(self.restriction @ matrix @ self.prolongation)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        r = r.reshape(-1, self.n)  # one row per copy
         z = self.weight * r
-        defect = _per_row(self.restriction, r - _per_row(self.matrix, z))
-        correction = self.coarse_solve(defect.T)
-        z += _per_row(self.prolongation, correction.T)
-        z += self.weight * (r - _per_row(self.matrix, z))
-        return z.ravel()
+        defect = matvec(self.restriction, r - matvec(self.matrix, z))
+        z += matvec(self.prolongation, self.coarse_solve(defect.T).T)
+        z += self.weight * (r - matvec(self.matrix, z))
+        return z
 
 
 class NeumannSolver:
@@ -192,22 +162,25 @@ def cg(
 ):
     """Preconditioned conjugate gradients for symmetric positive definite systems.
 
-    Returns (x, SolveReport).  tol is relative to ||b||.  preconditioner, a
-    symmetric positive definite map r -> z, replaces the Jacobi
-    preconditioner when given.  A non-finite residual norm stops the
-    iteration and is reported as not converged.
+    Returns (x, SolveReport).  b is a vector (n,) or a stack (k, n) of them,
+    which is solved as one system with the block-diagonal diag(matrix, ...):
+    inner products and norms run over the whole stack, and x has b's shape.
+    tol is relative to ||b||.  preconditioner, a symmetric positive definite
+    map r -> z on b's shape, replaces the Jacobi preconditioner when given.
+    A non-finite residual norm stops the iteration and is reported as not
+    converged.
     """
     b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if matrix.shape != (n, n):
+    n = b.shape[-1]
+    if b.ndim > 2 or matrix.shape != (n, n):
         raise ValueError(f"shape mismatch: matrix {matrix.shape}, rhs {b.shape}")
     if max_iter is None:
-        max_iter = 10 * n
+        max_iter = 10 * b.size
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros(n), SolveReport(iterations=0, residual=0.0, converged=True)
+        return np.zeros(b.shape), SolveReport(iterations=0, residual=0.0, converged=True)
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(b.shape) if x0 is None else np.asarray(x0, dtype=float).copy()
     if preconditioner is None:
         d = matrix.diagonal()
         if np.any(d <= 0):
@@ -217,17 +190,17 @@ def cg(
         def preconditioner(rv):
             return inv_diag * rv
 
-    r = b - matrix @ x
+    r = b - matvec(matrix, x)
     z = preconditioner(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = float(np.vdot(r, z))
     iterations = 0
     refreshes = 0
     rnorm = np.linalg.norm(r)
     converged = rnorm <= tol * bnorm
     while not converged and iterations < max_iter and np.isfinite(rnorm):
-        q = matrix @ p
-        pq = float(p @ q)
+        q = matvec(matrix, p)
+        pq = float(np.vdot(p, q))
         if pq <= 0.0:
             break  # lost positive definiteness (numerically), report as is
         alpha = rz / pq
@@ -239,7 +212,7 @@ def cg(
             # The recurrence residual drifts from the true one near the end;
             # verify against b - A x and, on a near miss, keep iterating from
             # the recomputed residual instead of reporting failure.
-            r = b - matrix @ x
+            r = b - matvec(matrix, x)
             rnorm = np.linalg.norm(r)
             if rnorm <= tol * bnorm or refreshes >= 5:
                 converged = rnorm <= tol * bnorm
@@ -247,14 +220,14 @@ def cg(
             refreshes += 1
             z = preconditioner(r)
             p = z.copy()
-            rz = float(r @ z)
+            rz = float(np.vdot(r, z))
             continue
         z = preconditioner(r)
-        rz_next = float(r @ z)
+        rz_next = float(np.vdot(r, z))
         p = z + (rz_next / rz) * p
         rz = rz_next
 
-    true_res = np.linalg.norm(b - matrix @ x) / bnorm
+    true_res = np.linalg.norm(b - matvec(matrix, x)) / bnorm
     return x, SolveReport(
         iterations=iterations, residual=float(true_res), converged=bool(true_res <= tol)
     )

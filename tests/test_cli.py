@@ -247,8 +247,8 @@ def test_main_solver_failure_exits_one(tmp_path, capsys):
     assert "solve failed" in capsys.readouterr().err
 
 
-def test_main_out_dir_precedence(tmp_path):
-    # config `out` is the default; an explicit --out flag overrides it.
+def test_main_out_dir_precedence(tmp_path, monkeypatch):
+    # config `out` is the default; an explicit --out flag overrides it, `--out .` included.
     configured = tmp_path / "configured"
     flagged = tmp_path / "flagged"
     cfg = write_config(
@@ -260,6 +260,12 @@ def test_main_out_dir_precedence(tmp_path):
 
     assert main(["run", "--config", cfg, "--out", str(flagged)]) == 0
     assert (flagged / "summary.csv").exists()
+
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["run", "--config", cfg, "--out", "."]) == 0
+    assert (cwd / "summary.csv").exists()
 
 
 def test_main_requires_subcommand():

@@ -89,13 +89,13 @@ def test_energies_match_independent_decomposition(ops):
     params = SchemeParams(tau=0.05, t_final=0.1, c0=5.0)
     state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
 
-    e = discrete_energy(state, params, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1)
-    u, p = state.u.values.ravel(), state.p.values
-    kinetic = 0.5 * u @ (ops.mass_vec @ u)
+    e = discrete_energy(state, params, mass_p2=ops.mass_p2, stiff_p1=ops.stiff_p1)
+    u, p = state.u.values, state.p.values
+    kinetic = 0.5 * (u[0] @ (ops.mass_p2 @ u[0]) + u[1] @ (ops.mass_p2 @ u[1]))
     pressure = 0.5 * params.tau**2 * (p @ (ops.stiff_p1 @ p))
     assert e == pytest.approx(kinetic + pressure + state.r**2, abs=1e-12 * max(1.0, e))
 
-    e0 = original_energy(state, mass_vec=ops.mass_vec, stiff_p1=ops.stiff_p1)
+    e0 = original_energy(state, mass_p2=ops.mass_p2, stiff_p1=ops.stiff_p1)
     phi = state.phi.values
     assert e0 == pytest.approx(
         kinetic + 0.5 * phi @ (ops.stiff_p1 @ phi), abs=1e-12 * max(1.0, e0)

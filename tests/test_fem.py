@@ -381,12 +381,13 @@ def test_dirichlet_elimination_pins_values_and_keeps_symmetry():
     if diff.nnz:
         assert np.abs(diff.data).max() < 1e-14
 
-    # The rows of a (2, n) load reduce copy by copy, returned one after the other.
+    # The rows of a (2, n) load reduce row by row, returned as (2, n).
     load = np.arange(2 * p2.n_dofs, dtype=float).reshape(2, -1)
     values = np.stack([g[bdofs], -2.0 * g[bdofs]])
     stacked = system.reduce_rhs(load, values)
-    np.testing.assert_array_equal(stacked[: p2.n_dofs], system.reduce_rhs(load[0], g[bdofs]))
-    np.testing.assert_array_equal(stacked[p2.n_dofs :], system.reduce_rhs(load[1], -2.0 * g[bdofs]))
+    assert stacked.shape == load.shape
+    np.testing.assert_array_equal(stacked[0], system.reduce_rhs(load[0], g[bdofs]))
+    np.testing.assert_array_equal(stacked[1], system.reduce_rhs(load[1], -2.0 * g[bdofs]))
 
 
 def test_prolongation_reproduces_linear_functions():

@@ -13,7 +13,6 @@ from nspnp.mesh import build_rect_mesh
 from nspnp.sparse import (
     BandedCholesky,
     NeumannSolver,
-    RepeatedBlock,
     SolveReport,
     TwoLevelPreconditioner,
     bicgstab,
@@ -114,16 +113,20 @@ def test_banded_cholesky_matches_dense_solve():
     np.testing.assert_allclose(solve(b[:, 0]), x_ref[:, 0], rtol=0, atol=1e-13 * np.abs(x_ref).max())
 
 
-def test_repeated_block_matches_block_diagonal():
+@pytest.mark.parametrize("preconditioned", [False, True], ids=["jacobi", "given"])
+def test_cg_on_stacked_rhs_matches_block_diagonal(preconditioned):
     block = sp.csr_matrix(random_spd(7, seed=3))
     full = sp.block_diag((block, block), format="csr")
-    op = RepeatedBlock(block)
-    x = np.random.default_rng(0).standard_normal(14)
-    assert op.shape == full.shape and op.nnz == full.nnz
-    np.testing.assert_array_equal(op.diagonal(), full.diagonal())
-    np.testing.assert_array_equal(op @ x, full @ x)
+    b = np.random.default_rng(0).standard_normal((2, 7))
+    scale = np.linspace(0.5, 1.5, 7)  # an SPD diagonal map, applied to each row of a stack
+    pre = (lambda r: np.tile(scale, 2) * r, lambda r: scale * r) if preconditioned else (None, None)
+    x_full, report_full = cg(full, b.ravel(), tol=1e-13, preconditioner=pre[0])
+    x, report = cg(block, b, tol=1e-13, preconditioner=pre[1])
+    assert x.shape == b.shape and report.converged
+    np.testing.assert_array_equal(x.ravel(), x_full)
+    assert report == report_full
     with pytest.raises(ValueError):
-        op @ np.ones(7)
+        cg(block, np.ones((2, 6)))
 
 
 def scalar_p2_helmholtz(nx: int, tau: float):
@@ -139,15 +142,16 @@ def test_two_level_cycle_is_spd_and_keeps_dirichlet_dofs(tau):
     system, prolongation = scalar_p2_helmholtz(6, tau)
     cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
     rng = np.random.default_rng(11)
-    n = system.n
+    n = system.matrix.shape[0]
     for _ in range(5):
-        x, y = rng.standard_normal((2, 2 * n))  # two copies, as for a velocity
+        x, y = rng.standard_normal((2, 2, n))  # (2, n) each, as for a velocity
         bx, by = cycle(x), cycle(y)
-        assert y @ bx == pytest.approx(x @ by, rel=1e-12)
-        assert x @ bx > 0.0
+        assert bx.shape == x.shape
+        assert np.vdot(y, bx) == pytest.approx(np.vdot(x, by), rel=1e-12)
+        assert np.vdot(x, bx) > 0.0
+        np.testing.assert_array_equal(bx[:, system.dofs], x[:, system.dofs])
         for k in range(2):
-            dofs = k * n + system.dofs
-            np.testing.assert_array_equal(bx[dofs], x[dofs])
+            np.testing.assert_array_equal(bx[k], cycle(x[k]))
 
 
 def test_two_level_cycle_ignores_prolongation_rows_of_fixed_dofs():
@@ -157,14 +161,14 @@ def test_two_level_cycle_ignores_prolongation_rows_of_fixed_dofs():
     noise[system.dofs] = rng.standard_normal((system.dofs.size, prolongation.shape[1]))
     clean = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
     dirty = TwoLevelPreconditioner(system.matrix, prolongation + sp.csr_matrix(noise), system.dofs)
-    r = rng.standard_normal(system.n)
+    r = rng.standard_normal(system.matrix.shape[0])
     np.testing.assert_array_equal(dirty(r), clean(r))
 
 
 def test_two_level_cg_matches_dense_solve():
     system, prolongation = scalar_p2_helmholtz(6, 0.05)
     cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
-    b = np.random.default_rng(5).standard_normal(system.n)
+    b = np.random.default_rng(5).standard_normal(system.matrix.shape[0])
     x_ref = np.linalg.solve(system.matrix.toarray(), b)
     x, report = cg(system.matrix, b, tol=1e-13, preconditioner=cycle)
     assert report.converged and report.iterations < 20
