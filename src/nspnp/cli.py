@@ -24,9 +24,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .diagnostics import DiagRecord
-from .mesh import build_rect_mesh
-from .mms import CASES, ERROR_FIELDS, case_by_name, convergence_study, run_case
-from .scheme import Operators, SchemeParams
+from .mms import CASES, ERROR_FIELDS, case_by_name, case_operators, convergence_study, run_case
+from .scheme import SchemeParams
 from .selfcheck import run_all
 
 ERRORS_COLUMNS = (
@@ -160,6 +159,9 @@ def parse_config(text: str) -> RunConfig:
             taus = tuple(_parse_float(p, "taus", lineno) for p in parts)
             if any(t <= 0.0 for t in taus):
                 raise ConfigError(f"line {lineno}: taus must all be positive, got {raw}")
+            if len(set(taus)) < len(taus):
+                # Convergence rates divide by log(tau_prev / tau).
+                raise ConfigError(f"line {lineno}: taus must be distinct, got {raw}")
             fields["taus"] = taus
         elif key == "t_final":
             value = _parse_float(raw, key, lineno)
@@ -194,13 +196,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _resolve(config: RunConfig):
-    """Fill case defaults and build the (case, mesh, operators) triple."""
+    """Fill case defaults and build the case and its operators."""
     case = case_by_name(config.case)
-    nx = config.nx if config.nx is not None else case.nx
-    ny = config.ny if config.ny is not None else nx
-    mesh = build_rect_mesh(case.bounds, nx, ny)
-    ops = Operators(mesh, velocity_bc=case.velocity_bc)
-    return case, mesh, ops, nx, ny
+    try:
+        ops = case_operators(case, config.nx, config.ny)
+    except ValueError as exc:  # a mesh the config describes cannot be built
+        raise ConfigError(str(exc)) from None
+    return case, ops
 
 
 def _params(config: RunConfig, case, tau: float) -> SchemeParams:
@@ -310,9 +312,9 @@ def cmd_run(config: RunConfig, out_dir: str | Path = ".") -> int:
             config = dataclasses.replace(config, tau=config.taus[0])
         else:
             raise ConfigError("run requires a single tau (tau=...)")
-    case, mesh, ops, nx, ny = _resolve(config)
+    case, ops = _resolve(config)
     params = _params(config, case, config.tau)
-    _, records, _ = run_case(case, params, mesh=mesh, ops=ops)
+    _, records, _ = run_case(case, params, ops=ops)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -324,8 +326,8 @@ def cmd_run(config: RunConfig, out_dir: str | Path = ".") -> int:
     increases = [b.E_h - a.E_h for a, b in zip(records, records[1:])]
     summary_row = (
         case.name,
-        nx,
-        ny,
+        ops.mesh.nx,
+        ops.mesh.ny,
         params.tau,
         params.t_final,
         last.step,
@@ -355,13 +357,13 @@ def cmd_convergence(config: RunConfig, out_dir: str | Path = ".") -> int:
         taus = (config.tau,)
     if not taus:
         raise ConfigError("convergence requires a nonempty tau list (taus=...)")
-    case, mesh, ops, _, _ = _resolve(config)
+    case, ops = _resolve(config)
     if case.exact is None:
         raise ConfigError(f"case {case.name} has no closed-form solution to measure errors against")
     params = _params(config, case, taus[0])
     for tau in taus[1:]:
         _params(config, case, tau)  # every tau must divide t_final
-    rows = convergence_study(case, params, list(taus), mesh=mesh, ops=ops)
+    rows = convergence_study(case, params, list(taus), ops=ops)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -26,10 +26,13 @@ q grad G / pi^2 and lap phi = -2 G q,
     A    = sin 2pi x cos 2pi y sin pi x cos pi y - sin 2pi y cos 2pi x cos pi x sin pi y,
 
 and f_u follows from -lap u = 8 pi^2 u and (u . grad) u = 2 pi s^2 q^2
-(sin 2pi x cos 2pi x, sin 2pi y cos 2pi y).  Tests check the sources
-against finite differences and the published cases against fixed values.
-The decay case (example3) is a no-slip problem with no sources, used for
-the structure-preservation diagnostics.
+(sin 2pi x cos 2pi x, sin 2pi y cos 2pi y).  A case's sources are one
+callable, sources(x, y, t) -> (f_c1, f_c2, f_u), whose three terms share one
+evaluation of the trigonometric factors; the time stepper calls it once per
+step.  Tests check the sources against finite differences and the published
+cases against fixed values.  The decay case (example3) is a no-slip problem
+with no sources (``sources`` is None), used for the structure-preservation
+diagnostics.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from .fem import error_norms
 from .mesh import build_rect_mesh
-from .scheme import Operators, SchemeParams, SourceTerms, advance, init_state, initial_record
+from .scheme import Operators, SchemeParams, advance, init_state, initial_record
 
 __all__ = [
     "CASES",
@@ -52,7 +55,7 @@ __all__ = [
     "example3",
     "case_by_name",
     "exact_eval",
-    "source_eval",
+    "case_operators",
     "run_case",
     "convergence_study",
 ]
@@ -74,7 +77,9 @@ class ManufacturedCase:
     c2_0: Callable
     u_0: Callable
     p_0: Callable
-    sources: SourceTerms
+    # (x, y, t) -> (f_c1, f_c2, f_u) at the given points; None for a
+    # source-free case.
+    sources: Callable | None
     velocity_bc: Callable | None
     # field name -> (value evaluator, gradient evaluator); None when the case
     # has no closed-form solution.
@@ -85,10 +90,6 @@ class ManufacturedCase:
 class ErrorReport:
     """Errors against the exact solution at the final time."""
 
-    case: str
-    tau: float
-    h: float
-    time: float
     # field -> (L2, H1 seminorm, H1)
     errors: dict
 
@@ -104,7 +105,7 @@ def _family(name, m, b1, s, q, dq, **settings) -> ManufacturedCase:
     """Family member (m, b1, s, q, q' = dq) of the module docstring; settings: nx, t_final, taus."""
     pi = np.pi
 
-    def species(b, sigma):
+    def species(b):
         def value(x, y, t):
             _, cx, _, cy, *_ = _trig(x, y)
             return m + b * cx * cy * q(t)
@@ -114,22 +115,10 @@ def _family(name, m, b1, s, q, dq, **settings) -> ManufacturedCase:
             a = -pi * b * q(t)
             return np.array([a * sx * cy, a * cx * sy])
 
-        def source(x, y, t):
-            sx, cx, sy, cy, s2x, c2x, s2y, c2y = _trig(x, y)
-            g, qt = cx * cy, q(t)
-            advect = s2x * c2y * sx * cy - s2y * c2x * cx * sy
-            grad_g_sq = sx * sx * cy * cy + cx * cx * sy * sy  # |grad G|^2 / pi^2
-            return (
-                b * g * dq(t)
-                - pi * s * b * qt**2 * advect
-                + 2 * pi**2 * b * g * qt
-                - sigma * (b * qt**2 * grad_g_sq - 2 * m * g * qt - 2 * b * qt**2 * g * g)
-            )
+        return value, grad
 
-        return value, grad, source
-
-    c1, grad_c1, f_c1 = species(b1, +1.0)
-    c2, grad_c2, f_c2 = species(b1 - 2.0, -1.0)
+    c1, grad_c1 = species(b1)
+    c2, grad_c2 = species(b1 - 2.0)
 
     def phi(x, y, t):
         _, cx, _, cy, *_ = _trig(x, y)
@@ -160,10 +149,21 @@ def _family(name, m, b1, s, q, dq, **settings) -> ManufacturedCase:
         a = 2 * pi * q(t)
         return np.array([a * c2x * s2y, a * s2x * c2y])
 
-    def f_u(x, y, t):
+    def sources(x, y, t):
         sx, cx, sy, cy, s2x, c2x, s2y, c2y = _trig(x, y)
         qt, dqt, g = q(t), dq(t), cx * cy
-        return np.array([
+        advect = s2x * c2y * sx * cy - s2y * c2x * cx * sy
+        grad_g_sq = sx * sx * cy * cy + cx * cx * sy * sy  # |grad G|^2 / pi^2
+
+        def f_c(b, sigma):
+            return (
+                b * g * dqt
+                - pi * s * b * qt**2 * advect
+                + 2 * pi**2 * b * g * qt
+                - sigma * (b * qt**2 * grad_g_sq - 2 * m * g * qt - 2 * b * qt**2 * g * g)
+            )
+
+        f_u = np.array([
             (s * dqt + 8 * pi**2 * s * qt) * s2x * c2y
             + 2 * pi * s * s * qt**2 * s2x * c2x
             + 2 * pi * qt * c2x * s2y
@@ -173,6 +173,7 @@ def _family(name, m, b1, s, q, dq, **settings) -> ManufacturedCase:
             + 2 * pi * qt * s2x * c2y
             - (2 * qt**2 / pi) * g * cx * sy,
         ])
+        return f_c(b1, +1.0), f_c(b1 - 2.0, -1.0), f_u
 
     return ManufacturedCase(
         name=name,
@@ -182,7 +183,7 @@ def _family(name, m, b1, s, q, dq, **settings) -> ManufacturedCase:
         c2_0=c2,
         u_0=u,
         p_0=p,
-        sources=SourceTerms(f_c1=f_c1, f_c2=f_c2, f_u=f_u),
+        sources=sources,
         velocity_bc=u,
         exact={
             "c1": (c1, grad_c1),
@@ -246,7 +247,7 @@ def example3() -> ManufacturedCase:
         c2_0=c2_0,
         u_0=u_0,
         p_0=p_0,
-        sources=SourceTerms(),
+        sources=None,
         velocity_bc=None,
         exact=None,
     )
@@ -273,31 +274,21 @@ def exact_eval(case: ManufacturedCase, field: str, x, y, t, grad: bool = False):
     return grad_fn(x, y, t) if grad else value_fn(x, y, t)
 
 
-def source_eval(case: ManufacturedCase, x, y, t):
-    """(f_c1, f_c2, f_u) at the given points; zeros for source-free cases."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    zero = np.zeros(np.broadcast(x, y).shape)
-    f_c1 = case.sources.f_c1(x, y, t) if case.sources.f_c1 else zero
-    f_c2 = case.sources.f_c2(x, y, t) if case.sources.f_c2 else zero
-    f_u = (
-        case.sources.f_u(x, y, t)
-        if case.sources.f_u
-        else np.zeros((2,) + zero.shape)
-    )
-    return f_c1, f_c2, f_u
+def case_operators(case: ManufacturedCase, nx: int | None = None, ny: int | None = None):
+    """Operators on the case's rectangle, nx by ny cells; nx defaults to case.nx, ny to nx."""
+    nx = case.nx if nx is None else nx
+    ny = nx if ny is None else ny
+    return Operators(build_rect_mesh(case.bounds, nx, ny), velocity_bc=case.velocity_bc)
 
 
-def run_case(case: ManufacturedCase, params: SchemeParams, mesh=None, ops=None):
+def run_case(case: ManufacturedCase, params: SchemeParams, ops=None):
     """Time-step one case; returns (final state, diagnostics trace, report or None).
 
     The diagnostics trace has one record per step plus a step-0 snapshot of
     the initial data.
     """
     if ops is None:
-        if mesh is None:
-            mesh = build_rect_mesh(case.bounds, case.nx, case.nx)
-        ops = Operators(mesh, velocity_bc=case.velocity_bc)
+        ops = case_operators(case)
     state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
     records = [initial_record(ops, state)]
     for _ in range(params.n_steps):
@@ -310,17 +301,11 @@ def run_case(case: ManufacturedCase, params: SchemeParams, mesh=None, ops=None):
         for field in ERROR_FIELDS:
             value_fn, grad_fn = case.exact[field]
             errors[field] = error_norms(getattr(state, field), value_fn, grad_fn, state.time)
-        report = ErrorReport(
-            case=case.name,
-            tau=params.tau,
-            h=ops.mesh.h,
-            time=state.time,
-            errors=errors,
-        )
+        report = ErrorReport(errors)
     return state, records, report
 
 
-def convergence_study(case: ManufacturedCase, params: SchemeParams, tau_list, mesh=None, ops=None):
+def convergence_study(case: ManufacturedCase, params: SchemeParams, tau_list, ops=None):
     """Run the case for each tau on one shared mesh; returns error-table rows.
 
     Each row maps column names (tau, e_<field>_<norm>, rate_<field>_<norm>)
@@ -333,9 +318,7 @@ def convergence_study(case: ManufacturedCase, params: SchemeParams, tau_list, me
     if case.exact is None:
         raise ValueError(f"case {case.name!r} has no exact solution to converge to")
     if ops is None:
-        if mesh is None:
-            mesh = build_rect_mesh(case.bounds, case.nx, case.nx)
-        ops = Operators(mesh, velocity_bc=case.velocity_bc)
+        ops = case_operators(case)
     rows = []
     previous = None
     for tau in tau_list:

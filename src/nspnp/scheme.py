@@ -46,9 +46,14 @@ auxiliary variable so that the modified energy
 decreases every step regardless of tau.  advance() also evaluates the exact
 per-step energy balance so tests can assert the identity to solver precision.
 
-Boundary data: velocity Dirichlet values come from ``Operators.velocity_bc``
-(homogeneous when None).  Manufactured solutions with nonzero tangential
-boundary velocity pass their exact trace; since u2 always carries zero data,
+Case data: advance() is the only code that evaluates a case's analytic
+data, once per step at t^{n+1}.  The sources, one callable returning
+(f_1, f_2, f_u), are evaluated at the quadrature points, which the P1 and P2
+spaces of a mesh share, and become the (2, n) ion loads and the momentum
+load.  The velocity Dirichlet values come from ``Operators.boundary_values``
+(homogeneous when ``velocity_bc`` is None); one array serves the split and
+the projection.  Manufactured solutions with nonzero tangential boundary
+velocity pass their exact trace; since u2 always carries zero data,
 u_hat = u1 + xi u2 satisfies the condition for every xi.
 """
 
@@ -69,7 +74,7 @@ from .fem import (
     assemble_convection,
     assemble_div_coupling,
     assemble_drift,
-    assemble_load,
+    assemble_load,  # not called here; perfbench/spans.py wraps it through this module
     assemble_mass,
     assemble_stiffness,
     element_gradient,
@@ -92,7 +97,6 @@ from .sparse import (
 
 __all__ = [
     "SchemeParams",
-    "SourceTerms",
     "State",
     "VelocitySplit",
     "SplitCoefficients",
@@ -136,15 +140,6 @@ class SchemeParams:
     @property
     def n_steps(self) -> int:
         return round(self.t_final / self.tau)
-
-
-@dataclass(frozen=True)
-class SourceTerms:
-    """Analytic source evaluators; None means the term is absent."""
-
-    f_c1: object = None
-    f_c2: object = None
-    f_u: object = None
 
 
 @dataclass
@@ -369,21 +364,20 @@ def _momentum_forcing(ops: Operators, state: State) -> np.ndarray:
 
 
 def compute_velocity_split(
-    ops: Operators, state: State, params: SchemeParams, sources: SourceTerms, t_next: float
+    ops: Operators, state: State, params: SchemeParams, momentum_load: np.ndarray, g: np.ndarray
 ) -> VelocitySplit:
     """Solve the two tentative-velocity systems sharing one eliminated matrix.
 
-    u1 starts from u^n with its boundary entries set to the new data, so CG
-    never changes them and u_hat keeps the boundary values exactly; u2
-    starts from zero.
+    momentum_load is the (2, n) source load (f_u(t^{n+1}), v) and g the
+    boundary values at t^{n+1}, shaped like ops.boundary_values.  u1 starts
+    from u^n with its boundary entries set to g, so CG never changes them
+    and u_hat keeps the boundary values exactly; u2 starts from zero.
     """
     system, preconditioner = ops.velocity_system(params)
     forcing = _momentum_forcing(ops, state)
 
     rhs1 = matvec(ops.mass_p2, state.u.values) / params.tau + ops.pressure_load(state.p.values)
-    if sources.f_u is not None:
-        rhs1 = rhs1 + assemble_load(ops.velocity_space, sources.f_u, t_next).values
-    g = ops.boundary_values(t_next)
+    rhs1 += momentum_load
     x0 = state.u.values.copy()
     x0[:, ops.velocity_dirichlet] = g
     u1, report = cg(
@@ -492,16 +486,16 @@ def solve_xi(
     return xi, xi * sqrt_energy, coeffs
 
 
-def pressure_projection(ops: Operators, u_hat_next: FieldVector, state: State, params: SchemeParams):
-    """Pressure update (pure Neumann) and L2 projection of the velocity."""
+def pressure_projection(
+    ops: Operators, u_hat_next: FieldVector, state: State, params: SchemeParams, g: np.ndarray
+):
+    """Pressure update (pure Neumann) and L2 projection onto the boundary values g at t^{n+1}."""
     tau = params.tau
-    t_next = state.time + tau
     u_hat = u_hat_next.values
     p_vals = ops.solve_neumann(ops.stiff_p1 @ state.p.values - ops.divergence(u_hat) / tau)
 
     delta = p_vals - state.p.values
     rhs_u = matvec(ops.mass_p2, u_hat) + tau * ops.pressure_load(delta)
-    g = ops.boundary_values(t_next)
     u_vals, report = cg(
         ops.projection_system.matrix,
         ops.projection_system.reduce_rhs(rhs_u, g),
@@ -516,24 +510,39 @@ def pressure_projection(ops: Operators, u_hat_next: FieldVector, state: State, p
     )
 
 
-def advance(ops: Operators, state: State, params: SchemeParams, sources: SourceTerms | None = None):
-    """One full time step; returns (new state, diagnostics record)."""
+def _source_loads(ops: Operators, sources, t: float):
+    """The (2, n) ion loads (f_i(t), theta) and the (2, n) momentum load (f_u(t), v).
+
+    A function of its own, so the quadrature values are freed before the stages run.
+    """
     if sources is None:
-        sources = SourceTerms()
+        return np.zeros((2, ops.scalar_space.n_dofs)), np.zeros((2, ops.velocity_space.n_dofs))
+    # One evaluation: the P1 and P2 spaces of a mesh share their quadrature points.
+    f_c1, f_c2, f_u = sources(*ops.scalar_space.quad_xy, t)
+    return (
+        load_from_quadrature(ops.scalar_space, np.moveaxis(np.stack((f_c1, f_c2)), 0, -1)),
+        load_from_quadrature(ops.velocity_space, np.moveaxis(f_u, 0, -1)),
+    )
+
+
+def advance(ops: Operators, state: State, params: SchemeParams, sources=None):
+    """One full time step; returns (new state, diagnostics record).
+
+    sources(x, y, t) -> (f_c1, f_c2, f_u) are the case's analytic sources,
+    None for a source-free case.
+    """
     tau = params.tau
     t_next = state.time + tau
-    # Ion source loads at t^{n+1}, assembled once for the transport and the xi stages.
-    loads = np.zeros((2, ops.scalar_space.n_dofs))
-    for row, f in zip(loads, (sources.f_c1, sources.f_c2)):
-        if f is not None:
-            row[:] = assemble_load(ops.scalar_space, f, t_next).values
+    # The case data at t^{n+1}, evaluated once for all stages.
+    loads, momentum_load = _source_loads(ops, sources, t_next)
+    g = ops.boundary_values(t_next)
 
     c1_next, c2_next = step_concentrations(ops, state, params, loads)
     phi_next = step_potential(ops, c1_next, c2_next)
-    split = compute_velocity_split(ops, state, params, sources, t_next)
+    split = compute_velocity_split(ops, state, params, momentum_load, g)
     xi, r_next, coeffs = solve_xi(ops, state, split, c1_next, c2_next, phi_next, params, loads)
     u_hat = FieldVector(ops.velocity_space, split.u1.values + xi * split.u2.values)
-    p_next, u_next = pressure_projection(ops, u_hat, state, params)
+    p_next, u_next = pressure_projection(ops, u_hat, state, params, g)
 
     new_state = State(
         c1=c1_next,

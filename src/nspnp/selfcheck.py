@@ -23,8 +23,8 @@ from .fem import (
     tri_quadrature_degree5,
 )
 from .mesh import build_rect_mesh
-from .mms import case_by_name, source_eval
-from .scheme import Operators, SchemeParams, SourceTerms, compute_velocity_split, init_state
+from .mms import case_by_name
+from .scheme import Operators, SchemeParams, compute_velocity_split, init_state
 from .sparse import NeumannSolver, bicgstab, cg, matvec
 
 __all__ = ["CheckResult", "run_all"]
@@ -239,7 +239,7 @@ def check_sources_finite_difference(seed: int, n_points: int = 100) -> CheckResu
             )
 
         u = val("u", x, y, t)
-        f_c1, f_c2, f_u = source_eval(case, x, y, t)
+        f_c1, f_c2, f_u = case.sources(x, y, t)
         for field, f_closed, sign in (("c1", f_c1, -1.0), ("c2", f_c2, +1.0)):
             cgx, cgy = grad(field, x, y, t)
             pgx, pgy = grad("phi", x, y, t)
@@ -294,7 +294,8 @@ def check_splitting_linearity() -> CheckResult:
         lambda x, y, t: np.zeros_like(np.asarray(x, float)),
         params,
     )
-    split = compute_velocity_split(ops, state, params, SourceTerms(), params.tau)
+    no_load = np.zeros((2, ops.velocity_space.n_dofs))
+    split = compute_velocity_split(ops, state, params, no_load, ops.boundary_values(params.tau))
     xi = 0.7321
     system, _ = ops.velocity_system(params)
     rhs = matvec(ops.mass_p2, state.u.values) / params.tau + ops.pressure_load(state.p.values)

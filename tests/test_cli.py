@@ -86,6 +86,7 @@ def test_parse_empty_taus_gives_empty_tuple():
         ("case=example1\nnx=0\n", "line 2: nx must be positive"),
         ("case=example1\nnx=2.5\n", "line 2: nx expects an integer"),
         ("case=example1\ntaus=0.1 -0.05\n", "line 2: taus must all be positive"),
+        ("case=example1\ntaus=0.1 0.05 0.1\n", "line 2: taus must be distinct"),
         ("case=example1\ntol=2\n", "line 2: tol must lie in (0, 1)"),
         ("case=example1\nemit_svg=maybe\n", "line 2: emit_svg expects a boolean"),
         ("case=example1\njust words\n", "line 2: expected key=value"),
@@ -229,8 +230,9 @@ def test_main_empty_tau_list_is_usage_error(tmp_path, capsys):
         ("run", "case=example3\nnx=4\ntau=nan\nt_final=0.1\n", "line 3: tau must be finite"),
         ("run", "case=example3\nnx=4\ntau=inf\nt_final=0.1\n", "line 3: tau must be finite"),
         ("run", "case=example3\nnx=4\ntau=0.1\nt_final=0.1\nc0=inf\n", "line 5: c0 must be finite"),
+        ("run", "case=example3\nnx=4\nny=6\ntau=0.1\nt_final=0.1\n", "anisotropic cells"),
     ],
-    ids=["t_final-not-multiple", "later-tau-not-multiple", "tau-nan", "tau-inf", "c0-inf"],
+    ids=["t_final-not-multiple", "later-tau-not-multiple", "tau-nan", "tau-inf", "c0-inf", "unequal-cells"],
 )
 def test_main_invalid_parameters_are_usage_errors(tmp_path, capsys, command, text, fragment):
     cfg = write_config(tmp_path, text)

@@ -296,6 +296,12 @@ def test_reference_kernels_match_the_physical_gradient_table(mesh):
     close(assemble_convection(u, p1).toarray(), -_quadrature_oracle(p1, u_q))
 
 
+def test_p1_and_p2_spaces_share_quadrature_points():
+    # Analytic data is evaluated once per step on the P1 points and loaded on both spaces.
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 0.75), 4, 3)
+    assert np.array_equal(FunctionSpace.p1(mesh).quad_xy, FunctionSpace.p2(mesh).quad_xy)
+
+
 def test_matrices_on_a_space_share_its_pattern():
     mesh = build_rect_mesh((0.0, 0.0, 1.0, 0.75), 4, 3)
     p1 = FunctionSpace.p1(mesh)

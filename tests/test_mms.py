@@ -16,7 +16,6 @@ from nspnp.mms import (
     example3,
     exact_eval,
     run_case,
-    source_eval,
 )
 from nspnp.scheme import SchemeParams
 
@@ -57,7 +56,7 @@ def test_case_defaults_match_published_settings():
     assert ex3.bounds == (0.0, 0.0, 1.0, 1.0)
     assert (ex3.bounds[2] - ex3.bounds[0]) / ex3.nx == pytest.approx(0.01)
     assert ex3.c0 == 5.0
-    assert ex3.exact is None and ex3.velocity_bc is None
+    assert ex3.exact is None and ex3.velocity_bc is None and ex3.sources is None
 
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
@@ -100,7 +99,7 @@ def test_example1_concentration_source_at_time_zero(rng):
     # source collapses to its time-derivative part 3 cos(pi x) cos(pi y).
     case = example1()
     x, y, _ = sample_points(case, rng)
-    f1, f2, fu = source_eval(case, x, y, np.zeros_like(x))
+    f1, f2, fu = case.sources(x, y, np.zeros_like(x))
     np.testing.assert_allclose(f1, 3.0 * np.cos(np.pi * x) * np.cos(np.pi * y), atol=1e-13)
     np.testing.assert_allclose(f2, np.cos(np.pi * x) * np.cos(np.pi * y), atol=1e-13)
     np.testing.assert_allclose(fu, np.stack([
@@ -178,17 +177,10 @@ def test_published_cases_match_their_closed_forms(name):
     for field in ERROR_FIELDS:
         got[field] = exact_eval(case, field, x, y, t)
         got[f"grad_{field}"] = exact_eval(case, field, x, y, t, grad=True)
-    got["f_c1"], got["f_c2"], got["f_u"] = source_eval(case, x, y, t)
+    got["f_c1"], got["f_c2"], got["f_u"] = case.sources(x, y, t)
     assert set(got) == set(PUBLISHED_VALUES[name])
     for key, want in PUBLISHED_VALUES[name].items():
         np.testing.assert_allclose(got[key], want, rtol=1e-13, atol=0.0, err_msg=key)
-
-
-def test_source_eval_zero_for_source_free_case(rng):
-    case = example3()
-    x, y, t = sample_points(case, rng)
-    f1, f2, fu = source_eval(case, x, y, t)
-    assert not f1.any() and not f2.any() and not fu.any()
 
 
 def test_exact_eval_validates_field_and_gradients(rng):

@@ -16,7 +16,6 @@ from nspnp.sparse import bicgstab, cg, matvec
 from nspnp.scheme import (
     Operators,
     SchemeParams,
-    SourceTerms,
     _stable_roots,
     advance,
     compute_velocity_split,
@@ -116,12 +115,14 @@ def test_sourced_mass_balance_matches_load_integral():
     ops = Operators(mesh, velocity_bc=case.velocity_bc)
     params = SchemeParams(tau=0.1, t_final=0.1, c0=10.0)
     state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
-    load = assemble_load(ops.scalar_space, case.sources.f_c1, 0.1)
-    loads = np.stack([load.values, assemble_load(ops.scalar_space, case.sources.f_c2, 0.1).values])
+    loads = np.stack([
+        assemble_load(ops.scalar_space, lambda x, y, t, k=k: case.sources(x, y, t)[k], 0.1).values
+        for k in (0, 1)
+    ])
     c1, c2 = step_concentrations(ops, state, params, loads)
     before = np.sum(ops.mass_p1 @ state.c1.values)
     after = np.sum(ops.mass_p1 @ c1.values)
-    assert after - before == pytest.approx(params.tau * load.values.sum(), abs=1e-9)
+    assert after - before == pytest.approx(params.tau * loads[0].sum(), abs=1e-9)
 
 
 def test_energy_identity_residual_tiny(ex3_ops):
@@ -204,6 +205,53 @@ def test_velocity_boundary_values_exact_trace():
     expected = ops.boundary_values(state.time)
     np.testing.assert_allclose(state.u.values[:, bdofs], expected, atol=1e-13)
     np.testing.assert_allclose(state.u_hat.values[:, bdofs], expected, atol=1e-13)
+
+
+def test_sourced_advance_evaluates_the_case_data_once(monkeypatch):
+    # One evaluation of the sources and one of the boundary data per step; the
+    # stages get each term's load and the boundary values at t^{n+1}.
+    case = example1()
+    calls = {"sources": 0, "velocity_bc": 0}
+    stage_args = {}
+
+    def counting(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    def capturing(name):
+        stage = getattr(scheme, name)
+
+        def wrapper(*args):
+            stage_args[name] = args[3:]  # what follows (ops, state, params)
+            return stage(*args)
+
+        monkeypatch.setattr(scheme, name, wrapper)
+
+    capturing("step_concentrations")
+    capturing("compute_velocity_split")
+    ops = Operators(
+        build_rect_mesh(case.bounds, 4, 4), velocity_bc=counting("velocity_bc", case.velocity_bc)
+    )
+    params = SchemeParams(tau=0.1, t_final=0.1, c0=case.c0)
+    state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
+    advance(ops, state, params, counting("sources", case.sources))
+    assert calls == {"sources": 1, "velocity_bc": 1}
+
+    def term(k):
+        return lambda x, y, t: case.sources(x, y, t)[k]
+
+    (loads,) = stage_args["step_concentrations"]
+    momentum_load, g = stage_args["compute_velocity_split"]
+    t_next = params.tau
+    np.testing.assert_array_equal(loads[0], assemble_load(ops.scalar_space, term(0), t_next).values)
+    np.testing.assert_array_equal(loads[1], assemble_load(ops.scalar_space, term(1), t_next).values)
+    np.testing.assert_array_equal(
+        momentum_load, assemble_load(ops.velocity_space, term(2), t_next).values
+    )
+    np.testing.assert_array_equal(g, ops.boundary_values(t_next))
 
 
 def test_pressure_and_potential_zero_mean(ex3_ops):
@@ -298,7 +346,8 @@ def test_velocity_iterations_stay_flat_under_refinement(nx, monkeypatch):
     for _ in range(params.n_steps):
         state, _ = advance(ops, state, params, case.sources)
         iterations.clear()
-        compute_velocity_split(ops, state, params, case.sources, state.time + params.tau)
+        no_load = np.zeros((2, ops.velocity_space.n_dofs))
+        compute_velocity_split(ops, state, params, no_load, ops.boundary_values(state.time + params.tau))
         assert len(iterations) == 2
         assert max(iterations) <= 30
 
@@ -351,7 +400,8 @@ def test_drift_dissipation_matches_quadrature(ex3_ops):
     # The closed form of int (c1 + c2) |grad phi|^2 against the 7-point rule.
     case, ops = ex3_ops
     params, state, _ = small_run(case, ops, steps=1)
-    split = compute_velocity_split(ops, state, params, case.sources, state.time + params.tau)
+    no_load = np.zeros((2, ops.velocity_space.n_dofs))
+    split = compute_velocity_split(ops, state, params, no_load, ops.boundary_values(state.time + params.tau))
     no_sources = np.zeros((2, ops.scalar_space.n_dofs))
     _, _, coeffs = solve_xi(ops, state, split, state.c1, state.c2, state.phi, params, no_sources)
     total_q = scheme.field_at_quadrature(state.c1) + scheme.field_at_quadrature(state.c2)
@@ -369,12 +419,15 @@ def test_velocity_split_matches_jacobi_oracle():
     state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
     state, _ = advance(ops, state, params, case.sources)
     t_next = state.time + params.tau
-    split = compute_velocity_split(ops, state, params, case.sources, t_next)
+    g = ops.boundary_values(t_next)
+    momentum_load = assemble_load(
+        ops.velocity_space, lambda x, y, t: case.sources(x, y, t)[2], t_next
+    ).values
+    split = compute_velocity_split(ops, state, params, momentum_load, g)
 
     system, _ = ops.velocity_system(params)
     rhs1 = matvec(ops.mass_p2, state.u.values) / params.tau + ops.pressure_load(state.p.values)
-    rhs1 = rhs1 + assemble_load(ops.velocity_space, case.sources.f_u, t_next).values
-    g = ops.boundary_values(t_next)
+    rhs1 = rhs1 + momentum_load
     # CG never moves the pinned entries of its start vectors.
     np.testing.assert_array_equal(split.u1.values[:, ops.velocity_dirichlet], g)
     np.testing.assert_array_equal(split.u2.values[:, ops.velocity_dirichlet], 0.0)
