@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags, hstack
+from scipy.sparse import coo_matrix, hstack
 
 from .mesh import StructuredTriMesh, boundary_dofs, p2_node_coords, p2_numbering
 from .sparse import CsrMatrix
@@ -482,7 +482,8 @@ class DirichletSystem:
     The eliminated matrix has identity rows and columns at the constrained
     dofs; reduce_rhs subtracts the lifted boundary values from the interior
     load and pins the constrained entries, so solving the reduced system gives
-    the constrained solution directly.  reduce_rhs also takes a stack, such
+    the constrained solution directly.  The matrix must store its diagonal,
+    as every assembled matrix does.  reduce_rhs also takes a stack, such
     as a (2, n) vector field, with boundary values shaped (2, nb), and
     returns the shape it was given.
     """
@@ -490,11 +491,14 @@ class DirichletSystem:
     def __init__(self, matrix: CsrMatrix, dofs):
         n = matrix.shape[0]
         self.dofs = np.asarray(dofs, dtype=np.int64)
-        keep = np.ones(n)
-        keep[self.dofs] = 0.0
-        proj = diags(keep)
-        pinned = diags(1.0 - keep)
-        self.matrix = (proj @ matrix @ proj + pinned).tocsr()
+        fixed = np.zeros(n, dtype=bool)
+        fixed[self.dofs] = True
+        # Entries in a fixed row or column become 0, a fixed diagonal 1.
+        self.matrix = matrix.tocsr(copy=True)
+        rows = np.repeat(np.arange(n), np.diff(self.matrix.indptr))
+        hit = fixed[rows] | fixed[self.matrix.indices]
+        self.matrix.data[hit] = rows[hit] == self.matrix.indices[hit]
+        self.matrix.eliminate_zeros()
         self.matrix.sort_indices()
         # Column slice of the original matrix, for lifting boundary data.
         self._columns = matrix.tocsc()[:, self.dofs].tocsr()

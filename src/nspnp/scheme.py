@@ -224,10 +224,9 @@ class Operators:
     def velocity_system(self, params: SchemeParams):
         """(DirichletSystem of the scalar P2 M/tau + A, its two-level preconditioner)."""
         if self._velocity_system[0] != params.tau:
-            system = DirichletSystem(
-                (self.mass_p2 / params.tau + self.stiff_p2).tocsr(),
-                self.velocity_dirichlet,
-            )
+            pattern = self.velocity_space.pattern
+            base = pattern.matrix(self.mass_p2.data / params.tau + self.stiff_p2.data)
+            system = DirichletSystem(base, self.velocity_dirichlet)
             preconditioner = TwoLevelPreconditioner(system.matrix, self.prolongation, system.dofs)
             self._velocity_system = (params.tau, (system, preconditioner))
         return self._velocity_system[1]

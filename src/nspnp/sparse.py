@@ -14,7 +14,8 @@ the preconditioner M/tau + A of the transport solves.
 ``cg`` and ``TwoLevelPreconditioner``, a symmetric two-level cycle for it,
 take a vector (n,) or a stack (k, n) of them: a (2, n) vector field is
 solved with one scalar block applied row by row, and inner products and
-norms are those of the stacked vector.
+norms are those of the stacked vector.  The cycle keeps A P, which gives
+its coarse operator and its second residual without a second product with A.
 
 ``NeumannSolver`` solves pure Neumann (consistent singular) systems, whose
 kernel is spanned by ones, directly: one dof is pinned and the rest of the
@@ -50,8 +51,10 @@ _BREAKDOWN = 1e-30
 
 # Jacobi damping of the two-level cycle.  On the eliminated P2 Helmholtz
 # blocks M/tau + A, lambda_max(D^-1 A) <= 2.19 for tau from 1e-4 to 1e3, so
-# omega * lambda_max < 2 and the cycle is positive definite.
-_OMEGA = 0.6
+# omega * lambda_max < 2 and the cycle is positive definite.  Mean u1 CG
+# iterations on the benchmark's relax run (ex3 nx=100) for omega = 0.6, 0.65,
+# 0.7, 0.75, 0.8: 16.0, 15.3, 14.5, 14.3, 17.8; mms and ladder rank the same.
+_OMEGA = 0.75
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,11 @@ class TwoLevelPreconditioner:
 
     One application to a residual r is damped Jacobi, a coarse-grid
     correction with the Galerkin operator P^T A P, and damped Jacobi again.
-    The coarse operator is factored once by banded Cholesky.  The cycle is
-    symmetric, and positive definite when _OMEGA * lambda_max(D^-1 A) < 2.
+    A P is kept, and P^T (A P) is factored once by banded Cholesky.  After
+    the correction z += P e the residual is s - (A P) e, s = r - A z being
+    that of the first smoothing, so an application does one product with A.
+    The cycle is symmetric, and positive definite when
+    _OMEGA * lambda_max(D^-1 A) < 2.
 
     fixed lists the constrained dofs, whose rows and columns of the matrix
     are identity.  Their rows of the prolongation are zeroed here, so the
@@ -125,14 +131,15 @@ class TwoLevelPreconditioner:
         self.weight = weight
         self.prolongation = (scipy.sparse.diags(free) @ prolongation).tocsr()
         self.restriction = self.prolongation.T.tocsr()
-        self.coarse_solve = BandedCholesky(self.restriction @ matrix @ self.prolongation)
+        self.matrix_prolongation = (matrix @ self.prolongation).tocsr()
+        self.coarse_solve = BandedCholesky(self.restriction @ self.matrix_prolongation)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         z = self.weight * r
-        defect = matvec(self.restriction, r - matvec(self.matrix, z))
-        z += matvec(self.prolongation, self.coarse_solve(defect.T).T)
-        z += self.weight * (r - matvec(self.matrix, z))
-        return z
+        s = r - matvec(self.matrix, z)
+        e = self.coarse_solve(matvec(self.restriction, s).T).T
+        z += matvec(self.prolongation, e)
+        return z + self.weight * (s - matvec(self.matrix_prolongation, e))
 
 
 class NeumannSolver:

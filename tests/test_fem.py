@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, diags
 
 from nspnp.fem import (
     DirichletSystem,
@@ -394,6 +394,33 @@ def test_dirichlet_elimination_pins_values_and_keeps_symmetry():
     assert stacked.shape == load.shape
     np.testing.assert_array_equal(stacked[0], system.reduce_rhs(load[0], g[bdofs]))
     np.testing.assert_array_equal(stacked[1], system.reduce_rhs(load[1], -2.0 * g[bdofs]))
+
+
+def test_dirichlet_elimination_equals_projected_matrix():
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 8, 8)
+    p2 = FunctionSpace.p2(mesh)
+    a = (assemble_mass(p2) / 0.05 + assemble_stiffness(p2)).tocsr()
+    bdofs = p2.boundary_dofs()
+    keep = np.ones(p2.n_dofs)
+    keep[bdofs] = 0.0
+    want = (diags(keep) @ a @ diags(keep) + diags(1.0 - keep)).tocsr()
+    want.sort_indices()
+
+    system = DirichletSystem(a, bdofs)
+    np.testing.assert_array_equal(system.matrix.indptr, want.indptr)
+    np.testing.assert_array_equal(system.matrix.indices, want.indices)
+    np.testing.assert_array_equal(system.matrix.data, want.data)
+    assert np.all(system.matrix.data != 0.0)
+
+    # A (2, nb) nonzero lift against the dense formula b - A[:, dofs] g.
+    rng = np.random.default_rng(7)
+    load = rng.standard_normal((2, p2.n_dofs))
+    values = rng.standard_normal((2, bdofs.size))
+    want_rhs = load - values @ a.toarray()[:, bdofs].T
+    want_rhs[:, bdofs] = values
+    got = system.reduce_rhs(load, values)
+    assert got.shape == load.shape
+    np.testing.assert_allclose(got, want_rhs, rtol=1e-13, atol=1e-13 * np.abs(a.data).max())
 
 
 def test_prolongation_reproduces_linear_functions():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from nspnp.fem import DirichletSystem, FunctionSpace, assemble_mass, assemble_stiffness, p1_to_p2_prolongation
 from nspnp.mesh import build_rect_mesh
 from nspnp.sparse import (
+    _OMEGA,
     BandedCholesky,
     NeumannSolver,
     SolveReport,
@@ -152,6 +154,53 @@ def test_two_level_cycle_is_spd_and_keeps_dirichlet_dofs(tau):
         np.testing.assert_array_equal(bx[:, system.dofs], x[:, system.dofs])
         for k in range(2):
             np.testing.assert_array_equal(bx[k], cycle(x[k]))
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
+def test_two_level_cycle_equals_dense_v_cycle(tau):
+    # Reference V(1,1): both smoothing residuals are computed with the full matrix.
+    system, prolongation = scalar_p2_helmholtz(6, tau)
+    cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
+    a = system.matrix.toarray()
+    w = _OMEGA / a.diagonal()
+    w[system.dofs] = 1.0
+    p = prolongation.toarray()
+    p[system.dofs] = 0.0
+    coarse = p.T @ a @ p
+
+    def v_cycle(r):
+        z = w * r
+        z = z + p @ np.linalg.solve(coarse, p.T @ (r - a @ z))
+        return z + w * (r - a @ z)
+
+    rng = np.random.default_rng(3)
+    r = rng.standard_normal((2, a.shape[0]))
+    got = cycle(r)
+    for k in range(2):
+        want = v_cycle(r[k])
+        assert np.linalg.norm(got[k] - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(cycle(r[k]) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
+def test_jacobi_damping_keeps_the_cycle_positive_definite(tau):
+    system, _ = scalar_p2_helmholtz(6, tau)
+    a = system.matrix.toarray()
+    lam_max = scipy.linalg.eigvalsh(a, np.diag(a.diagonal())).max()
+    assert lam_max <= 2.19
+    assert _OMEGA * lam_max < 2.0
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
+def test_galerkin_coarse_operator_is_the_interior_p1_helmholtz(tau):
+    system, prolongation = scalar_p2_helmholtz(6, tau)
+    cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 6, 6)
+    p1 = FunctionSpace.p1(mesh)
+    interior = ~mesh.vertex_on_boundary
+    want = (assemble_mass(p1) / tau + assemble_stiffness(p1))[interior][:, interior].toarray()
+    got = (cycle.restriction @ cycle.matrix_prolongation).toarray()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_two_level_cycle_ignores_prolongation_rows_of_fixed_dofs():
