@@ -18,6 +18,7 @@ __all__ = [
     "DiagRecord",
     "DIAG_COLUMNS",
     "mass",
+    "mass_norm_sq",
     "discrete_energy",
     "original_energy",
     "extrema",
@@ -80,25 +81,25 @@ def mass(c, mass_matrix) -> float:
     return float(np.sum(mass_matrix @ c.values))
 
 
-def discrete_energy(state, params, *, mass_p2, stiff_p1) -> float:
+def mass_norm_sq(values: np.ndarray, mass_matrix) -> float:
+    """||v||_M^2 = v^T M v of a field's values, each row of a (k, n) stack with M."""
+    return float(np.vdot(values, matvec(mass_matrix, values)))
+
+
+def discrete_energy(state, params, *, u_norm_sq: float, stiff_p1) -> float:
     """Modified energy 0.5 ||u||^2 + (tau^2/2) ||grad p||^2 + r^2.
 
-    This is the quantity the scheme dissipates unconditionally.
+    This is the quantity the scheme dissipates unconditionally.  u_norm_sq
+    is ||u||_M^2 (mass_norm_sq), which the caller computes once per state.
     """
-    u = state.u.values
     p = state.p.values
-    return float(
-        0.5 * np.vdot(u, matvec(mass_p2, u))
-        + 0.5 * params.tau**2 * (p @ (stiff_p1 @ p))
-        + state.r**2
-    )
+    return float(0.5 * u_norm_sq + 0.5 * params.tau**2 * (p @ (stiff_p1 @ p)) + state.r**2)
 
 
-def original_energy(state, *, mass_p2, stiff_p1) -> float:
-    """Physical energy 0.5 ||u||^2 + 0.5 ||grad phi||^2."""
-    u = state.u.values
+def original_energy(state, *, u_norm_sq: float, stiff_p1) -> float:
+    """Physical energy 0.5 ||u||^2 + 0.5 ||grad phi||^2, u_norm_sq being ||u||_M^2."""
     phi = state.phi.values
-    return float(0.5 * np.vdot(u, matvec(mass_p2, u)) + 0.5 * (phi @ (stiff_p1 @ phi)))
+    return float(0.5 * u_norm_sq + 0.5 * (phi @ (stiff_p1 @ phi)))
 
 
 def extrema(c) -> tuple[float, float]:

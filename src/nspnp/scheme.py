@@ -66,7 +66,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .diagnostics import DiagRecord, discrete_energy, extrema, mass, original_energy
+from .diagnostics import DiagRecord, discrete_energy, extrema, mass, mass_norm_sq, original_energy
 from .fem import (
     DirichletSystem,
     FieldVector,
@@ -92,6 +92,7 @@ from .sparse import (
     TwoLevelPreconditioner,
     bicgstab,
     cg,
+    jacobi,
     matvec,
 )
 
@@ -192,9 +193,10 @@ class Operators:
     and stiffness matrices on the P1 pattern, the stiffness's pinned
     factor, the scalar P2 mass and stiffness that act on each row of a
     (2, n) velocity, the divergence coupling, and the Dirichlet elimination
-    of the projection.  The systems that depend on tau (the velocity system
-    and M/tau + A of the transport, each with its preconditioner) are built
-    for the tau last asked for and kept until another tau is asked for.
+    of the projection with its Jacobi preconditioner.  The systems that
+    depend on tau (the velocity system and M/tau + A of the transport, each
+    with its preconditioner) are built for the tau last asked for and kept
+    until another tau is asked for.
     """
 
     def __init__(self, mesh: StructuredTriMesh, velocity_bc=None):
@@ -216,6 +218,7 @@ class Operators:
         self.velocity_dirichlet = self.velocity_space.boundary_dofs()
         self._bnode_coords = self.velocity_space.node_coords[self.velocity_dirichlet]
         self.projection_system = DirichletSystem(self.mass_p2, self.velocity_dirichlet)
+        self.projection_preconditioner = jacobi(self.projection_system.matrix)
         # Coarse space: P1 functions that vanish on the boundary.
         self.prolongation = p1_to_p2_prolongation(mesh)[:, ~mesh.vertex_on_boundary]
         self._velocity_system = (None, None)
@@ -303,7 +306,8 @@ def init_state(ops: Operators, c1_0, c2_0, u_0, p_0, params: SchemeParams) -> St
         step_index=0,
         time=0.0,
     )
-    state.E_h = discrete_energy(state, params, mass_p2=ops.mass_p2, stiff_p1=ops.stiff_p1)
+    u_norm_sq = mass_norm_sq(u.values, ops.mass_p2)
+    state.E_h = discrete_energy(state, params, u_norm_sq=u_norm_sq, stiff_p1=ops.stiff_p1)
     return state
 
 
@@ -501,6 +505,7 @@ def pressure_projection(
         x0=u_hat,
         tol=params.tol,
         max_iter=params.max_iter,
+        preconditioner=ops.projection_preconditioner,
     )
     _require_converged(report, "velocity projection")
     return (
@@ -566,17 +571,18 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources=None):
     #                 - 0.5 ||u_hat - u_old||_M^2 - (r_new - r_old)^2
     #                 - 0.5 (||w||_M^2 - ||u_new||_M^2)
     # where w = u_hat - tau grad(dp) is the unprojected end-of-step velocity.
-    new_state.E_h = discrete_energy(new_state, params, mass_p2=ops.mass_p2, stiff_p1=ops.stiff_p1)
-    du = uh - state.u.values
-    increment_u = 0.5 * float(np.vdot(du, matvec(ops.mass_p2, du)))
+    u_new_norm_sq = mass_norm_sq(u_next.values, ops.mass_p2)
+    new_state.E_h = discrete_energy(
+        new_state, params, u_norm_sq=u_new_norm_sq, stiff_p1=ops.stiff_p1
+    )
+    increment_u = 0.5 * mass_norm_sq(uh - state.u.values, ops.mass_p2)
     increment_r = (r_next - state.r) ** 2
     delta_p = p_next.values - state.p.values
     w_norm_sq = (
-        float(np.vdot(uh, matvec(ops.mass_p2, uh)))
+        mass_norm_sq(uh, ops.mass_p2)
         + 2.0 * tau * float(delta_p @ ops.divergence(uh))
         + tau**2 * float(delta_p @ (ops.stiff_p1 @ delta_p))
     )
-    u_new_norm_sq = float(np.vdot(u_next.values, matvec(ops.mass_p2, u_next.values)))
     projection_defect = 0.5 * (w_norm_sq - u_new_norm_sq)
     residual = (
         new_state.E_h
@@ -589,13 +595,13 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources=None):
         + projection_defect
     )
     return new_state, _record(
-        ops, new_state, diss_u=diss_u, diss_charge=diss_charge, diss_drift=diss_drift, xi=xi,
-        energy_residual=residual,
+        ops, new_state, u_new_norm_sq, diss_u=diss_u, diss_charge=diss_charge,
+        diss_drift=diss_drift, xi=xi, energy_residual=residual,
     )
 
 
-def _record(ops: Operators, state: State, **step_terms) -> DiagRecord:
-    """The diagnostics row of a state; step_terms are the DiagRecord fields a step adds."""
+def _record(ops: Operators, state: State, u_norm_sq: float, **step_terms) -> DiagRecord:
+    """The diagnostics row of a state of ||u||_M^2 = u_norm_sq; step_terms are a step's fields."""
     min_c1, max_c1 = extrema(state.c1)
     min_c2, max_c2 = extrema(state.c2)
     return DiagRecord(
@@ -608,7 +614,7 @@ def _record(ops: Operators, state: State, **step_terms) -> DiagRecord:
         min_c2=min_c2,
         max_c2=max_c2,
         E_h=state.E_h,
-        E_orig=original_energy(state, mass_p2=ops.mass_p2, stiff_p1=ops.stiff_p1),
+        E_orig=original_energy(state, u_norm_sq=u_norm_sq, stiff_p1=ops.stiff_p1),
         r=state.r,
         **step_terms,
     )
@@ -616,4 +622,5 @@ def _record(ops: Operators, state: State, **step_terms) -> DiagRecord:
 
 def initial_record(ops: Operators, state: State) -> DiagRecord:
     """Step-0 diagnostics row so traces include the initial condition."""
-    return _record(ops, state, diss_u=0.0, diss_charge=0.0, diss_drift=0.0, xi=1.0)
+    u_norm_sq = mass_norm_sq(state.u.values, ops.mass_p2)
+    return _record(ops, state, u_norm_sq, diss_u=0.0, diss_charge=0.0, diss_drift=0.0, xi=1.0)

@@ -6,6 +6,14 @@ directly against matrix-vector products so their iteration history (and hence
 every digit of the output) is a pure function of the inputs; no threading or
 order-of-reduction surprises.
 
+Every product goes through ``matvec``, which calls scipy's CSR kernel
+``csr_matvec``, the one ``matrix @ x`` runs, on a zeroed output array, so a
+product is bit for bit that of ``matrix @ x`` without its dispatch and its
+allocation.  ``cg``, ``bicgstab`` and ``TwoLevelPreconditioner`` write their
+products and updates into work arrays shaped like the right-hand side and
+make no product that the answer does not need: no A x0 without a start, and
+no second b - A x after the convergence check computed it.
+
 ``BandedCholesky`` factors a sparse SPD matrix once by LAPACK's banded
 Cholesky and then solves with it.  It has three users: the coarse operator
 of ``TwoLevelPreconditioner``, the pinned stiffness of ``NeumannSolver`` and
@@ -22,7 +30,7 @@ kernel is spanned by ones, directly: one dof is pinned and the rest of the
 matrix is factored once.
 
 Both Krylov solvers take a ``preconditioner``, a map r -> z.  ``bicgstab``
-requires one; ``cg`` preconditions with the diagonal (Jacobi) without one.
+requires one; ``cg`` preconditions with ``jacobi(matrix)`` without one.
 """
 
 from __future__ import annotations
@@ -31,7 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
+from scipy.sparse._sparsetools import csr_matvec  # used by matvec only
 
 CsrMatrix = scipy.sparse.csr_matrix
 
@@ -42,6 +52,7 @@ __all__ = [
     "TwoLevelPreconditioner",
     "NeumannSolver",
     "matvec",
+    "jacobi",
     "cg",
     "bicgstab",
 ]
@@ -77,7 +88,7 @@ class BandedCholesky:
     band being the largest column distance of a nonzero from the diagonal.
     On the row-major vertex numbering of a structured mesh that is one mesh
     row, so the factor of a P1 matrix holds about nx^3 doubles.  b may hold
-    one right-hand side per column.
+    one right-hand side per column, and a solve is one call of LAPACK's dpbtrs.
     """
 
     def __init__(self, matrix):
@@ -90,12 +101,41 @@ class BandedCholesky:
         self.factor = cholesky_banded(banded)
 
     def __call__(self, b) -> np.ndarray:
-        return cho_solve_banded((self.factor, False), b, check_finite=False)
+        if np.size(b) == 0:  # no unknowns, and LAPACK rejects a leading dimension of 0
+            return np.zeros(np.shape(b))
+        x, info = dpbtrs(self.factor, b)
+        if info != 0:
+            raise ValueError(f"banded Cholesky solve failed: dpbtrs info {info}")
+        return x
 
 
-def matvec(matrix, x: np.ndarray) -> np.ndarray:
-    """matrix @ x for a vector x, row by row for a stack (k, n): scipy's one-vector product wins."""
-    return matrix @ x if x.ndim == 1 else np.stack([matrix @ row for row in x])
+def matvec(matrix: CsrMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """matrix @ x for a vector x, row by row for a stack (k, n), written into out.
+
+    Each row is one call of scipy's CSR kernel csr_matvec, the one that
+    matrix @ x runs, on a zeroed row of out, so the result is bit for bit
+    that of matrix @ x.  out, shaped like x with matrix.shape[0] columns, is
+    allocated when not given; it is returned.
+    """
+    if matrix.format != "csr":
+        raise TypeError(f"matvec takes a CSR matrix, got {matrix.format!r}")
+    m, n = matrix.shape
+    if out is None:
+        out = np.zeros(x.shape[:-1] + (m,))
+    else:
+        out.fill(0.0)  # the kernel adds the product to out
+    for row, result in zip(x, out) if x.ndim == 2 else ((x, out),):
+        csr_matvec(m, n, matrix.indptr, matrix.indices, matrix.data, row, result)
+    return out
+
+
+def jacobi(matrix: CsrMatrix):
+    """The Jacobi preconditioner r -> r / diag(matrix), applied to each row of a stack."""
+    d = matrix.diagonal()
+    if np.any(d <= 0):
+        raise ValueError("Jacobi preconditioning needs a positive diagonal")
+    inv_diag = 1.0 / d
+    return lambda r: inv_diag * r
 
 
 class TwoLevelPreconditioner:
@@ -112,7 +152,8 @@ class TwoLevelPreconditioner:
     fixed lists the constrained dofs, whose rows and columns of the matrix
     are identity.  Their rows of the prolongation are zeroed here, so the
     cycle passes their residual through unchanged.  A stack (k, n) of
-    residuals is treated row by row.
+    residuals is treated row by row.  The residual s and the products with
+    P and A P go into two work arrays kept per shape of r; only z is new.
     """
 
     def __init__(self, matrix: CsrMatrix, prolongation: CsrMatrix, fixed):
@@ -133,13 +174,20 @@ class TwoLevelPreconditioner:
         self.restriction = self.prolongation.T.tocsr()
         self.matrix_prolongation = (matrix @ self.prolongation).tocsr()
         self.coarse_solve = BandedCholesky(self.restriction @ self.matrix_prolongation)
+        self._work = {}
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
+        if r.shape not in self._work:
+            self._work[r.shape] = np.empty((2,) + r.shape)
+        s, product = self._work[r.shape]
         z = self.weight * r
-        s = r - matvec(self.matrix, z)
+        np.subtract(r, matvec(self.matrix, z, out=s), out=s)
         e = self.coarse_solve(matvec(self.restriction, s).T).T
-        z += matvec(self.prolongation, e)
-        return z + self.weight * (s - matvec(self.matrix_prolongation, e))
+        z += matvec(self.prolongation, e, out=product)
+        s -= matvec(self.matrix_prolongation, e, out=product)
+        s *= self.weight
+        z += s
+        return z
 
 
 class NeumannSolver:
@@ -173,31 +221,34 @@ def cg(
     which is solved as one system with the block-diagonal diag(matrix, ...):
     inner products and norms run over the whole stack, and x has b's shape.
     tol is relative to ||b||.  preconditioner, a symmetric positive definite
-    map r -> z on b's shape, replaces the Jacobi preconditioner when given.
-    A non-finite residual norm stops the iteration and is reported as not
+    map r -> z on b's shape, replaces jacobi(matrix) when given.  A
+    non-finite residual norm stops the iteration and is reported as not
     converged.
+
+    x, r and p are updated in place, and the products and the scaled
+    updates go into two work arrays.  The reported residual is the true one
+    that the convergence check computed, or b - A x computed once on any
+    other exit.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[-1]
     if b.ndim > 2 or matrix.shape != (n, n):
         raise ValueError(f"shape mismatch: matrix {matrix.shape}, rhs {b.shape}")
+    if x0 is not None and np.shape(x0) != b.shape:
+        raise ValueError(f"shape mismatch: x0 {np.shape(x0)}, rhs {b.shape}")
     if max_iter is None:
         max_iter = 10 * b.size
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(b.shape), SolveReport(iterations=0, residual=0.0, converged=True)
-
-    x = np.zeros(b.shape) if x0 is None else np.asarray(x0, dtype=float).copy()
     if preconditioner is None:
-        d = matrix.diagonal()
-        if np.any(d <= 0):
-            raise ValueError("Jacobi preconditioning needs a positive diagonal")
-        inv_diag = 1.0 / d
+        preconditioner = jacobi(matrix)
 
-        def preconditioner(rv):
-            return inv_diag * rv
-
-    r = b - matvec(matrix, x)
+    q = np.empty(b.shape)  # A p, and A x when the residual is recomputed
+    scaled = np.empty(b.shape)  # alpha p, then alpha q
+    x = np.zeros(b.shape) if x0 is None else np.array(x0, dtype=float)
+    r = b.copy() if x0 is None else b - matvec(matrix, x)  # no product without a start
+    true_residual = True  # r is b - A x, not the recurrence
     z = preconditioner(r)
     p = z.copy()
     rz = float(np.vdot(r, z))
@@ -206,38 +257,40 @@ def cg(
     rnorm = np.linalg.norm(r)
     converged = rnorm <= tol * bnorm
     while not converged and iterations < max_iter and np.isfinite(rnorm):
-        q = matvec(matrix, p)
+        matvec(matrix, p, out=q)
         pq = float(np.vdot(p, q))
         if pq <= 0.0:
             break  # lost positive definiteness (numerically), report as is
         alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=scaled)
+        r -= np.multiply(alpha, q, out=scaled)
+        true_residual = False
         iterations += 1
         rnorm = np.linalg.norm(r)
         if rnorm <= tol * bnorm:
             # The recurrence residual drifts from the true one near the end;
             # verify against b - A x and, on a near miss, keep iterating from
             # the recomputed residual instead of reporting failure.
-            r = b - matvec(matrix, x)
+            np.subtract(b, matvec(matrix, x, out=q), out=r)
+            true_residual = True
             rnorm = np.linalg.norm(r)
             if rnorm <= tol * bnorm or refreshes >= 5:
-                converged = rnorm <= tol * bnorm
                 break
             refreshes += 1
             z = preconditioner(r)
-            p = z.copy()
+            np.copyto(p, z)
             rz = float(np.vdot(r, z))
             continue
         z = preconditioner(r)
         rz_next = float(np.vdot(r, z))
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
 
-    true_res = np.linalg.norm(b - matvec(matrix, x)) / bnorm
-    return x, SolveReport(
-        iterations=iterations, residual=float(true_res), converged=bool(true_res <= tol)
-    )
+    if not true_residual:
+        rnorm = np.linalg.norm(np.subtract(b, matvec(matrix, x, out=q), out=r))
+    residual = float(rnorm / bnorm)
+    return x, SolveReport(iterations=iterations, residual=residual, converged=bool(residual <= tol))
 
 
 def bicgstab(
@@ -256,23 +309,28 @@ def bicgstab(
     method monitors is that of the unpreconditioned system.  On a rho
     breakdown the method restarts once from the current iterate with a fresh
     shadow residual; a second breakdown reports failure, and so does a
-    non-finite residual norm.
+    non-finite residual norm.  The products go into work arrays through
+    matvec.
     """
-    b = np.asarray(b, dtype=float).copy()
+    b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    if matrix.shape != (n, n):
+    if b.ndim != 1 or matrix.shape != (n, n):
         raise ValueError(f"shape mismatch: matrix {matrix.shape}, rhs {b.shape}")
+    if x0 is not None and np.shape(x0) != b.shape:
+        raise ValueError(f"shape mismatch: x0 {np.shape(x0)}, rhs {b.shape}")
     if max_iter is None:
         max_iter = 10 * n
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(iterations=0, residual=0.0, converged=True)
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    r = b - matrix @ x
+    product = np.empty(n)  # A x for a residual
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    r = b.copy() if x0 is None else b - matvec(matrix, x)
     r_shadow = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros(n)
+    t = np.empty(n)
     p = np.zeros(n)
     iterations = 0
     restarted = False
@@ -280,13 +338,13 @@ def bicgstab(
     rnorm = np.linalg.norm(r)
     converged = rnorm <= tol * bnorm
 
-    def verified(xv) -> bool:
-        return np.linalg.norm(b - matrix @ xv) <= tol * bnorm
+    def residual_norm(xv) -> float:
+        return np.linalg.norm(b - matvec(matrix, xv, out=product))
 
     def refresh():
         # Re-seed the recurrence from the true residual at the current x.
         nonlocal r, r_shadow, rho, alpha, omega
-        r = b - matrix @ x
+        r = b - matvec(matrix, x, out=product)
         r_shadow = r.copy()
         rho = alpha = omega = 1.0
         v[:] = 0.0
@@ -306,7 +364,7 @@ def bicgstab(
         beta = (rho_next / rho) * (alpha / omega)
         p = r + beta * (p - omega * v)
         p_hat = preconditioner(p)
-        v = matrix @ p_hat
+        matvec(matrix, p_hat, out=v)
         denom = float(r_shadow @ v)
         if denom == 0.0:
             if restarted:
@@ -317,16 +375,16 @@ def bicgstab(
         alpha = rho_next / denom
         s = r - alpha * v
         iterations += 1
-        if np.linalg.norm(s) <= tol * bnorm and verified(x + alpha * p_hat):
+        if np.linalg.norm(s) <= tol * bnorm and residual_norm(x + alpha * p_hat) <= tol * bnorm:
             x += alpha * p_hat
             converged = True
             break
         s_hat = preconditioner(s)
-        t = matrix @ s_hat
+        matvec(matrix, s_hat, out=t)
         tt = float(t @ t)
         if tt == 0.0:
             x += alpha * p_hat
-            converged = verified(x)
+            converged = residual_norm(x) <= tol * bnorm
             break
         omega = float(t @ s) / tt
         x += alpha * p_hat + omega * s_hat
@@ -336,7 +394,7 @@ def bicgstab(
             break
         rnorm = np.linalg.norm(r)
         if rnorm <= tol * bnorm:
-            if verified(x):
+            if residual_norm(x) <= tol * bnorm:
                 converged = True
                 break
             if refreshes >= 5:
@@ -344,7 +402,5 @@ def bicgstab(
             refreshes += 1
             refresh()
 
-    true_res = np.linalg.norm(b - matrix @ x) / bnorm
-    return x, SolveReport(
-        iterations=iterations, residual=float(true_res), converged=bool(true_res <= tol)
-    )
+    residual = float(residual_norm(x) / bnorm)
+    return x, SolveReport(iterations=iterations, residual=residual, converged=bool(residual <= tol))

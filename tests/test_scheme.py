@@ -318,6 +318,50 @@ def test_operator_caches_reused_per_tau(ex3_ops):
         assert build(params) is not first  # rebuilt: the other tau replaced it
 
 
+def test_advance_computes_the_new_velocity_mass_norm_once(ex3_ops, monkeypatch):
+    # ||u^{n+1}||_M^2 feeds E_h, E_orig and the energy identity from one product.
+    case, ops = ex3_ops
+    params = SchemeParams(tau=0.05, t_final=0.1, c0=5.0)
+    state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
+    norms, energies = [], []
+    mass_norm_sq = scheme.mass_norm_sq
+
+    def recording_norm(values, mass_matrix):
+        norms.append((values.copy(), mass_norm_sq(values, mass_matrix)))
+        return norms[-1][1]
+
+    monkeypatch.setattr(scheme, "mass_norm_sq", recording_norm)
+    for name in ("discrete_energy", "original_energy"):
+        energy = getattr(scheme, name)
+
+        def capturing(*args, _energy=energy, **kwargs):
+            energies.append(kwargs["u_norm_sq"])
+            return _energy(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, name, capturing)
+    new_state, record = advance(ops, state, params, case.sources)
+    of_new_u = [norm for values, norm in norms if np.array_equal(values, new_state.u.values)]
+    assert len(of_new_u) == 1
+    assert energies == [of_new_u[0], of_new_u[0]]
+
+
+def test_projection_uses_the_jacobi_preconditioner_of_the_operators(ex3_ops, monkeypatch):
+    case, ops = ex3_ops
+    params = SchemeParams(tau=0.05, t_final=0.1, c0=5.0)
+    state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
+    preconditioners = []
+
+    def capturing_cg(*args, **kwargs):
+        preconditioners.append(kwargs.get("preconditioner"))
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "cg", capturing_cg)
+    g = ops.boundary_values(params.tau)
+    pressure_projection(ops, state.u_hat, state, params, g)
+    pressure_projection(ops, state.u_hat, state, params, g)
+    assert preconditioners == [ops.projection_preconditioner] * 2
+
+
 def test_one_cell_mesh_steps():
     # No interior vertex: the two-level cycle has an empty coarse space.
     case = example3()

@@ -19,6 +19,7 @@ from nspnp.sparse import (
     TwoLevelPreconditioner,
     bicgstab,
     cg,
+    matvec,
 )
 
 
@@ -101,6 +102,35 @@ def test_bicgstab_with_the_exact_inverse_takes_one_iteration(n):
     x, report = bicgstab(sp.csr_matrix(a), b, tol=1e-12, preconditioner=lambda r: inverse @ r)
     assert report.converged
     assert report.iterations <= 1
+
+
+def test_matvec_is_the_scipy_product_bit_for_bit():
+    a = sp.random(30, 20, density=0.3, format="csr", random_state=7)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(20)
+    stack = rng.standard_normal((3, 20))
+    strided = np.asfortranarray(stack)  # rows that are not contiguous, as of a transposed solve
+    assert not strided[0].flags.c_contiguous
+    np.testing.assert_array_equal(matvec(a, x), a @ x)
+    want = np.stack([a @ row for row in stack])
+    np.testing.assert_array_equal(matvec(a, stack), want)
+    np.testing.assert_array_equal(matvec(a, strided), want)
+    out = np.full((3, 30), np.nan)  # a given out is overwritten, not added to
+    assert matvec(a, stack, out=out) is out
+    np.testing.assert_array_equal(out, want)
+    with pytest.raises(TypeError, match="CSR"):
+        matvec(a.tocsc(), x)
+
+
+def test_banded_cholesky_is_the_scipy_banded_solve_bit_for_bit():
+    a = sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(9, 9), format="csr")
+    solve = BandedCholesky(a)
+    b = np.random.default_rng(1).standard_normal((9, 2))
+    for rhs in (b, b[:, 0], np.asfortranarray(b)):
+        np.testing.assert_array_equal(solve(rhs), scipy.linalg.cho_solve_banded((solve.factor, False), rhs))
+    empty = BandedCholesky(sp.csr_matrix((0, 0)))  # no unknowns, as a coarse space can be
+    assert solve(np.zeros((9, 0))).shape == (9, 0)
+    assert empty(np.zeros((0, 2))).shape == (0, 2)
 
 
 def test_banded_cholesky_matches_dense_solve():
@@ -214,6 +244,34 @@ def test_two_level_cycle_ignores_prolongation_rows_of_fixed_dofs():
     np.testing.assert_array_equal(dirty(r), clean(r))
 
 
+def test_two_level_cycle_is_the_plain_formula_bit_for_bit():
+    # The cycle's in-place work arrays give the same floats as the formula
+    # written with fresh arrays and scipy's products, for a vector and a stack.
+    system, prolongation = scalar_p2_helmholtz(6, 0.05)
+    cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
+    a, w, p, rt, ap = (
+        cycle.matrix, cycle.weight, cycle.prolongation, cycle.restriction, cycle.matrix_prolongation
+    )
+
+    def product(m, x):
+        return m @ x if x.ndim == 1 else np.stack([m @ row for row in x])
+
+    def formula(r):
+        z = w * r
+        s = r - product(a, z)
+        e = cycle.coarse_solve(product(rt, s).T).T
+        z += product(p, e)
+        return z + w * (s - product(ap, e))
+
+    rng = np.random.default_rng(8)
+    for r in (rng.standard_normal(a.shape[0]), rng.standard_normal((2, a.shape[0]))):
+        first = cycle(r)
+        kept = first.copy()
+        assert np.array_equal(first, formula(r))
+        assert np.array_equal(cycle(r + 1.0), formula(r + 1.0))
+        assert np.array_equal(first, kept)  # a later call leaves an earlier result alone
+
+
 def test_two_level_cg_matches_dense_solve():
     system, prolongation = scalar_p2_helmholtz(6, 0.05)
     cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
@@ -264,6 +322,71 @@ def test_warm_start_at_solution_converges_immediately():
     x2, report2 = bicgstab(a, b, x0=x_ref, tol=1e-10, preconditioner=jacobi(a))
     assert report2.converged
     assert report2.iterations <= 1
+
+
+class CountingCsr:
+    """A CSR matrix that counts its products: matvec reads data once per vector."""
+
+    format = "csr"
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.shape, self.indptr, self.indices = matrix.shape, matrix.indptr, matrix.indices
+        self.products = 0
+
+    @property
+    def data(self):
+        self.products += 1
+        return self.matrix.data
+
+    def diagonal(self):
+        return self.matrix.diagonal()
+
+
+def test_cg_makes_no_product_that_the_answer_does_not_need():
+    a = sp.csr_matrix(random_spd(20, seed=4))
+    b = np.sin(np.arange(20, dtype=float))
+    # Without a start: one product per iteration and one convergence check.
+    counting = CountingCsr(a)
+    x, report = cg(counting, b, tol=1e-10)
+    assert report.converged
+    assert counting.products == report.iterations + 1
+    # A start costs one product for its residual, and nothing else.
+    counting = CountingCsr(a)
+    x_start, report_start = cg(counting, b, x0=np.zeros(20), tol=1e-10)
+    assert counting.products == report_start.iterations + 2
+    np.testing.assert_array_equal(x_start, x)
+    assert report_start == report
+
+
+def indefinite(n: int, seed: int) -> np.ndarray:
+    """Symmetric, with one negative eigenvalue: CG meets p^T A p <= 0."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.concatenate([np.linspace(1.0, 2.0, n - 1), [-0.5]])) @ q.T
+
+
+@pytest.mark.parametrize("exit", ["converged", "max_iter", "curvature"])
+def test_cg_report_residual_is_the_true_residual_bit_for_bit(exit):
+    b = np.random.default_rng(3).standard_normal(10)
+    a, kwargs = {
+        "converged": (random_spd(10, seed=3), {"tol": 1e-10}),
+        "max_iter": (random_spd(10, seed=3), {"tol": 1e-14, "max_iter": 2}),
+        "curvature": (indefinite(10, seed=3), {"preconditioner": lambda r: r}),
+    }[exit]
+    x, report = cg(sp.csr_matrix(a), b, **kwargs)
+    assert report.converged == (exit == "converged")
+    assert report.iterations >= 1
+    assert report.residual == float(np.linalg.norm(b - sp.csr_matrix(a) @ x) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("solver", [cg, bicgstab])
+def test_start_of_another_shape_is_rejected(solver):
+    a = sp.csr_matrix(random_spd(6, seed=2))
+    with pytest.raises(ValueError, match=r"x0 \(2, 6\), rhs \(6,\)"):
+        solver(a, np.ones(6), x0=np.zeros((2, 6)), preconditioner=jacobi(a))
+    with pytest.raises(ValueError, match=r"x0 \(5,\), rhs \(6,\)"):
+        solver(a, np.zeros(6), x0=np.zeros(5), preconditioner=jacobi(a))
 
 
 def test_zero_rhs_returns_zero():
