@@ -19,20 +19,20 @@ The sources are the strong residuals (sigma_1 = +1, sigma_2 = -1)
     f_u  = dt u + (u . grad) u - lap u + grad p + (c1 - c2) grad phi,
 
 derived once for the family: with u . grad G = -pi s q A, grad phi =
-q grad G / pi^2 and lap phi = -2 G q,
+q grad G / pi^2 and lap phi = -2 G q, they weigh three modes by q', q, q^2,
 
-    f_ci = b_i G q' - pi s b_i q^2 A + 2 pi^2 b_i G q
-           - sigma_i (b_i q^2 |grad G|^2 / pi^2 - 2 m G q - 2 b_i q^2 G^2),
+    f_ci = q' b_i G + q (2 pi^2 b_i + 2 sigma_i m) G
+           + q^2 b_i (-pi s A - sigma_i (|grad G|^2 / pi^2 - 2 G^2)),
     A    = sin 2pi x cos 2pi y sin pi x cos pi y - sin 2pi y cos 2pi x cos pi x sin pi y,
 
 and f_u follows from -lap u = 8 pi^2 u and (u . grad) u = 2 pi s^2 q^2
-(sin 2pi x cos 2pi x, sin 2pi y cos 2pi y).  A case's sources are one
-callable, sources(x, y, t) -> (f_c1, f_c2, f_u), whose three terms share one
-evaluation of the trigonometric factors; the time stepper calls it once per
-step.  Tests check the sources against finite differences and the published
-cases against fixed values.  The decay case (example3) is a no-slip problem
-with no sources (``sources`` is None), used for the structure-preservation
-diagnostics.
+(sin 2pi x cos 2pi x, sin 2pi y cos 2pi y).  A case's sources are a
+SeparableSources: weights(t) = (q', q, q^2), and modes(x, y), which evaluates
+the trigonometric factors once and yields the three (f_c1, f_c2, f_u) in
+turn; Operators.source_loads builds their loads once per mesh.  Tests check
+the sources against finite differences and the published cases against fixed
+values.  The decay case (example3) is a no-slip problem with no sources
+(``sources`` is None), used for the structure-preservation diagnostics.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .scheme import Operators, SchemeParams, advance, init_state, initial_record
 __all__ = [
     "CASES",
     "ManufacturedCase",
+    "SeparableSources",
     "ErrorReport",
     "example1",
     "example2",
@@ -61,6 +62,20 @@ __all__ = [
 ]
 
 ERROR_FIELDS = ("c1", "c2", "phi", "u", "p")
+
+
+@dataclass(frozen=True)
+class SeparableSources:
+    """Sources sum_k w_k(t) F_k(x, y): weights(t) gives the K factors w_k,
+    modes(x, y) yields the K triples F_k = (f_c1, f_c2, f_u) one at a time."""
+
+    weights: Callable
+    modes: Callable
+
+    def __call__(self, x, y, t):
+        """(f_c1, f_c2, f_u) at the points (x, y) and the times t, a scalar or an array."""
+        terms = [[w * f for f in mode] for w, mode in zip(self.weights(t), self.modes(x, y))]
+        return tuple(sum(column) for column in zip(*terms))
 
 
 @dataclass(frozen=True)
@@ -77,9 +92,8 @@ class ManufacturedCase:
     c2_0: Callable
     u_0: Callable
     p_0: Callable
-    # (x, y, t) -> (f_c1, f_c2, f_u) at the given points; None for a
-    # source-free case.
-    sources: Callable | None
+    # None for a source-free case.
+    sources: SeparableSources | None
     velocity_bc: Callable | None
     # field name -> (value evaluator, gradient evaluator); None when the case
     # has no closed-form solution.
@@ -107,73 +121,64 @@ def _family(name, m, b1, s, q, dq, **settings) -> ManufacturedCase:
 
     def species(b):
         def value(x, y, t):
-            _, cx, _, cy, *_ = _trig(x, y)
+            cx, cy = _trig(x, y)[1:4:2]
             return m + b * cx * cy * q(t)
 
         def grad(x, y, t):
-            sx, cx, sy, cy, *_ = _trig(x, y)
+            sx, cx, sy, cy = _trig(x, y)[:4]
             a = -pi * b * q(t)
             return np.array([a * sx * cy, a * cx * sy])
 
         return value, grad
 
+    b2 = b1 - 2.0
     c1, grad_c1 = species(b1)
-    c2, grad_c2 = species(b1 - 2.0)
+    c2, grad_c2 = species(b2)
 
     def phi(x, y, t):
-        _, cx, _, cy, *_ = _trig(x, y)
+        cx, cy = _trig(x, y)[1:4:2]
         return cx * cy * q(t) / pi**2
 
     def grad_phi(x, y, t):
-        sx, cx, sy, cy, *_ = _trig(x, y)
+        sx, cx, sy, cy = _trig(x, y)[:4]
         a = -q(t) / pi
         return np.array([a * sx * cy, a * cx * sy])
 
     def u(x, y, t):
-        *_, s2x, c2x, s2y, c2y = _trig(x, y)
+        s2x, c2x, s2y, c2y = _trig(x, y)[4:]
         a = s * q(t)
         return np.array([a * s2x * c2y, -a * s2y * c2x])
 
     def grad_u(x, y, t):
-        *_, s2x, c2x, s2y, c2y = _trig(x, y)
+        s2x, c2x, s2y, c2y = _trig(x, y)[4:]
         a = 2 * pi * s * q(t)
         cc, ss = a * c2x * c2y, a * s2x * s2y
         return np.array([[cc, -ss], [ss, -cc]])
 
     def p(x, y, t):
-        *_, s2x, _, s2y, _ = _trig(x, y)
+        s2x, s2y = _trig(x, y)[4::2]
         return s2x * s2y * q(t)
 
     def grad_p(x, y, t):
-        *_, s2x, c2x, s2y, c2y = _trig(x, y)
+        s2x, c2x, s2y, c2y = _trig(x, y)[4:]
         a = 2 * pi * q(t)
         return np.array([a * c2x * s2y, a * s2x * c2y])
 
-    def sources(x, y, t):
+    def modes(x, y):
         sx, cx, sy, cy, s2x, c2x, s2y, c2y = _trig(x, y)
-        qt, dqt, g = q(t), dq(t), cx * cy
-        advect = s2x * c2y * sx * cy - s2y * c2x * cx * sy
-        grad_g_sq = sx * sx * cy * cy + cx * cx * sy * sy  # |grad G|^2 / pi^2
-
-        def f_c(b, sigma):
-            return (
-                b * g * dqt
-                - pi * s * b * qt**2 * advect
-                + 2 * pi**2 * b * g * qt
-                - sigma * (b * qt**2 * grad_g_sq - 2 * m * g * qt - 2 * b * qt**2 * g * g)
-            )
-
-        f_u = np.array([
-            (s * dqt + 8 * pi**2 * s * qt) * s2x * c2y
-            + 2 * pi * s * s * qt**2 * s2x * c2x
-            + 2 * pi * qt * c2x * s2y
-            - (2 * qt**2 / pi) * g * sx * cy,
-            -(s * dqt + 8 * pi**2 * s * qt) * s2y * c2x
-            + 2 * pi * s * s * qt**2 * s2y * c2y
-            + 2 * pi * qt * s2x * c2y
-            - (2 * qt**2 / pi) * g * cx * sy,
-        ])
-        return f_c(b1, +1.0), f_c(b1 - 2.0, -1.0), f_u
+        # All that the modes need, in less memory than the eight factors.
+        g, ux, uy, gx, gy = cx * cy, s2x * c2y, s2y * c2x, sx * cy, cx * sy
+        vx, vy = s2x * c2x, s2y * c2y
+        del sx, cx, sy, cy, s2x, c2x, s2y, c2y
+        yield b1 * g, b2 * g, s * np.array([ux, -uy])  # q'
+        yield (2 * pi**2 * b1 + 2 * m) * g, (2 * pi**2 * b2 - 2 * m) * g, np.array([  # q
+            8 * pi**2 * s * ux + 2 * pi * uy, 2 * pi * ux - 8 * pi**2 * s * uy])
+        f_u = np.array([2 * pi * s * s * vx - (2 / pi) * g * gx, 2 * pi * s * s * vy - (2 / pi) * g * gy])
+        # q^2: the convection -pi s A and the drift |grad G|^2 / pi^2 - 2 G^2
+        advect, drift = -pi * s * (ux * gx - uy * gy), gx * gx + gy * gy - 2 * g * g
+        f_c = b1 * (advect - drift), b2 * (advect + drift)
+        del g, ux, uy, gx, gy, vx, vy, advect, drift  # hold only this mode while it is used
+        yield *f_c, f_u
 
     return ManufacturedCase(
         name=name,
@@ -183,7 +188,7 @@ def _family(name, m, b1, s, q, dq, **settings) -> ManufacturedCase:
         c2_0=c2,
         u_0=u,
         p_0=p,
-        sources=sources,
+        sources=SeparableSources(lambda t: (dq(t), q(t), q(t) ** 2), modes),
         velocity_bc=u,
         exact={
             "c1": (c1, grad_c1),

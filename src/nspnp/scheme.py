@@ -46,15 +46,15 @@ auxiliary variable so that the modified energy
 decreases every step regardless of tau.  advance() also evaluates the exact
 per-step energy balance so tests can assert the identity to solver precision.
 
-Case data: advance() is the only code that evaluates a case's analytic
-data, once per step at t^{n+1}.  The sources, one callable returning
-(f_1, f_2, f_u), are evaluated at the quadrature points, which the P1 and P2
-spaces of a mesh share, and become the (2, n) ion loads and the momentum
-load.  The velocity Dirichlet values come from ``Operators.boundary_values``
-(homogeneous when ``velocity_bc`` is None); one array serves the split and
-the projection.  Manufactured solutions with nonzero tangential boundary
-velocity pass their exact trace; since u2 always carries zero data,
-u_hat = u1 + xi u2 satisfies the condition for every xi.
+Case data: the sources are separable, sum_k w_k(t) F_k(x, y), and
+``Operators.source_loads`` keeps the loads of the modes F_k, evaluated once
+per mesh at the quadrature points that the P1 and P2 spaces share; a step
+weighs them by w_k(t^{n+1}).  advance() gets the loads and the velocity
+Dirichlet values (``Operators.boundary_values``, homogeneous when
+``velocity_bc`` is None) at t^{n+1} once for all stages.  Manufactured
+solutions with nonzero tangential boundary velocity pass their exact trace;
+since u2 always carries zero data, u_hat = u1 + xi u2 satisfies the
+condition for every xi.
 """
 
 from __future__ import annotations
@@ -223,6 +223,7 @@ class Operators:
         self.prolongation = p1_to_p2_prolongation(mesh)[:, ~mesh.vertex_on_boundary]
         self._velocity_system = (None, None)
         self._transport_base = (None, None)
+        self._source_modes = (None, None)
 
     def velocity_system(self, params: SchemeParams):
         """(DirichletSystem of the scalar P2 M/tau + A, its two-level preconditioner)."""
@@ -252,6 +253,26 @@ class Operators:
         if g.shape != (2,) + x.shape:
             raise ValueError(f"velocity boundary evaluator returned shape {g.shape}")
         return g
+
+    def source_loads(self, sources, t: float):
+        """The (2, n) ion loads (f_i(t), theta) and the (2, n) momentum load (f_u(t), v).
+
+        sources are sum_k w_k(t) F_k(x, y) (mms.SeparableSources).  The first
+        call for a sources object turns each mode F_k into its loads before
+        evaluating the next; they are kept until another object is asked for.
+        """
+        if sources is None:
+            return np.zeros((2, self.scalar_space.n_dofs)), np.zeros((2, self.velocity_space.n_dofs))
+        if self._source_modes[0] is not sources:
+            def mode_loads(mode):
+                ion = [load_from_quadrature(self.scalar_space, f) for f in mode[:2]]
+                return ion, load_from_quadrature(self.velocity_space, np.moveaxis(mode[2], 0, -1))
+
+            # The P1 and P2 spaces of a mesh share their quadrature points.
+            loads = zip(*map(mode_loads, sources.modes(*self.scalar_space.quad_xy)))
+            self._source_modes = (sources, [np.stack(kind) for kind in loads])
+        weights = np.array(sources.weights(t), dtype=float)
+        return tuple(np.tensordot(weights, kind, 1) for kind in self._source_modes[1])
 
     def divergence(self, u: np.ndarray) -> np.ndarray:
         """B u of a (2, n) velocity: (div u, q_i) for each P1 function q_i."""
@@ -359,7 +380,7 @@ def _momentum_forcing(ops: Operators, state: State) -> np.ndarray:
     u_q = field_at_quadrature(state.u)            # (t, q, 2)
     grad_u_q = gradient_at_quadrature(state.u)    # (t, q, comp, partial)
     advect = u_q[..., 0, None] * grad_u_q[..., 0] + u_q[..., 1, None] * grad_u_q[..., 1]
-    charge_q = field_at_quadrature(state.c1) - field_at_quadrature(state.c2)
+    charge_q = field_at_quadrature(FieldVector(ops.scalar_space, state.c1.values - state.c2.values))
     grad_phi_q = gradient_at_quadrature(state.phi)
     return load_from_quadrature(
         ops.velocity_space, advect + charge_q[..., None] * grad_phi_q
@@ -514,31 +535,16 @@ def pressure_projection(
     )
 
 
-def _source_loads(ops: Operators, sources, t: float):
-    """The (2, n) ion loads (f_i(t), theta) and the (2, n) momentum load (f_u(t), v).
-
-    A function of its own, so the quadrature values are freed before the stages run.
-    """
-    if sources is None:
-        return np.zeros((2, ops.scalar_space.n_dofs)), np.zeros((2, ops.velocity_space.n_dofs))
-    # One evaluation: the P1 and P2 spaces of a mesh share their quadrature points.
-    f_c1, f_c2, f_u = sources(*ops.scalar_space.quad_xy, t)
-    return (
-        load_from_quadrature(ops.scalar_space, np.moveaxis(np.stack((f_c1, f_c2)), 0, -1)),
-        load_from_quadrature(ops.velocity_space, np.moveaxis(f_u, 0, -1)),
-    )
-
-
 def advance(ops: Operators, state: State, params: SchemeParams, sources=None):
     """One full time step; returns (new state, diagnostics record).
 
-    sources(x, y, t) -> (f_c1, f_c2, f_u) are the case's analytic sources,
-    None for a source-free case.
+    sources are the case's separable analytic sources (see
+    Operators.source_loads), None for a source-free case.
     """
     tau = params.tau
     t_next = state.time + tau
     # The case data at t^{n+1}, evaluated once for all stages.
-    loads, momentum_load = _source_loads(ops, sources, t_next)
+    loads, momentum_load = ops.source_loads(sources, t_next)
     g = ops.boundary_values(t_next)
 
     c1_next, c2_next = step_concentrations(ops, state, params, loads)

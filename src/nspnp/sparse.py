@@ -310,7 +310,7 @@ def bicgstab(
     breakdown the method restarts once from the current iterate with a fresh
     shadow residual; a second breakdown reports failure, and so does a
     non-finite residual norm.  The products go into work arrays through
-    matvec.
+    matvec; the reported residual is the last b - A x computed at the answer.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -337,9 +337,12 @@ def bicgstab(
     refreshes = 0
     rnorm = np.linalg.norm(r)
     converged = rnorm <= tol * bnorm
+    verified = rnorm  # the last ||b - A xv|| computed; None once x moves without one
 
     def residual_norm(xv) -> float:
-        return np.linalg.norm(b - matvec(matrix, xv, out=product))
+        nonlocal verified
+        verified = np.linalg.norm(b - matvec(matrix, xv, out=product))
+        return verified
 
     def refresh():
         # Re-seed the recurrence from the true residual at the current x.
@@ -388,6 +391,7 @@ def bicgstab(
             break
         omega = float(t @ s) / tt
         x += alpha * p_hat + omega * s_hat
+        verified = None
         r = s - omega * t
         rho = rho_next
         if omega == 0.0:
@@ -402,5 +406,5 @@ def bicgstab(
             refreshes += 1
             refresh()
 
-    residual = float(residual_norm(x) / bnorm)
+    residual = float((residual_norm(x) if verified is None else verified) / bnorm)
     return x, SolveReport(iterations=iterations, residual=residual, converged=bool(residual <= tol))

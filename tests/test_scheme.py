@@ -11,7 +11,7 @@ import nspnp.scheme as scheme
 from nspnp.diagnostics import DIAG_COLUMNS
 from nspnp.fem import assemble_load, interpolate
 from nspnp.mesh import build_rect_mesh
-from nspnp.mms import example1, example3
+from nspnp.mms import case_operators, convergence_study, example1, example2, example3
 from nspnp.sparse import bicgstab, cg, matvec
 from nspnp.scheme import (
     Operators,
@@ -207,12 +207,22 @@ def test_velocity_boundary_values_exact_trace():
     np.testing.assert_allclose(state.u_hat.values[:, bdofs], expected, atol=1e-13)
 
 
+def _relative_max_error(got, want):
+    scale = np.abs(want).max()
+    return np.abs(got - want).max() / scale if scale else np.abs(got).max()
+
+
 def test_sourced_advance_evaluates_the_case_data_once(monkeypatch):
-    # One evaluation of the sources and one of the boundary data per step; the
-    # stages get each term's load and the boundary values at t^{n+1}.
-    case = example1()
-    calls = {"sources": 0, "velocity_bc": 0}
-    stage_args = {}
+    for case in (example1(), example2()):
+        _check_case_data_evaluated_once(monkeypatch, case)
+
+
+def _check_case_data_evaluated_once(monkeypatch, case):
+    # A convergence ladder on one Operators evaluates the spatial source modes
+    # once and the boundary data once per step.  The stages get the loads of
+    # the pointwise sources and the boundary values at t^{n+1}.
+    calls = {"modes": 0, "velocity_bc": 0}
+    stage_args = []
 
     def counting(name, f):
         def wrapper(*args):
@@ -224,34 +234,53 @@ def test_sourced_advance_evaluates_the_case_data_once(monkeypatch):
     def capturing(name):
         stage = getattr(scheme, name)
 
-        def wrapper(*args):
-            stage_args[name] = args[3:]  # what follows (ops, state, params)
-            return stage(*args)
+        def wrapper(ops, state, params, *args):
+            stage_args.append((name, state.time + params.tau, args))
+            return stage(ops, state, params, *args)
 
         monkeypatch.setattr(scheme, name, wrapper)
 
     capturing("step_concentrations")
     capturing("compute_velocity_split")
-    ops = Operators(
-        build_rect_mesh(case.bounds, 4, 4), velocity_bc=counting("velocity_bc", case.velocity_bc)
+    counted = dataclasses.replace(
+        case,
+        sources=dataclasses.replace(case.sources, modes=counting("modes", case.sources.modes)),
+        velocity_bc=counting("velocity_bc", case.velocity_bc),
     )
-    params = SchemeParams(tau=0.1, t_final=0.1, c0=case.c0)
-    state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
-    advance(ops, state, params, counting("sources", case.sources))
-    assert calls == {"sources": 1, "velocity_bc": 1}
+    ops = case_operators(counted, nx=4)
+    params = SchemeParams(tau=0.1, t_final=0.2, c0=case.c0)
+    convergence_study(counted, params, (0.1, 0.05), ops=ops)
+    monkeypatch.undo()
+    assert calls == {"modes": 1, "velocity_bc": 2 + 4}
+    assert len(stage_args) == 2 * (2 + 4)
 
     def term(k):
         return lambda x, y, t: case.sources(x, y, t)[k]
 
-    (loads,) = stage_args["step_concentrations"]
-    momentum_load, g = stage_args["compute_velocity_split"]
-    t_next = params.tau
-    np.testing.assert_array_equal(loads[0], assemble_load(ops.scalar_space, term(0), t_next).values)
-    np.testing.assert_array_equal(loads[1], assemble_load(ops.scalar_space, term(1), t_next).values)
-    np.testing.assert_array_equal(
-        momentum_load, assemble_load(ops.velocity_space, term(2), t_next).values
-    )
-    np.testing.assert_array_equal(g, ops.boundary_values(t_next))
+    def loads_at(t):
+        return (
+            np.stack([assemble_load(ops.scalar_space, term(k), t).values for k in (0, 1)]),
+            assemble_load(ops.velocity_space, term(2), t).values,
+        )
+
+    for name, t_next, args in stage_args:
+        loads, momentum_load = loads_at(t_next)
+        if name == "step_concentrations":
+            assert _relative_max_error(args[0], loads) <= 1e-14
+        else:
+            assert _relative_max_error(args[0], momentum_load) <= 1e-14
+            np.testing.assert_array_equal(args[1], ops.boundary_values(t_next))
+    for t in (0.0, 0.37, 1.0):
+        for got, want in zip(ops.source_loads(counted.sources, t), loads_at(t)):
+            assert _relative_max_error(got, want) <= 1e-14
+    assert calls["modes"] == 1
+
+
+def test_source_free_loads_are_zero(ex3_ops):
+    _, ops = ex3_ops
+    loads, momentum_load = ops.source_loads(None, 0.5)
+    np.testing.assert_array_equal(loads, np.zeros((2, ops.scalar_space.n_dofs)))
+    np.testing.assert_array_equal(momentum_load, np.zeros((2, ops.velocity_space.n_dofs)))
 
 
 def test_pressure_and_potential_zero_mean(ex3_ops):

@@ -359,6 +359,24 @@ def test_cg_makes_no_product_that_the_answer_does_not_need():
     assert report_start == report
 
 
+@pytest.mark.parametrize("n, exit", [(20, "half step"), (30, "full step")])
+def test_bicgstab_makes_no_product_that_the_answer_does_not_need(n, exit):
+    # Two products per iteration, less the one that an exit on the half-step
+    # residual s skips, and one to verify the answer; a start costs one more.
+    a, b = nonsymmetric(n)
+    counting = CountingCsr(sp.csr_matrix(a))
+    x, report = bicgstab(counting, b, tol=1e-10, preconditioner=jacobi(a))
+    assert report.converged
+    products = 2 * report.iterations + (exit == "full step")
+    assert counting.products == products
+    counting = CountingCsr(sp.csr_matrix(a))
+    x_start, report_start = bicgstab(counting, b, x0=np.zeros(n), tol=1e-10, preconditioner=jacobi(a))
+    assert counting.products == products + 1
+    np.testing.assert_array_equal(x_start, x)
+    assert report_start == report
+    assert report.residual == float(np.linalg.norm(b - sp.csr_matrix(a) @ x) / np.linalg.norm(b))
+
+
 def indefinite(n: int, seed: int) -> np.ndarray:
     """Symmetric, with one negative eigenvalue: CG meets p^T A p <= 0."""
     rng = np.random.default_rng(seed)
