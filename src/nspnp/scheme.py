@@ -10,13 +10,14 @@ drift blocks:
    where K[i,j] = -int c_j (u . grad theta_i) and D[i,j] = int c_j
    (grad phi . grad theta_i), s_1 = +1, s_2 = -1.  K and D are assembled
    in closed form on the fixed P1 pattern, so the system is the data of
-   M/tau + A plus theirs.  M/tau + A is factored once per tau by banded
-   Cholesky, and BiCGStab uses that factor as a right preconditioner: a
-   handful of iterations per species.
+   M/tau + A plus theirs.  BiCGStab is right-preconditioned by the grid
+   solve of M/tau + A with the mass lumped, corrected by a constant that
+   keeps the ion mass: a handful of iterations per species.
 2. Electric potential, a pure Neumann Poisson solve:
        (grad phi, grad psi) = (c1 - c2, psi),  int phi = 0.
-   A_p, the P1 stiffness, is factored once per mesh with one dof pinned;
-   this and the pressure solve are each two triangular solves.
+   A_p, the P1 stiffness, is exactly M⊗K + K⊗M of the 1-D grid lines, so
+   this and the pressure solve are each one direct grid solve
+   (sparse.GridSolver, fast diagonalization), exact to round-off.
 3. Tentative velocity, split into a forcing-free part and a unit response to
    the explicit momentum coupling N = (u^n . grad u^n + (c1^n - c2^n) grad
    phi^n, v):
@@ -24,7 +25,8 @@ drift blocks:
        (M_v/tau + A_v) u2 = -N
    with u_hat = u1 + xi u2.  M_v/tau + A_v is one scalar P2 block acting on
    both rows of the (2, n) velocity; CG solves both components at once,
-   preconditioned by a two-level cycle whose coarse space is P1 on the mesh.
+   preconditioned by a two-level cycle whose coarse space is P1 on the
+   interior vertices, solved by the grid solve of the lumped M/tau + A.
 4. The auxiliary scalar r tracks sqrt(E(phi) + C0); eliminating r^{n+1} from
    its update equation against the split gives a scalar quadratic
        a xi^2 - b xi + c = 0,
@@ -33,7 +35,7 @@ drift blocks:
        c = tau (||c1 - c2||_M^2 + int (c1 + c2) |grad phi|^2
              - (f_1 - f_2, phi))     [all at t^{n+1}]
    whose root nearest 1 is xi, and r^{n+1} = xi sqrt(E(phi^{n+1})).
-5. Pressure correction (pure Neumann, through the same factor of A_p) and an
+5. Pressure correction (pure Neumann, the grid solve of stage 2) and an
    L2 velocity projection that keeps the velocity in the
    boundary-condition-satisfying subspace:
        A_p p^{n+1} = A_p p^n - (1/tau) B u_hat,  int p = 0
@@ -87,8 +89,7 @@ from .fem import (
 )
 from .mesh import StructuredTriMesh
 from .sparse import (
-    BandedCholesky,
-    NeumannSolver,
+    GridSolver,
     TwoLevelPreconditioner,
     bicgstab,
     cg,
@@ -190,22 +191,28 @@ class Operators:
     """Assembled matrices and reusable eliminated systems for one mesh.
 
     Holds everything that does not change between time steps: the P1 mass
-    and stiffness matrices on the P1 pattern, the stiffness's pinned
-    factor, the scalar P2 mass and stiffness that act on each row of a
-    (2, n) velocity, the divergence coupling, and the Dirichlet elimination
-    of the projection with its Jacobi preconditioner.  The systems that
-    depend on tau (the velocity system and M/tau + A of the transport, each
-    with its preconditioner) are built for the tau last asked for and kept
-    until another tau is asked for.
+    and stiffness matrices on the P1 pattern, the grid solvers of the
+    vertices and of the interior vertices, the scalar P2 mass and stiffness
+    that act on each row of a (2, n) velocity, the divergence coupling, and
+    the Dirichlet elimination of the projection with its Jacobi
+    preconditioner.  The systems that depend on tau (the velocity system and
+    M/tau + A of the transport, each with its preconditioner) are built for
+    the tau last asked for and kept until another tau is asked for.  The
+    mesh must be the uniform grid of its bounds, as build_rect_mesh makes it.
     """
 
     def __init__(self, mesh: StructuredTriMesh, velocity_bc=None):
+        lines = (np.linspace(*mesh.bounds[0::2], mesh.nx + 1), np.linspace(*mesh.bounds[1::2], mesh.ny + 1))
+        if np.abs(mesh.vertices - np.stack(np.meshgrid(*lines), -1).reshape(-1, 2)).max() > 1e-12 * mesh.h:
+            raise ValueError("the mesh's vertices are not the uniform grid of its bounds")
         self.mesh = mesh
         self.scalar_space = FunctionSpace.p1(mesh)
         self.velocity_space = FunctionSpace.p2(mesh)
         self.mass_p1 = assemble_mass(self.scalar_space)
         self.stiff_p1 = assemble_stiffness(self.scalar_space)
-        self._neumann = NeumannSolver(self.stiff_p1)
+        # stiff_p1 is exactly M⊗K + K⊗M of the grid lines (see sparse.GridSolver).
+        self.vertex_grid = GridSolver(mesh.nx, mesh.ny, mesh.h)
+        self.interior_grid = GridSolver(mesh.nx, mesh.ny, mesh.h, interior=True)
         self.mass_p2 = assemble_mass(self.velocity_space)
         self.stiff_p2 = assemble_stiffness(self.velocity_space)
         self.div = assemble_div_coupling(self.velocity_space, self.scalar_space)
@@ -231,16 +238,18 @@ class Operators:
             pattern = self.velocity_space.pattern
             base = pattern.matrix(self.mass_p2.data / params.tau + self.stiff_p2.data)
             system = DirichletSystem(base, self.velocity_dirichlet)
-            preconditioner = TwoLevelPreconditioner(system.matrix, self.prolongation, system.dofs)
+            coarse = self.interior_grid.shifted(1.0 / params.tau)
+            preconditioner = TwoLevelPreconditioner(system.matrix, self.prolongation, system.dofs, coarse)
             self._velocity_system = (params.tau, (system, preconditioner))
         return self._velocity_system[1]
 
     def transport_base(self, params: SchemeParams):
-        """(M/tau + A on the P1 pattern, its banded Cholesky factor)."""
+        """(M/tau + A on the P1 pattern, the _MassKeepingSolve that preconditions it)."""
         if self._transport_base[0] != params.tau:
             pattern = self.scalar_space.pattern
             base = pattern.matrix(self.mass_p1.data / params.tau + self.stiff_p1.data)
-            self._transport_base = (params.tau, (base, BandedCholesky(base)))
+            grid = self.vertex_grid.shifted(1.0 / params.tau)
+            self._transport_base = (params.tau, (base, _MassKeepingSolve(grid, self.mass_row, params.tau)))
         return self._transport_base[1]
 
     def boundary_values(self, t: float) -> np.ndarray:
@@ -287,9 +296,26 @@ class Operators:
 
     def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:
         """The zero-mean x with stiff_p1 @ x = rhs, rhs first losing its mean."""
-        x = self._neumann(rhs)
+        x = self.vertex_grid(rhs - rhs.mean())
         x -= self.integral_mean(x)
         return x
+
+
+class _MassKeepingSolve:
+    """The grid solve z of M_lumped/tau + A plus the constant that makes 1^T M z / tau = 1^T r.
+
+    1^T annihilates A, K and D, so 1^T S z = 1^T r for every transport matrix S, as
+    with an exact solve of M/tau + A: BiCGStab preconditioned by it keeps the mass.
+    """
+
+    def __init__(self, grid: GridSolver, mass_row: np.ndarray, tau: float):
+        self.grid, self.mass_row, self.tau = grid, mass_row, tau
+        self.area = float(mass_row.sum())
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        z = self.grid(r)
+        z += (self.tau * r.sum() - self.mass_row @ z) / self.area
+        return z
 
 
 def _require_converged(report, label: str):
@@ -379,12 +405,11 @@ def _momentum_forcing(ops: Operators, state: State) -> np.ndarray:
     """Explicit coupling load N_i = (u . grad u + (c1 - c2) grad phi, v_i) at t^n."""
     u_q = field_at_quadrature(state.u)            # (t, q, 2)
     grad_u_q = gradient_at_quadrature(state.u)    # (t, q, comp, partial)
-    advect = u_q[..., 0, None] * grad_u_q[..., 0] + u_q[..., 1, None] * grad_u_q[..., 1]
+    forcing_q = u_q[..., 0, None] * grad_u_q[..., 0] + u_q[..., 1, None] * grad_u_q[..., 1]
+    del u_q, grad_u_q  # not held through the load
     charge_q = field_at_quadrature(FieldVector(ops.scalar_space, state.c1.values - state.c2.values))
-    grad_phi_q = gradient_at_quadrature(state.phi)
-    return load_from_quadrature(
-        ops.velocity_space, advect + charge_q[..., None] * grad_phi_q
-    )
+    forcing_q += charge_q[..., None] * element_gradient(state.phi)[:, None, :]  # one per triangle
+    return load_from_quadrature(ops.velocity_space, forcing_q)
 
 
 def compute_velocity_split(

@@ -25,7 +25,7 @@ from .fem import (
 from .mesh import build_rect_mesh
 from .mms import case_by_name
 from .scheme import Operators, SchemeParams, compute_velocity_split, init_state
-from .sparse import NeumannSolver, bicgstab, cg, matvec
+from .sparse import GridSolver, bicgstab, cg, matvec
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -147,20 +147,15 @@ def check_solvers_against_dense(seed: int) -> CheckResult:
 
 
 def check_singular_neumann_solver(seed: int) -> CheckResult:
-    """The pinned Neumann solve, shifted to zero mean, equals the pinv solution."""
+    """The grid solve of the pure Neumann P1 stiffness, shifted to zero mean, equals the pinv solution."""
     rng = np.random.default_rng(seed)
-    n = 40
-    g = rng.standard_normal((n, n))
-    spd = g @ g.T + n * np.eye(n)
-    ones = np.ones(n)
-    # Graph-Laplacian-like singular matrix with kernel = span(ones).
-    sing = spd - np.outer(spd @ ones, ones) / n
-    sing = sing - np.outer(ones, ones @ sing) / n
-    sing = 0.5 * (sing + sing.T)
-    b = rng.standard_normal(n)
+    nx, ny = rng.integers(3, 8, size=2)
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, ny / nx), nx, ny)
+    sing = assemble_stiffness(FunctionSpace.p1(mesh)).toarray()  # kernel = span(ones)
+    b = rng.standard_normal(sing.shape[0])
     b -= b.mean()
     x_pinv = np.linalg.pinv(sing) @ b
-    x = NeumannSolver(sing)(b)
+    x = GridSolver(nx, ny, mesh.h)(b)
     x -= x.mean()
     worst = float(np.abs(x - x_pinv).max() / np.abs(x_pinv).max())
     return _check("singular_neumann_solver", worst, 1e-8, "relative defect")

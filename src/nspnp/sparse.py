@@ -1,4 +1,4 @@
-"""Compressed sparse row matrices, deterministic Krylov solvers and banded factors.
+"""Compressed sparse row matrices, deterministic Krylov solvers and a grid solver.
 
 Storage is scipy's CSR format: ``indptr`` holds the row offsets, ``indices``
 the column indices, ``data`` the values.  The Krylov solvers are written
@@ -14,20 +14,17 @@ products and updates into work arrays shaped like the right-hand side and
 make no product that the answer does not need: no A x0 without a start, and
 no second b - A x after the convergence check computed it.
 
-``BandedCholesky`` factors a sparse SPD matrix once by LAPACK's banded
-Cholesky and then solves with it.  It has three users: the coarse operator
-of ``TwoLevelPreconditioner``, the pinned stiffness of ``NeumannSolver`` and
-the preconditioner M/tau + A of the transport solves.
+``GridSolver`` inverts sigma M⊗M + M⊗K + K⊗M, M⊗K + K⊗M being the P1
+stiffness of a uniform mesh whose cells are all cut along one diagonal, by
+fast diagonalization (Lynch, Rice and Thomas, 1964): four dense products,
+no factor.  It serves the pure Neumann solves (sigma = 0, exact), the
+transport preconditioner and the coarse grid of ``TwoLevelPreconditioner``.
 
 ``cg`` and ``TwoLevelPreconditioner``, a symmetric two-level cycle for it,
 take a vector (n,) or a stack (k, n) of them: a (2, n) vector field is
 solved with one scalar block applied row by row, and inner products and
 norms are those of the stacked vector.  The cycle keeps A P, which gives
-its coarse operator and its second residual without a second product with A.
-
-``NeumannSolver`` solves pure Neumann (consistent singular) systems, whose
-kernel is spanned by ones, directly: one dof is pinned and the rest of the
-matrix is factored once.
+its second residual without a second product with A.
 
 Both Krylov solvers take a ``preconditioner``, a map r -> z.  ``bicgstab``
 requires one; ``cg`` preconditions with ``jacobi(matrix)`` without one.
@@ -35,12 +32,12 @@ requires one; ``cg`` preconditions with ``jacobi(matrix)`` without one.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
 from scipy.sparse._sparsetools import csr_matvec  # used by matvec only
 
 CsrMatrix = scipy.sparse.csr_matrix
@@ -48,9 +45,8 @@ CsrMatrix = scipy.sparse.csr_matrix
 __all__ = [
     "CsrMatrix",
     "SolveReport",
-    "BandedCholesky",
+    "GridSolver",
     "TwoLevelPreconditioner",
-    "NeumannSolver",
     "matvec",
     "jacobi",
     "cg",
@@ -81,32 +77,49 @@ class SolveReport:
     converged: bool
 
 
-class BandedCholesky:
-    """Solves A x = b for a sparse SPD matrix A, factored once by banded Cholesky.
+class GridSolver:
+    """Applies (sigma M⊗M + M⊗K + K⊗M)^-1 on an nx by ny grid of cells of size h; sigma = 0, see shifted.
 
-    The factor is the upper one in LAPACK band storage, band + 1 rows, the
-    band being the largest column distance of a nonzero from the diagonal.
-    On the row-major vertex numbering of a structured mesh that is one mesh
-    row, so the factor of a P1 matrix holds about nx^3 doubles.  b may hold
-    one right-hand side per column, and a solve is one call of LAPACK's dpbtrs.
+    K and M are the 1-D P1 stiffness and lumped mass of one grid line; the
+    points are numbered row-major, x fastest, and a field is b.reshape(ny', nx').
+    With natural ends the lines hold all n + 1 points; interior=True keeps
+    their n - 1 interior points (Dirichlet ends).  On each axis
+    scipy.linalg.eigh(K, M) gives V with V^T M V = I and V^T K V = diag(lam),
+    so the inverse maps B to V_y ((V_y^T B V_x) / (sigma + lam_y + lam_x)) V_x^T.
+    The constants, kernel of the natural-end operator at sigma = 0, map to 0.
+    b is a vector (n,) or a stack (k, n) of them.
     """
 
-    def __init__(self, matrix):
-        coo = scipy.sparse.coo_matrix(matrix)
-        upper = coo.row <= coo.col
-        rows, cols = coo.row[upper], coo.col[upper]
-        band = int((cols - rows).max(initial=0))  # 0 for an empty matrix (one-cell mesh)
-        banded = np.zeros((band + 1, coo.shape[0]))
-        banded[band + rows - cols, cols] = coo.data[upper]
-        self.factor = cholesky_banded(banded)
+    def __init__(self, nx: int, ny: int, h: float, interior: bool = False):
+        (self.vy, lam_y), (self.vx, lam_x) = (_line_eigenbasis(n, h, interior) for n in (ny, nx))
+        self.eigenvalues = lam_y[:, None] + lam_x  # of M⊗K + K⊗M, shaped like a field
+        self.inverse = self.shifted(0.0).inverse
 
-    def __call__(self, b) -> np.ndarray:
-        if np.size(b) == 0:  # no unknowns, and LAPACK rejects a leading dimension of 0
-            return np.zeros(np.shape(b))
-        x, info = dpbtrs(self.factor, b)
-        if info != 0:
-            raise ValueError(f"banded Cholesky solve failed: dpbtrs info {info}")
-        return x
+    def shifted(self, sigma: float) -> "GridSolver":
+        """The solver of another sigma, sharing this one's eigenvectors."""
+        solver = copy.copy(self)
+        total = sigma + self.eigenvalues
+        solver.inverse = np.divide(1.0, total, out=np.zeros(total.shape), where=total != 0.0)
+        return solver
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        w = self.vy.T @ b.reshape(b.shape[:-1] + self.eigenvalues.shape) @ self.vx
+        w *= self.inverse
+        return (self.vy @ w @ self.vx.T).reshape(b.shape)
+
+
+def _line_eigenbasis(n: int, h: float, interior: bool):
+    """(V, lam) of eigh(K, M) on one line of n cells; lam[0] of natural ends is set to exactly 0."""
+    k = (2.0 * np.eye(n + 1) - np.eye(n + 1, k=1) - np.eye(n + 1, k=-1)) / h
+    k[0, 0] = k[n, n] = 1.0 / h
+    m = np.full(n + 1, h)
+    m[0] = m[n] = 0.5 * h
+    if interior:
+        k, m = k[1:n, 1:n], m[1:n]
+    lam, v = scipy.linalg.eigh(k, np.diag(m))
+    if not interior:
+        lam[0] = 0.0  # the constants, found by eigh to round-off
+    return v, lam
 
 
 def matvec(matrix: CsrMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -142,12 +155,12 @@ class TwoLevelPreconditioner:
     """Symmetric two-level V(1,1) cycle for an SPD matrix with eliminated rows.
 
     One application to a residual r is damped Jacobi, a coarse-grid
-    correction with the Galerkin operator P^T A P, and damped Jacobi again.
-    A P is kept, and P^T (A P) is factored once by banded Cholesky.  After
-    the correction z += P e the residual is s - (A P) e, s = r - A z being
-    that of the first smoothing, so an application does one product with A.
-    The cycle is symmetric, and positive definite when
-    _OMEGA * lambda_max(D^-1 A) < 2.
+    correction, and damped Jacobi again.  coarse_solve maps a coarse
+    residual, a vector or a (k, n_c) stack, to C^-1 of it, C SPD.  A P is
+    kept: after the correction z += P e the residual is s - (A P) e, s =
+    r - A z being that of the first smoothing, so an application does one
+    product with A.  The cycle is symmetric, and positive definite when
+    C >= P^T A P and _OMEGA * lambda_max(D^-1 A) < 2.
 
     fixed lists the constrained dofs, whose rows and columns of the matrix
     are identity.  Their rows of the prolongation are zeroed here, so the
@@ -156,7 +169,7 @@ class TwoLevelPreconditioner:
     P and A P go into two work arrays kept per shape of r; only z is new.
     """
 
-    def __init__(self, matrix: CsrMatrix, prolongation: CsrMatrix, fixed):
+    def __init__(self, matrix: CsrMatrix, prolongation: CsrMatrix, fixed, coarse_solve):
         n = matrix.shape[0]
         if prolongation.shape[0] != n:
             raise ValueError(f"prolongation {prolongation.shape} does not match matrix {matrix.shape}")
@@ -173,7 +186,7 @@ class TwoLevelPreconditioner:
         self.prolongation = (scipy.sparse.diags(free) @ prolongation).tocsr()
         self.restriction = self.prolongation.T.tocsr()
         self.matrix_prolongation = (matrix @ self.prolongation).tocsr()
-        self.coarse_solve = BandedCholesky(self.restriction @ self.matrix_prolongation)
+        self.coarse_solve = coarse_solve
         self._work = {}
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
@@ -182,29 +195,12 @@ class TwoLevelPreconditioner:
         s, product = self._work[r.shape]
         z = self.weight * r
         np.subtract(r, matvec(self.matrix, z, out=s), out=s)
-        e = self.coarse_solve(matvec(self.restriction, s).T).T
+        e = self.coarse_solve(matvec(self.restriction, s))
         z += matvec(self.prolongation, e, out=product)
         s -= matvec(self.matrix_prolongation, e, out=product)
         s *= self.weight
         z += s
         return z
-
-
-class NeumannSolver:
-    """Solves A x = b for SPD A whose kernel is spanned by ones, b first losing its mean.
-
-    The first dof is pinned to zero and the rest of A, positive definite, is
-    factored once by banded Cholesky; callers shift x to the mean they need.
-    """
-
-    def __init__(self, matrix):
-        self.solve = BandedCholesky(scipy.sparse.csr_matrix(matrix)[1:, 1:])
-
-    def __call__(self, b) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        x = np.zeros(b.shape)
-        x[1:] = self.solve(b[1:] - b.mean())
-        return x
 
 
 def cg(

@@ -391,6 +391,15 @@ def test_projection_uses_the_jacobi_preconditioner_of_the_operators(ex3_ops, mon
     assert preconditioners == [ops.projection_preconditioner] * 2
 
 
+def test_operators_reject_a_mesh_that_is_not_the_uniform_grid():
+    # The grid solvers hold for the uniform grid of the bounds only.
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 4, 4)
+    x, y = mesh.vertices.T
+    sheared = dataclasses.replace(mesh, vertices=np.stack([x + 0.3 * y, 0.2 * x + 0.9 * y], axis=1))
+    with pytest.raises(ValueError, match="uniform grid"):
+        Operators(sheared)
+
+
 def test_one_cell_mesh_steps():
     # No interior vertex: the two-level cycle has an empty coarse space.
     case = example3()
@@ -467,6 +476,24 @@ def test_transport_systems_share_the_pattern_of_the_base(ex3_ops, monkeypatch):
         assert np.shares_memory(system.indptr, base.indptr)
         want = (ops.mass_p1 / params.tau + ops.stiff_p1 + convection + sign * drift).toarray()
         assert np.abs(system.toarray() - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_transport_preconditioner_keeps_the_mass(ex3_ops):
+    # The grid solve lumps the mass; its constant correction gives
+    # 1^T S z = 1^T r for every transport matrix S, so BiCGStab keeps the ion
+    # masses to round-off as an exact solve of M/tau + A did.
+    case, ops = ex3_ops
+    params, state, _ = small_run(case, ops, steps=1)
+    base, preconditioner = ops.transport_base(params)
+    convection = scheme.assemble_convection(state.u, ops.scalar_space)
+    drift = scheme.assemble_drift(state.phi)
+    r = np.random.default_rng(1).standard_normal(ops.scalar_space.n_dofs)
+    for system in (base, base + convection + drift, base + convection - drift):
+        assert abs((system @ preconditioner(r)).sum() - r.sum()) <= 1e-13 * np.abs(r).sum()
+    ex2 = example2()
+    _, state, records = small_run(ex2, case_operators(ex2, 16), tau=0.01, steps=5, c0=ex2.c0)
+    for name in ("mass_c1", "mass_c2"):
+        assert abs(getattr(records[-1], name) - getattr(records[0], name)) <= 1e-13 * getattr(records[0], name)
 
 
 def test_drift_dissipation_matches_quadrature(ex3_ops):

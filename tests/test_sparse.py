@@ -1,4 +1,4 @@
-"""Solvers against dense oracles, singular systems, warm starts, preconditioners."""
+"""Solvers against dense oracles, singular systems, warm starts, preconditioners, grid solves."""
 
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ from nspnp.fem import DirichletSystem, FunctionSpace, assemble_mass, assemble_st
 from nspnp.mesh import build_rect_mesh
 from nspnp.sparse import (
     _OMEGA,
-    BandedCholesky,
-    NeumannSolver,
+    GridSolver,
     SolveReport,
     TwoLevelPreconditioner,
     bicgstab,
@@ -33,13 +32,6 @@ def jacobi(a):
     """The diagonal preconditioner r -> r / diag(a); bicgstab has no default."""
     inv_diag = 1.0 / a.diagonal()
     return lambda r: inv_diag * r
-
-
-def neumann_laplacian_1d(n: int) -> np.ndarray:
-    """Singular tridiagonal stiffness of -u'' with natural ends; kernel = constants."""
-    a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    a[0, 0] = a[-1, -1] = 1.0
-    return a
 
 
 @pytest.mark.parametrize("n", [5, 17, 50])
@@ -122,29 +114,6 @@ def test_matvec_is_the_scipy_product_bit_for_bit():
         matvec(a.tocsc(), x)
 
 
-def test_banded_cholesky_is_the_scipy_banded_solve_bit_for_bit():
-    a = sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(9, 9), format="csr")
-    solve = BandedCholesky(a)
-    b = np.random.default_rng(1).standard_normal((9, 2))
-    for rhs in (b, b[:, 0], np.asfortranarray(b)):
-        np.testing.assert_array_equal(solve(rhs), scipy.linalg.cho_solve_banded((solve.factor, False), rhs))
-    empty = BandedCholesky(sp.csr_matrix((0, 0)))  # no unknowns, as a coarse space can be
-    assert solve(np.zeros((9, 0))).shape == (9, 0)
-    assert empty(np.zeros((0, 2))).shape == (0, 2)
-
-
-def test_banded_cholesky_matches_dense_solve():
-    # A 2-D five-point Laplacian plus a shift: band 6 on a 6 x 5 grid.
-    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(6, 6))
-    a = (sp.kronsum(lap, sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(5, 5))) + sp.eye(30)).tocsr()
-    b = np.random.default_rng(9).standard_normal((30, 3))
-    solve = BandedCholesky(a)
-    assert solve.factor.shape == (7, 30)
-    x_ref = np.linalg.solve(a.toarray(), b)
-    np.testing.assert_allclose(solve(b), x_ref, rtol=0, atol=1e-13 * np.abs(x_ref).max())
-    np.testing.assert_allclose(solve(b[:, 0]), x_ref[:, 0], rtol=0, atol=1e-13 * np.abs(x_ref).max())
-
-
 @pytest.mark.parametrize("preconditioned", [False, True], ids=["jacobi", "given"])
 def test_cg_on_stacked_rhs_matches_block_diagonal(preconditioned):
     block = sp.csr_matrix(random_spd(7, seed=3))
@@ -161,18 +130,72 @@ def test_cg_on_stacked_rhs_matches_block_diagonal(preconditioned):
         cg(block, np.ones((2, 6)))
 
 
+def line_matrices(n: int, h: float):
+    """1-D P1 stiffness and lumped mass (dense) of n cells of size h with natural ends."""
+    k = (np.diag(np.r_[1.0, np.full(n - 1, 2.0), 1.0]) - np.eye(n + 1, k=1) - np.eye(n + 1, k=-1)) / h
+    m = np.diag(np.r_[0.5, np.ones(n - 1), 0.5]) * h
+    return k, m
+
+
+def grid_operator(nx: int, ny: int, h: float, sigma: float, interior: bool) -> np.ndarray:
+    """sigma M⊗M + M⊗K + K⊗M on the grid points (row-major, x fastest), dense."""
+    (kx, mx), (ky, my) = line_matrices(nx, h), line_matrices(ny, h)
+    if interior:
+        kx, mx, ky, my = (a[1:-1, 1:-1] for a in (kx, mx, ky, my))
+    return sigma * np.kron(my, mx) + np.kron(my, kx) + np.kron(ky, mx)
+
+
+@pytest.mark.parametrize("nx, ny", [(6, 6), (7, 3)], ids=["square", "rectangle"])
+def test_p1_stiffness_is_the_kronecker_sum_of_the_grid_lines(nx, ny):
+    # Every cell cut along one diagonal: the diagonal edges carry no coupling.
+    mesh = build_rect_mesh((-1.0, 0.0, 1.0, 2.0 * ny / nx), nx, ny)
+    got = assemble_stiffness(FunctionSpace.p1(mesh)).toarray()
+    want = grid_operator(nx, ny, mesh.h, 0.0, interior=False)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("interior", [False, True], ids=["natural", "interior"])
+@pytest.mark.parametrize("nx, ny", [(6, 6), (7, 3), (1, 1)], ids=["square", "rectangle", "one-cell"])
+def test_grid_solver_matches_dense_solve(nx, ny, interior):
+    h = 0.25
+    solver = GridSolver(nx, ny, h, interior=interior)
+    rng = np.random.default_rng(nx + ny)
+    for sigma in (0.0, 20.0):
+        shifted = solver.shifted(sigma)
+        a = grid_operator(nx, ny, h, sigma, interior)
+        b = rng.standard_normal((2, a.shape[0]))
+        if a.shape[0] == 0:  # the interior of a one-cell mesh has no point
+            assert shifted(b).shape == (2, 0) and shifted(b[0]).shape == (0,)
+            continue
+        singular = sigma == 0.0 and not interior
+        if singular:  # kernel span(ones): a consistent b, solutions up to a constant
+            b -= b.mean(axis=1, keepdims=True)
+        want = (np.linalg.pinv(a) @ b.T).T if singular else np.linalg.solve(a, b.T).T
+        for got, w in ((shifted(b), want), (shifted(b[1]), want[1])):
+            assert got.shape == w.shape
+            if singular:
+                got = got - got.mean(axis=-1, keepdims=True)
+            assert np.abs(got - w).max() <= 1e-12 * np.abs(w).max()
+
+
 def scalar_p2_helmholtz(nx: int, tau: float):
-    """Eliminated M/tau + A on scalar P2, and the P1 -> P2 prolongation of interior vertices."""
+    """Eliminated M/tau + A on scalar P2, the P1 -> P2 prolongation of interior vertices,
+    and the interior grid solver of sigma = 1/tau, the coarse solve of the velocity cycle."""
     mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), nx, nx)
     p2 = FunctionSpace.p2(mesh)
     system = DirichletSystem(assemble_mass(p2) / tau + assemble_stiffness(p2), p2.boundary_dofs())
-    return system, p1_to_p2_prolongation(mesh)[:, ~mesh.vertex_on_boundary]
+    coarse = GridSolver(nx, nx, mesh.h, interior=True).shifted(1.0 / tau)
+    return system, p1_to_p2_prolongation(mesh)[:, ~mesh.vertex_on_boundary], coarse
+
+
+def two_level(nx: int, tau: float):
+    system, prolongation, coarse = scalar_p2_helmholtz(nx, tau)
+    return system, TwoLevelPreconditioner(system.matrix, prolongation, system.dofs, coarse)
 
 
 @pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
 def test_two_level_cycle_is_spd_and_keeps_dirichlet_dofs(tau):
-    system, prolongation = scalar_p2_helmholtz(6, tau)
-    cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
+    system, cycle = two_level(6, tau)
     rng = np.random.default_rng(11)
     n = system.matrix.shape[0]
     for _ in range(5):
@@ -186,17 +209,26 @@ def test_two_level_cycle_is_spd_and_keeps_dirichlet_dofs(tau):
             np.testing.assert_array_equal(bx[k], cycle(x[k]))
 
 
+def interior_grid_coarse_operator(nx: int, tau: float) -> np.ndarray:
+    """h^2 I / tau plus the P1 stiffness on interior vertices: the lumped interior P1 M/tau + A."""
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), nx, nx)
+    interior = ~mesh.vertex_on_boundary
+    stiffness = assemble_stiffness(FunctionSpace.p1(mesh))[interior][:, interior].toarray()
+    return stiffness + mesh.h**2 / tau * np.eye(stiffness.shape[0])
+
+
 @pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
 def test_two_level_cycle_equals_dense_v_cycle(tau):
-    # Reference V(1,1): both smoothing residuals are computed with the full matrix.
-    system, prolongation = scalar_p2_helmholtz(6, tau)
-    cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
+    # Reference V(1,1): both smoothing residuals are computed with the full
+    # matrix, and the coarse grid is solved densely.
+    system, prolongation, coarse_solve = scalar_p2_helmholtz(6, tau)
+    cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs, coarse_solve)
     a = system.matrix.toarray()
     w = _OMEGA / a.diagonal()
     w[system.dofs] = 1.0
     p = prolongation.toarray()
     p[system.dofs] = 0.0
-    coarse = p.T @ a @ p
+    coarse = interior_grid_coarse_operator(6, tau)
 
     def v_cycle(r):
         z = w * r
@@ -214,7 +246,7 @@ def test_two_level_cycle_equals_dense_v_cycle(tau):
 
 @pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
 def test_jacobi_damping_keeps_the_cycle_positive_definite(tau):
-    system, _ = scalar_p2_helmholtz(6, tau)
+    system, _, _ = scalar_p2_helmholtz(6, tau)
     a = system.matrix.toarray()
     lam_max = scipy.linalg.eigvalsh(a, np.diag(a.diagonal())).max()
     assert lam_max <= 2.19
@@ -223,23 +255,29 @@ def test_jacobi_damping_keeps_the_cycle_positive_definite(tau):
 
 @pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
 def test_galerkin_coarse_operator_is_the_interior_p1_helmholtz(tau):
-    system, prolongation = scalar_p2_helmholtz(6, tau)
-    cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
+    # P^T (A P) is the interior P1 M/tau + A; the grid coarse operator lumps
+    # its mass to h^2 I, which bounds the consistent mass from above.
+    system, cycle = two_level(6, tau)
     mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 6, 6)
     p1 = FunctionSpace.p1(mesh)
     interior = ~mesh.vertex_on_boundary
-    want = (assemble_mass(p1) / tau + assemble_stiffness(p1))[interior][:, interior].toarray()
+    mass = assemble_mass(p1)[interior][:, interior].toarray()
+    want = mass / tau + assemble_stiffness(p1)[interior][:, interior].toarray()
     got = (cycle.restriction @ cycle.matrix_prolongation).toarray()
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    grid = np.linalg.inv(cycle.coarse_solve(np.eye(got.shape[0])))
+    defect = (mass - mesh.h**2 * np.eye(mass.shape[0])) / tau
+    assert np.abs(got - grid - defect).max() <= 1e-12 * np.abs(want).max()
+    assert scipy.linalg.eigvalsh(defect).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_two_level_cycle_ignores_prolongation_rows_of_fixed_dofs():
-    system, prolongation = scalar_p2_helmholtz(4, 0.05)
+    system, prolongation, coarse = scalar_p2_helmholtz(4, 0.05)
     rng = np.random.default_rng(2)
     noise = np.zeros(prolongation.shape)
     noise[system.dofs] = rng.standard_normal((system.dofs.size, prolongation.shape[1]))
-    clean = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
-    dirty = TwoLevelPreconditioner(system.matrix, prolongation + sp.csr_matrix(noise), system.dofs)
+    clean = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs, coarse)
+    dirty = TwoLevelPreconditioner(system.matrix, prolongation + sp.csr_matrix(noise), system.dofs, coarse)
     r = rng.standard_normal(system.matrix.shape[0])
     np.testing.assert_array_equal(dirty(r), clean(r))
 
@@ -247,8 +285,7 @@ def test_two_level_cycle_ignores_prolongation_rows_of_fixed_dofs():
 def test_two_level_cycle_is_the_plain_formula_bit_for_bit():
     # The cycle's in-place work arrays give the same floats as the formula
     # written with fresh arrays and scipy's products, for a vector and a stack.
-    system, prolongation = scalar_p2_helmholtz(6, 0.05)
-    cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
+    system, cycle = two_level(6, 0.05)
     a, w, p, rt, ap = (
         cycle.matrix, cycle.weight, cycle.prolongation, cycle.restriction, cycle.matrix_prolongation
     )
@@ -259,7 +296,7 @@ def test_two_level_cycle_is_the_plain_formula_bit_for_bit():
     def formula(r):
         z = w * r
         s = r - product(a, z)
-        e = cycle.coarse_solve(product(rt, s).T).T
+        e = cycle.coarse_solve(product(rt, s))
         z += product(p, e)
         return z + w * (s - product(ap, e))
 
@@ -273,8 +310,7 @@ def test_two_level_cycle_is_the_plain_formula_bit_for_bit():
 
 
 def test_two_level_cg_matches_dense_solve():
-    system, prolongation = scalar_p2_helmholtz(6, 0.05)
-    cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs)
+    system, cycle = two_level(6, 0.05)
     b = np.random.default_rng(5).standard_normal(system.matrix.shape[0])
     x_ref = np.linalg.solve(system.matrix.toarray(), b)
     x, report = cg(system.matrix, b, tol=1e-13, preconditioner=cycle)
@@ -291,22 +327,15 @@ def test_cg_and_bicgstab_agree_on_spd():
     assert np.linalg.norm(x1 - x2) / np.linalg.norm(x1) < 1e-10
 
 
-def random_singular(n: int, seed: int) -> np.ndarray:
-    """Dense symmetric positive semidefinite matrix whose kernel is exactly span(ones)."""
-    a = random_spd(n, seed)
-    centre = np.eye(n) - np.ones((n, n)) / n
-    return centre @ a @ centre
-
-
-@pytest.mark.parametrize(
-    "a", [neumann_laplacian_1d(18), random_singular(25, seed=6)], ids=["laplacian-1d", "dense"]
-)
-def test_neumann_solve_matches_pinv(a):
-    n = a.shape[0]
-    b = np.random.default_rng(4).standard_normal(n)
-    x = NeumannSolver(sp.csr_matrix(a))(b)
-    assert x[0] == 0.0  # the pinned dof
-    b -= b.mean()  # the consistent part, which the solve sees
+@pytest.mark.parametrize("nx, ny", [(6, 6), (7, 3)], ids=["square", "rectangle"])
+def test_neumann_solve_matches_pinv(nx, ny):
+    # The pure Neumann P1 stiffness, singular with kernel span(ones), solved
+    # by the grid solver of sigma = 0 as Operators.solve_neumann does.
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, ny / nx), nx, ny)
+    a = assemble_stiffness(FunctionSpace.p1(mesh)).toarray()
+    b = np.random.default_rng(4).standard_normal(a.shape[0])
+    b -= b.mean()  # the consistent part
+    x = GridSolver(nx, ny, mesh.h)(b)
     x_ref = np.linalg.pinv(a) @ b  # minimum-norm solution has zero mean here
     assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-12
     np.testing.assert_allclose(x - x.mean(), x_ref, rtol=0, atol=1e-10 * np.abs(x_ref).max())
