@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix, hstack
+from scipy.sparse import hstack
 
 from .mesh import StructuredTriMesh, boundary_dofs, p2_node_coords, p2_numbering
 from .sparse import CsrMatrix
@@ -82,7 +82,6 @@ __all__ = [
     "assemble_div_coupling",
     "assemble_load",
     "element_gradient",
-    "p1_to_p2_prolongation",
     "error_norms",
     "interpolate",
 ]
@@ -455,21 +454,6 @@ def error_norms(field: FieldVector, exact, exact_grad, t: float) -> tuple[float,
         squares.append(quadrature_integral(sp, diff.sum(axis=tuple(range(2, diff.ndim)))))
     l2sq, h1sq = squares
     return np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(l2sq + h1sq)
-
-
-def p1_to_p2_prolongation(mesh: StructuredTriMesh) -> CsrMatrix:
-    """Interpolation of P1 vertex values onto the P2 nodes of the same mesh.
-
-    The row of vertex v is the unit row of v; the row of midpoint
-    n_vertices + e holds 1/2 at both endpoints of edges[e].  P @ v is then
-    the P2 interpolant of the P1 function with vertex values v, which is
-    that function itself.
-    """
-    nv, ne = mesh.n_vertices, mesh.n_edges
-    rows = np.concatenate([np.arange(nv), nv + np.repeat(np.arange(ne), 2)])
-    cols = np.concatenate([np.arange(nv), mesh.edges.ravel()])
-    vals = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
-    return coo_matrix((vals, (rows, cols)), shape=(nv + ne, nv)).tocsr()
 
 
 # ---------------------------------------------------------------------------

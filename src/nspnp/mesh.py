@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StructuredTriMesh", "build_rect_mesh", "p2_numbering", "boundary_dofs"]
+__all__ = ["StructuredTriMesh", "build_rect_mesh", "p2_numbering", "p2_lattice", "boundary_dofs"]
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,18 @@ def p2_node_coords(mesh: StructuredTriMesh) -> np.ndarray:
     """Coordinates of the P2 nodes: vertices, then edge midpoints."""
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     return np.vstack([mesh.vertices, mids])
+
+
+def p2_lattice(mesh: StructuredTriMesh) -> np.ndarray:
+    """Row-major index of each P2 node on the (2nx+1) by (2ny+1) lattice of spacing h/2.
+
+    Vertex (i, j) is lattice point (2i, 2j), and the midpoint of an edge is
+    the sum of its endpoints' (i, j).  Splitting each triangle at its edge
+    midpoints gives the diagonal-cut mesh of that lattice.
+    """
+    j, i = np.divmod(np.arange(mesh.n_vertices), mesh.nx + 1)
+    half = j * (2 * mesh.nx + 1) + i  # half the lattice index of each vertex
+    return np.concatenate([2 * half, half[mesh.edges].sum(axis=1)])
 
 
 def boundary_dofs(mesh: StructuredTriMesh, space_kind: str) -> np.ndarray:

@@ -25,8 +25,8 @@ drift blocks:
        (M_v/tau + A_v) u2 = -N
    with u_hat = u1 + xi u2.  M_v/tau + A_v is one scalar P2 block acting on
    both rows of the (2, n) velocity; CG solves both components at once,
-   preconditioned by a two-level cycle whose coarse space is P1 on the
-   interior vertices, solved by the grid solve of the lumped M/tau + A.
+   preconditioned by the grid solve of the lumped P1 M/tau + A on the h/2
+   lattice of the P2 nodes.
 4. The auxiliary scalar r tracks sqrt(E(phi) + C0); eliminating r^{n+1} from
    its update equation against the split gives a scalar quadratic
        a xi^2 - b xi + c = 0,
@@ -84,18 +84,10 @@ from .fem import (
     gradient_at_quadrature,
     interpolate,
     load_from_quadrature,
-    p1_to_p2_prolongation,
     quadrature_integral,  # not called here; perfbench/spans.py wraps it through this module
 )
-from .mesh import StructuredTriMesh
-from .sparse import (
-    GridSolver,
-    TwoLevelPreconditioner,
-    bicgstab,
-    cg,
-    jacobi,
-    matvec,
-)
+from .mesh import StructuredTriMesh, p2_lattice
+from .sparse import GridSolver, bicgstab, cg, jacobi, matvec
 
 __all__ = [
     "SchemeParams",
@@ -192,7 +184,7 @@ class Operators:
 
     Holds everything that does not change between time steps: the P1 mass
     and stiffness matrices on the P1 pattern, the grid solvers of the
-    vertices and of the interior vertices, the scalar P2 mass and stiffness
+    vertices and of the P2 node lattice, the scalar P2 mass and stiffness
     that act on each row of a (2, n) velocity, the divergence coupling, and
     the Dirichlet elimination of the projection with its Jacobi
     preconditioner.  The systems that depend on tau (the velocity system and
@@ -212,7 +204,7 @@ class Operators:
         self.stiff_p1 = assemble_stiffness(self.scalar_space)
         # stiff_p1 is exactly M⊗K + K⊗M of the grid lines (see sparse.GridSolver).
         self.vertex_grid = GridSolver(mesh.nx, mesh.ny, mesh.h)
-        self.interior_grid = GridSolver(mesh.nx, mesh.ny, mesh.h, interior=True)
+        self.lattice_grid = GridSolver(2 * mesh.nx, 2 * mesh.ny, mesh.h / 2, interior=True)
         self.mass_p2 = assemble_mass(self.velocity_space)
         self.stiff_p2 = assemble_stiffness(self.velocity_space)
         self.div = assemble_div_coupling(self.velocity_space, self.scalar_space)
@@ -226,21 +218,18 @@ class Operators:
         self._bnode_coords = self.velocity_space.node_coords[self.velocity_dirichlet]
         self.projection_system = DirichletSystem(self.mass_p2, self.velocity_dirichlet)
         self.projection_preconditioner = jacobi(self.projection_system.matrix)
-        # Coarse space: P1 functions that vanish on the boundary.
-        self.prolongation = p1_to_p2_prolongation(mesh)[:, ~mesh.vertex_on_boundary]
         self._velocity_system = (None, None)
         self._transport_base = (None, None)
         self._source_modes = (None, None)
 
     def velocity_system(self, params: SchemeParams):
-        """(DirichletSystem of the scalar P2 M/tau + A, its two-level preconditioner)."""
+        """(DirichletSystem of the scalar P2 M/tau + A, the _LatticeSolve that preconditions it)."""
         if self._velocity_system[0] != params.tau:
             pattern = self.velocity_space.pattern
             base = pattern.matrix(self.mass_p2.data / params.tau + self.stiff_p2.data)
             system = DirichletSystem(base, self.velocity_dirichlet)
-            coarse = self.interior_grid.shifted(1.0 / params.tau)
-            preconditioner = TwoLevelPreconditioner(system.matrix, self.prolongation, system.dofs, coarse)
-            self._velocity_system = (params.tau, (system, preconditioner))
+            grid = self.lattice_grid.shifted(1.0 / params.tau)
+            self._velocity_system = (params.tau, (system, _LatticeSolve(grid, p2_lattice(self.mesh))))
         return self._velocity_system[1]
 
     def transport_base(self, params: SchemeParams):
@@ -318,6 +307,27 @@ class _MassKeepingSolve:
         return z
 
 
+class _LatticeSolve:
+    """The grid solve of the P1 M_lumped/tau + A on the interior of the h/2 lattice of the P2 nodes.
+
+    Cutting each triangle at its edge midpoints gives the diagonal-cut mesh
+    of that lattice, whose P1 operator is spectrally equivalent to the P2
+    M/tau + A (Deville and Mund, 1985).  A (2, n) residual is gathered into
+    lattice order; its boundary points, the eliminated dofs, pass through.
+    """
+
+    def __init__(self, grid: GridSolver, lattice: np.ndarray):
+        self.grid, self.lattice = grid, lattice  # lattice: the lattice point of each P2 node
+        self.order = np.argsort(lattice)
+        self.shape = tuple(n + 2 for n in grid.eigenvalues.shape)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        w = np.take(r, self.order, axis=-1).reshape(r.shape[:-1] + self.shape)
+        inner = w[..., 1:-1, 1:-1]
+        inner[...] = self.grid(inner.reshape(r.shape[:-1] + (-1,))).reshape(inner.shape)
+        return np.take(w.reshape(r.shape), self.lattice, axis=-1)
+
+
 def _require_converged(report, label: str):
     if not report.converged:
         raise RuntimeError(
@@ -363,9 +373,10 @@ def step_concentrations(ops: Operators, state: State, params: SchemeParams, load
 
     loads holds the source loads (f_i(t^{n+1}), theta) as rows of a (2, n)
     array.  All matrices share the P1 pattern, so each system is one sum of
-    data arrays; the factor of M/tau + A preconditions BiCGStab on the right.
+    data arrays; the mass-keeping grid solve of the lumped M/tau + A
+    preconditions BiCGStab on the right.
     """
-    base, factor = ops.transport_base(params)
+    base, preconditioner = ops.transport_base(params)
     convection = assemble_convection(state.u, ops.scalar_space)
     drift = assemble_drift(state.phi)
     out = []
@@ -381,7 +392,7 @@ def step_concentrations(ops: Operators, state: State, params: SchemeParams, load
             x0=c_old.values,
             tol=params.tol,
             max_iter=params.max_iter,
-            preconditioner=factor,
+            preconditioner=preconditioner,
         )
         _require_converged(report, f"transport ({name})")
         out.append(FieldVector(ops.scalar_space, x))

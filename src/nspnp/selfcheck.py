@@ -273,7 +273,7 @@ def check_splitting_linearity() -> CheckResult:
     """u_hat(xi) = u1 + xi u2 reproduces a direct solve with the scaled forcing.
 
     The direct solve is Jacobi-CG at tol 1e-14 on the same eliminated
-    matrix, without the two-level preconditioner the split uses.
+    matrix, without the lattice grid solve that preconditions the split.
     """
     mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 8, 8)
     ops = Operators(mesh)

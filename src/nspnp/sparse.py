@@ -9,22 +9,21 @@ order-of-reduction surprises.
 Every product goes through ``matvec``, which calls scipy's CSR kernel
 ``csr_matvec``, the one ``matrix @ x`` runs, on a zeroed output array, so a
 product is bit for bit that of ``matrix @ x`` without its dispatch and its
-allocation.  ``cg``, ``bicgstab`` and ``TwoLevelPreconditioner`` write their
-products and updates into work arrays shaped like the right-hand side and
-make no product that the answer does not need: no A x0 without a start, and
-no second b - A x after the convergence check computed it.
+allocation.  ``cg`` and ``bicgstab`` write their products and updates into
+work arrays shaped like the right-hand side and make no product that the
+answer does not need: no A x0 without a start, and no second b - A x after
+the convergence check computed it.
 
 ``GridSolver`` inverts sigma M⊗M + M⊗K + K⊗M, M⊗K + K⊗M being the P1
 stiffness of a uniform mesh whose cells are all cut along one diagonal, by
-fast diagonalization (Lynch, Rice and Thomas, 1964): four dense products,
-no factor.  It serves the pure Neumann solves (sigma = 0, exact), the
-transport preconditioner and the coarse grid of ``TwoLevelPreconditioner``.
+fast diagonalization (Lynch, Rice and Thomas, 1964): four dense products
+against closed-form sine or cosine eigenvectors, no factor.  It serves the
+pure Neumann solves (sigma = 0, exact) and, with sigma = 1/tau, the
+preconditioners of the transport and of the velocity.
 
-``cg`` and ``TwoLevelPreconditioner``, a symmetric two-level cycle for it,
-take a vector (n,) or a stack (k, n) of them: a (2, n) vector field is
-solved with one scalar block applied row by row, and inner products and
-norms are those of the stacked vector.  The cycle keeps A P, which gives
-its second residual without a second product with A.
+``cg`` takes a vector (n,) or a stack (k, n) of them: a (2, n) vector field
+is solved with one scalar block applied row by row, and inner products and
+norms are those of the stacked vector.
 
 Both Krylov solvers take a ``preconditioner``, a map r -> z.  ``bicgstab``
 requires one; ``cg`` preconditions with ``jacobi(matrix)`` without one.
@@ -36,7 +35,6 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 from scipy.sparse._sparsetools import csr_matvec  # used by matvec only
 
@@ -46,7 +44,6 @@ __all__ = [
     "CsrMatrix",
     "SolveReport",
     "GridSolver",
-    "TwoLevelPreconditioner",
     "matvec",
     "jacobi",
     "cg",
@@ -55,14 +52,6 @@ __all__ = [
 
 # Relative rho breakdown threshold for bicgstab, scaled by the vector norms.
 _BREAKDOWN = 1e-30
-
-# Jacobi damping of the two-level cycle.  On the eliminated P2 Helmholtz
-# blocks M/tau + A, lambda_max(D^-1 A) <= 2.19 for tau from 1e-4 to 1e3, so
-# omega * lambda_max < 2 and the cycle is positive definite.  Mean u1 CG
-# iterations on the benchmark's relax run (ex3 nx=100) for omega = 0.6, 0.65,
-# 0.7, 0.75, 0.8: 16.0, 15.3, 14.5, 14.3, 17.8; mms and ladder rank the same.
-_OMEGA = 0.75
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -83,9 +72,9 @@ class GridSolver:
     K and M are the 1-D P1 stiffness and lumped mass of one grid line; the
     points are numbered row-major, x fastest, and a field is b.reshape(ny', nx').
     With natural ends the lines hold all n + 1 points; interior=True keeps
-    their n - 1 interior points (Dirichlet ends).  On each axis
-    scipy.linalg.eigh(K, M) gives V with V^T M V = I and V^T K V = diag(lam),
-    so the inverse maps B to V_y ((V_y^T B V_x) / (sigma + lam_y + lam_x)) V_x^T.
+    their n - 1 interior points (Dirichlet ends).  On each axis V has
+    V^T M V = I and V^T K V = diag(lam) (_line_eigenbasis), so the inverse
+    maps B to V_y ((V_y^T B V_x) / (sigma + lam_y + lam_x)) V_x^T.
     The constants, kernel of the natural-end operator at sigma = 0, map to 0.
     b is a vector (n,) or a stack (k, n) of them.
     """
@@ -109,17 +98,22 @@ class GridSolver:
 
 
 def _line_eigenbasis(n: int, h: float, interior: bool):
-    """(V, lam) of eigh(K, M) on one line of n cells; lam[0] of natural ends is set to exactly 0."""
-    k = (2.0 * np.eye(n + 1) - np.eye(n + 1, k=1) - np.eye(n + 1, k=-1)) / h
-    k[0, 0] = k[n, n] = 1.0 / h
-    m = np.full(n + 1, h)
-    m[0] = m[n] = 0.5 * h
+    """(V, lam), V^T M V = I and V^T K V = diag(lam), of one line of n cells of size h.
+
+    The interior points j = 1..n-1 have the sine vectors sin(pi k j / n),
+    k = 1..n-1 (DST-I); all points j = 0..n have the cosine vectors
+    cos(pi k j / n), k = 0..n (DCT-I), whose ends weigh half in M.  Both
+    have lam_k = (4 / h^2) sin^2(pi k / 2n), exactly 0 for the constants.
+    """
+    k = np.arange(1, n) if interior else np.arange(n + 1)
+    angle = (np.pi / n) * (np.outer(k, k) % (2 * n))  # reduced exactly: sin and cos stay accurate
     if interior:
-        k, m = k[1:n, 1:n], m[1:n]
-    lam, v = scipy.linalg.eigh(k, np.diag(m))
-    if not interior:
-        lam[0] = 0.0  # the constants, found by eigh to round-off
-    return v, lam
+        v = np.sin(angle) * np.sqrt(2.0 / (n * h))
+    else:
+        weight = np.full(n + 1, 2.0)
+        weight[[0, n]] = 1.0  # the constants and the alternating vector have twice the norm
+        v = np.cos(angle) * np.sqrt(weight / (n * h))
+    return v, (2.0 / h * np.sin(np.pi / (2 * n) * k)) ** 2
 
 
 def matvec(matrix: CsrMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -149,58 +143,6 @@ def jacobi(matrix: CsrMatrix):
         raise ValueError("Jacobi preconditioning needs a positive diagonal")
     inv_diag = 1.0 / d
     return lambda r: inv_diag * r
-
-
-class TwoLevelPreconditioner:
-    """Symmetric two-level V(1,1) cycle for an SPD matrix with eliminated rows.
-
-    One application to a residual r is damped Jacobi, a coarse-grid
-    correction, and damped Jacobi again.  coarse_solve maps a coarse
-    residual, a vector or a (k, n_c) stack, to C^-1 of it, C SPD.  A P is
-    kept: after the correction z += P e the residual is s - (A P) e, s =
-    r - A z being that of the first smoothing, so an application does one
-    product with A.  The cycle is symmetric, and positive definite when
-    C >= P^T A P and _OMEGA * lambda_max(D^-1 A) < 2.
-
-    fixed lists the constrained dofs, whose rows and columns of the matrix
-    are identity.  Their rows of the prolongation are zeroed here, so the
-    cycle passes their residual through unchanged.  A stack (k, n) of
-    residuals is treated row by row.  The residual s and the products with
-    P and A P go into two work arrays kept per shape of r; only z is new.
-    """
-
-    def __init__(self, matrix: CsrMatrix, prolongation: CsrMatrix, fixed, coarse_solve):
-        n = matrix.shape[0]
-        if prolongation.shape[0] != n:
-            raise ValueError(f"prolongation {prolongation.shape} does not match matrix {matrix.shape}")
-        d = matrix.diagonal()
-        if np.any(d <= 0):
-            raise ValueError("the two-level cycle needs a positive diagonal")
-        fixed = np.asarray(fixed, dtype=np.int64)
-        weight = _OMEGA / d
-        weight[fixed] = 1.0  # identity rows: exact solve
-        free = np.ones(n)
-        free[fixed] = 0.0
-        self.matrix = matrix
-        self.weight = weight
-        self.prolongation = (scipy.sparse.diags(free) @ prolongation).tocsr()
-        self.restriction = self.prolongation.T.tocsr()
-        self.matrix_prolongation = (matrix @ self.prolongation).tocsr()
-        self.coarse_solve = coarse_solve
-        self._work = {}
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        if r.shape not in self._work:
-            self._work[r.shape] = np.empty((2,) + r.shape)
-        s, product = self._work[r.shape]
-        z = self.weight * r
-        np.subtract(r, matvec(self.matrix, z, out=s), out=s)
-        e = self.coarse_solve(matvec(self.restriction, s))
-        z += matvec(self.prolongation, e, out=product)
-        s -= matvec(self.matrix_prolongation, e, out=product)
-        s *= self.weight
-        z += s
-        return z
 
 
 def cg(

@@ -25,7 +25,6 @@ from nspnp.fem import (
     gradient_at_quadrature,
     interpolate,
     load_from_quadrature,
-    p1_to_p2_prolongation,
     quadrature_integral,
     shape_eval,
     tri_quadrature_degree5,
@@ -421,19 +420,6 @@ def test_dirichlet_elimination_equals_projected_matrix():
     got = system.reduce_rhs(load, values)
     assert got.shape == load.shape
     np.testing.assert_allclose(got, want_rhs, rtol=1e-13, atol=1e-13 * np.abs(a.data).max())
-
-
-def test_prolongation_reproduces_linear_functions():
-    mesh = build_rect_mesh((-1.0, 0.0, 2.0, 3.0), 5, 5)
-    p1 = FunctionSpace.p1(mesh)
-    p2 = FunctionSpace.p2(mesh)
-    linear = lambda x, y, t: 0.3 - 1.7 * x + 2.9 * y  # noqa: E731
-    full = p1_to_p2_prolongation(mesh)
-    assert full.shape == (p2.n_dofs, p1.n_dofs)
-    # Exact up to the rounding of the midpoint coordinates and the 1/2 weights.
-    np.testing.assert_allclose(
-        full @ interpolate(p1, linear, 0.0).values, interpolate(p2, linear, 0.0).values, atol=1e-14
-    )
 
 
 def test_field_vector_validates_length():

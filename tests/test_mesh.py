@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nspnp.mesh import boundary_dofs, build_rect_mesh, p2_node_coords, p2_numbering
+from nspnp.mesh import boundary_dofs, build_rect_mesh, p2_lattice, p2_node_coords, p2_numbering
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -88,6 +88,17 @@ def test_p2_numbering_shape_and_midpoints():
         np.testing.assert_allclose(coords[num[t, 3]], 0.5 * (v[1] + v[2]))
         np.testing.assert_allclose(coords[num[t, 4]], 0.5 * (v[2] + v[0]))
         np.testing.assert_allclose(coords[num[t, 5]], 0.5 * (v[0] + v[1]))
+
+
+@pytest.mark.parametrize("nx, ny", [(5, 5), (6, 2)], ids=["square", "rectangle"])
+def test_p2_lattice_numbers_the_half_step_grid_of_the_p2_nodes(nx, ny):
+    mesh = build_rect_mesh((-1.0, 0.5, 2.0, 0.5 + 3.0 * ny / nx), nx, ny)
+    lattice = p2_lattice(mesh)
+    np.testing.assert_array_equal(np.sort(lattice), np.arange((2 * nx + 1) * (2 * ny + 1)))
+    j, i = np.divmod(lattice, 2 * nx + 1)
+    np.testing.assert_allclose(
+        (p2_node_coords(mesh) - [-1.0, 0.5]) / (mesh.h / 2), np.stack([i, j], axis=1), atol=1e-12
+    )
 
 
 def test_boundary_dofs_spaces():

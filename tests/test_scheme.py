@@ -291,8 +291,8 @@ def test_pressure_and_potential_zero_mean(ex3_ops):
 
 
 def test_potential_and_pressure_solve_their_neumann_systems_to_round_off():
-    # One factor of the P1 stiffness serves both solves; the residuals sit far
-    # below the 1e-10 that the Krylov solves stopped at.
+    # One grid solver of the P1 stiffness serves both solves; the residuals sit
+    # far below the 1e-10 that the Krylov solves stopped at.
     case = example3()
     ops = Operators(build_rect_mesh(case.bounds, 16, 16), velocity_bc=case.velocity_bc)
     params = SchemeParams(tau=0.05, t_final=0.05, c0=case.c0)
@@ -401,7 +401,7 @@ def test_operators_reject_a_mesh_that_is_not_the_uniform_grid():
 
 
 def test_one_cell_mesh_steps():
-    # No interior vertex: the two-level cycle has an empty coarse space.
+    # No interior vertex: the velocity lattice has a single interior point.
     case = example3()
     params, state, records = small_run(
         case, Operators(build_rect_mesh(case.bounds, 1, 1), velocity_bc=case.velocity_bc), steps=2
@@ -411,7 +411,7 @@ def test_one_cell_mesh_steps():
 
 @pytest.mark.parametrize("nx", [16, 32])
 def test_velocity_iterations_stay_flat_under_refinement(nx, monkeypatch):
-    # The two-level cycle keeps the u1/u2 CG counts bounded as h shrinks;
+    # The lattice grid solve keeps the u1/u2 CG counts bounded as h shrinks;
     # Jacobi-CG needs O(1/h) more iterations per halving.
     iterations = []
 
@@ -436,7 +436,7 @@ def test_velocity_iterations_stay_flat_under_refinement(nx, monkeypatch):
 
 @pytest.mark.parametrize("nx", [16, 32])
 def test_transport_iterations_stay_few(nx, monkeypatch):
-    # Preconditioned by the factor of M/tau + A, BiCGStab only has to resolve
+    # Preconditioned by the grid solve of M/tau + A, BiCGStab only has to resolve
     # convection and drift: a few iterations per species at every resolution.
     iterations = []
 

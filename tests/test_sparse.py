@@ -9,17 +9,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nspnp.fem import DirichletSystem, FunctionSpace, assemble_mass, assemble_stiffness, p1_to_p2_prolongation
-from nspnp.mesh import build_rect_mesh
-from nspnp.sparse import (
-    _OMEGA,
-    GridSolver,
-    SolveReport,
-    TwoLevelPreconditioner,
-    bicgstab,
-    cg,
-    matvec,
-)
+from nspnp.fem import FunctionSpace, assemble_stiffness
+from nspnp.mesh import build_rect_mesh, p2_node_coords
+from nspnp.scheme import Operators, SchemeParams
+from nspnp.sparse import GridSolver, SolveReport, bicgstab, cg, matvec
 
 
 def random_spd(n: int, seed: int) -> np.ndarray:
@@ -178,142 +171,65 @@ def test_grid_solver_matches_dense_solve(nx, ny, interior):
             assert np.abs(got - w).max() <= 1e-12 * np.abs(w).max()
 
 
-def scalar_p2_helmholtz(nx: int, tau: float):
-    """Eliminated M/tau + A on scalar P2, the P1 -> P2 prolongation of interior vertices,
-    and the interior grid solver of sigma = 1/tau, the coarse solve of the velocity cycle."""
-    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), nx, nx)
-    p2 = FunctionSpace.p2(mesh)
-    system = DirichletSystem(assemble_mass(p2) / tau + assemble_stiffness(p2), p2.boundary_dofs())
-    coarse = GridSolver(nx, nx, mesh.h, interior=True).shifted(1.0 / tau)
-    return system, p1_to_p2_prolongation(mesh)[:, ~mesh.vertex_on_boundary], coarse
-
-
-def two_level(nx: int, tau: float):
-    system, prolongation, coarse = scalar_p2_helmholtz(nx, tau)
-    return system, TwoLevelPreconditioner(system.matrix, prolongation, system.dofs, coarse)
+def velocity_system(nx: int, ny: int, tau: float):
+    """The eliminated scalar P2 M/tau + A of the velocity and its lattice grid solve."""
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, ny / nx), nx, ny)
+    return Operators(mesh).velocity_system(SchemeParams(tau=tau, t_final=tau, c0=1.0))
 
 
 @pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
-def test_two_level_cycle_is_spd_and_keeps_dirichlet_dofs(tau):
-    system, cycle = two_level(6, tau)
+def test_lattice_solve_is_spd_and_keeps_dirichlet_dofs(tau):
+    system, solve = velocity_system(6, 6, tau)
     rng = np.random.default_rng(11)
     n = system.matrix.shape[0]
     for _ in range(5):
         x, y = rng.standard_normal((2, 2, n))  # (2, n) each, as for a velocity
-        bx, by = cycle(x), cycle(y)
+        bx, by = solve(x), solve(y)
         assert bx.shape == x.shape
         assert np.vdot(y, bx) == pytest.approx(np.vdot(x, by), rel=1e-12)
         assert np.vdot(x, bx) > 0.0
         np.testing.assert_array_equal(bx[:, system.dofs], x[:, system.dofs])
         for k in range(2):
-            np.testing.assert_array_equal(bx[k], cycle(x[k]))
-
-
-def interior_grid_coarse_operator(nx: int, tau: float) -> np.ndarray:
-    """h^2 I / tau plus the P1 stiffness on interior vertices: the lumped interior P1 M/tau + A."""
-    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), nx, nx)
-    interior = ~mesh.vertex_on_boundary
-    stiffness = assemble_stiffness(FunctionSpace.p1(mesh))[interior][:, interior].toarray()
-    return stiffness + mesh.h**2 / tau * np.eye(stiffness.shape[0])
+            np.testing.assert_array_equal(bx[k], solve(x[k]))
 
 
 @pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
-def test_two_level_cycle_equals_dense_v_cycle(tau):
-    # Reference V(1,1): both smoothing residuals are computed with the full
-    # matrix, and the coarse grid is solved densely.
-    system, prolongation, coarse_solve = scalar_p2_helmholtz(6, tau)
-    cycle = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs, coarse_solve)
+@pytest.mark.parametrize("nx, ny", [(6, 6), (6, 3)], ids=["square", "rectangle"])
+def test_lattice_solve_is_the_inverse_of_the_half_step_p1_helmholtz(nx, ny, tau):
+    # On the interior points of the h/2 lattice: (h^2/4 tau) I plus the P1
+    # stiffness of the mesh of twice the cells, the P2 nodes matched by position.
+    system, solve = velocity_system(nx, ny, tau)
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, ny / nx), nx, ny)
+    fine = build_rect_mesh(mesh.bounds, 2 * nx, 2 * ny)
+    interior = ~fine.vertex_on_boundary
+    distance = np.linalg.norm(p2_node_coords(mesh)[None] - fine.vertices[interior][:, None], axis=-1)
+    nodes = distance.argmin(axis=1)
+    assert distance.min(axis=1).max() <= 1e-12
+    helmholtz = assemble_stiffness(FunctionSpace.p1(fine))[interior][:, interior].toarray()
+    helmholtz += mesh.h**2 / (4.0 * tau) * np.eye(helmholtz.shape[0])
+    n = system.matrix.shape[0]
+    want = np.eye(n)
+    want[np.ix_(nodes, nodes)] = np.linalg.inv(helmholtz)
+    got = solve(np.eye(n))  # row k is the solve of unit vector k; the solve is symmetric
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
+@pytest.mark.parametrize("nx", [4, 8])
+def test_lattice_preconditioned_velocity_spectrum_is_bounded(nx, tau):
+    # Spectral equivalence of the P1 lattice and the P2 operators: the bounds
+    # hold at every h and tau, which keeps the CG counts flat.
+    system, solve = velocity_system(nx, nx, tau)
     a = system.matrix.toarray()
-    w = _OMEGA / a.diagonal()
-    w[system.dofs] = 1.0
-    p = prolongation.toarray()
-    p[system.dofs] = 0.0
-    coarse = interior_grid_coarse_operator(6, tau)
-
-    def v_cycle(r):
-        z = w * r
-        z = z + p @ np.linalg.solve(coarse, p.T @ (r - a @ z))
-        return z + w * (r - a @ z)
-
-    rng = np.random.default_rng(3)
-    r = rng.standard_normal((2, a.shape[0]))
-    got = cycle(r)
-    for k in range(2):
-        want = v_cycle(r[k])
-        assert np.linalg.norm(got[k] - want) <= 1e-12 * np.linalg.norm(want)
-        assert np.linalg.norm(cycle(r[k]) - want) <= 1e-12 * np.linalg.norm(want)
+    lam = scipy.linalg.eigvalsh(a, np.linalg.inv(solve(np.eye(a.shape[0]))))
+    assert 0.3 <= lam.min() and lam.max() <= 1.5
 
 
-@pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
-def test_jacobi_damping_keeps_the_cycle_positive_definite(tau):
-    system, _, _ = scalar_p2_helmholtz(6, tau)
-    a = system.matrix.toarray()
-    lam_max = scipy.linalg.eigvalsh(a, np.diag(a.diagonal())).max()
-    assert lam_max <= 2.19
-    assert _OMEGA * lam_max < 2.0
-
-
-@pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
-def test_galerkin_coarse_operator_is_the_interior_p1_helmholtz(tau):
-    # P^T (A P) is the interior P1 M/tau + A; the grid coarse operator lumps
-    # its mass to h^2 I, which bounds the consistent mass from above.
-    system, cycle = two_level(6, tau)
-    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 6, 6)
-    p1 = FunctionSpace.p1(mesh)
-    interior = ~mesh.vertex_on_boundary
-    mass = assemble_mass(p1)[interior][:, interior].toarray()
-    want = mass / tau + assemble_stiffness(p1)[interior][:, interior].toarray()
-    got = (cycle.restriction @ cycle.matrix_prolongation).toarray()
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    grid = np.linalg.inv(cycle.coarse_solve(np.eye(got.shape[0])))
-    defect = (mass - mesh.h**2 * np.eye(mass.shape[0])) / tau
-    assert np.abs(got - grid - defect).max() <= 1e-12 * np.abs(want).max()
-    assert scipy.linalg.eigvalsh(defect).max() <= 1e-12 * np.abs(want).max()
-
-
-def test_two_level_cycle_ignores_prolongation_rows_of_fixed_dofs():
-    system, prolongation, coarse = scalar_p2_helmholtz(4, 0.05)
-    rng = np.random.default_rng(2)
-    noise = np.zeros(prolongation.shape)
-    noise[system.dofs] = rng.standard_normal((system.dofs.size, prolongation.shape[1]))
-    clean = TwoLevelPreconditioner(system.matrix, prolongation, system.dofs, coarse)
-    dirty = TwoLevelPreconditioner(system.matrix, prolongation + sp.csr_matrix(noise), system.dofs, coarse)
-    r = rng.standard_normal(system.matrix.shape[0])
-    np.testing.assert_array_equal(dirty(r), clean(r))
-
-
-def test_two_level_cycle_is_the_plain_formula_bit_for_bit():
-    # The cycle's in-place work arrays give the same floats as the formula
-    # written with fresh arrays and scipy's products, for a vector and a stack.
-    system, cycle = two_level(6, 0.05)
-    a, w, p, rt, ap = (
-        cycle.matrix, cycle.weight, cycle.prolongation, cycle.restriction, cycle.matrix_prolongation
-    )
-
-    def product(m, x):
-        return m @ x if x.ndim == 1 else np.stack([m @ row for row in x])
-
-    def formula(r):
-        z = w * r
-        s = r - product(a, z)
-        e = cycle.coarse_solve(product(rt, s))
-        z += product(p, e)
-        return z + w * (s - product(ap, e))
-
-    rng = np.random.default_rng(8)
-    for r in (rng.standard_normal(a.shape[0]), rng.standard_normal((2, a.shape[0]))):
-        first = cycle(r)
-        kept = first.copy()
-        assert np.array_equal(first, formula(r))
-        assert np.array_equal(cycle(r + 1.0), formula(r + 1.0))
-        assert np.array_equal(first, kept)  # a later call leaves an earlier result alone
-
-
-def test_two_level_cg_matches_dense_solve():
-    system, cycle = two_level(6, 0.05)
+def test_lattice_preconditioned_cg_matches_dense_solve():
+    system, solve = velocity_system(6, 6, 0.05)
     b = np.random.default_rng(5).standard_normal(system.matrix.shape[0])
     x_ref = np.linalg.solve(system.matrix.toarray(), b)
-    x, report = cg(system.matrix, b, tol=1e-13, preconditioner=cycle)
+    x, report = cg(system.matrix, b, tol=1e-13, preconditioner=solve)
     assert report.converged and report.iterations < 20
     assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-10
 
