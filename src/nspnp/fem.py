@@ -37,7 +37,9 @@ SparsityPattern maps every element entry to its slot of csr.data, so
 assembly is one bincount with no COO-to-CSR conversion.  The square
 matrices on a space (mass, stiffness, convection, drift) share the
 space's pattern, built once, and with it indptr and indices: matrices on
-one pattern add by adding their data.
+one pattern add by adding their data.  The dofs are the points of a
+row-major lattice (mesh.dof_lattice), so the pattern is built in closed
+form from a stencil of lattice offsets, with no sort of element entries.
 
 Field evaluators
 ----------------
@@ -64,7 +66,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import hstack
 
-from .mesh import StructuredTriMesh, boundary_dofs, p2_node_coords, p2_numbering
+from .mesh import StructuredTriMesh, boundary_dofs, dof_lattice, p2_node_coords, p2_numbering
 from .sparse import CsrMatrix
 
 __all__ = [
@@ -165,27 +167,30 @@ class SparsityPattern:
     shape: tuple[int, int]
 
     @classmethod
-    def build(cls, element_dofs: np.ndarray, n: int) -> "SparsityPattern":
+    def build(cls, element_dofs: np.ndarray, shape: tuple[int, int]) -> "SparsityPattern":
+        """The pattern of a space whose dofs are the points of a row-major lattice of shape (rows, columns).
+
+        Triangles 2c and 2c + 1 are the lower and upper triangle of cell c, cell 0 at the origin,
+        so entry (i, j) of a triangle couples its row to a constant offset of a fixed stencil.
+        Every row gets the whole stencil, sorted row-major, and a cumsum over the slots that a
+        triangle touches drops the rest.
+        """
         t, nloc = element_dofs.shape
-        rows = np.repeat(element_dofs, nloc, axis=1).astype(np.int64)
-        keys = (rows * n + np.tile(element_dofs, (1, nloc))).ravel()
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-        first = np.ones(keys.shape, dtype=bool)
-        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        unique = sorted_keys[first]
-        slots = np.empty(keys.shape, dtype=np.int64)
-        slots[order] = np.cumsum(first) - 1
-        row_counts = np.bincount(unique // n, minlength=n)
+        y, x = np.divmod(element_dofs[:2], shape[1])  # (2, nloc): the local offsets of each kind
+        offsets = np.stack([y[:, None, :] - y[:, :, None], x[:, None, :] - x[:, :, None]], -1)
+        stencil, position = np.unique(offsets.reshape(-1, 2), axis=0, return_inverse=True)
+        n, width = shape[0] * shape[1], stencil.shape[0]
+        full = element_dofs.reshape(-1, 2, nloc, 1) * width + position.reshape(2, nloc, nloc)
+        used = np.zeros(n * width, dtype=bool)
+        used[full] = True
+        count = np.concatenate([[0], np.cumsum(used)])  # the slot of each used position
+        columns = (np.arange(n)[:, None] + stencil @ [shape[1], 1]).ravel()[used]
         # scipy picks the index dtype; the stored arrays are shared by every matrix.
-        template = CsrMatrix(
-            (np.zeros(unique.size), unique % n, np.concatenate([[0], np.cumsum(row_counts)])),
-            shape=(n, n),
-        )
+        template = CsrMatrix((np.zeros(count[-1]), columns, count[::width]), shape=(n, n))
         return cls(
             indptr=template.indptr,
             indices=template.indices,
-            entries=slots.astype(template.indices.dtype).reshape(t, nloc, nloc),
+            entries=count[full].reshape(t, nloc, nloc).astype(template.indices.dtype),
             shape=(n, n),
         )
 
@@ -206,7 +211,7 @@ class SparsityPattern:
 class FunctionSpace:
     """Nodal Lagrange space: reference tables and the per-triangle affine map.
 
-    Kinds: "p1" (vertex dofs) and "p2" (vertex + edge midpoint dofs).
+    Kinds: "p1" (vertex dofs) and "p2" (vertex + edge midpoint dofs), on their lattices.
     """
 
     def __init__(self, mesh: StructuredTriMesh, kind: str):
@@ -223,6 +228,7 @@ class FunctionSpace:
         else:
             self.element_dofs = p2_numbering(mesh)
             self.node_coords = p2_node_coords(mesh)
+        self.lattice_shape = dof_lattice(mesh, kind)
         self.n_dofs = self.node_coords.shape[0]
 
         # Affine geometry.  CCW orientation is part of the mesh contract.
@@ -255,7 +261,7 @@ class FunctionSpace:
     @cached_property
     def pattern(self) -> SparsityPattern:
         """The pattern of the square matrices on this space."""
-        return SparsityPattern.build(self.element_dofs, self.n_dofs)
+        return SparsityPattern.build(self.element_dofs, self.lattice_shape)
 
     def boundary_dofs(self) -> np.ndarray:
         return boundary_dofs(self.mesh, self.kind)
@@ -421,13 +427,13 @@ def assemble_div_coupling(vel_space: FunctionSpace, pres_space: FunctionSpace) -
     geometry = vel_space.bary_gradients[:, 1:] * vel_space.area[:, None, None]
     elem = (geometry.transpose(0, 2, 1).reshape(-1, 2) @ tensor.reshape(2, -1)).reshape(
         (-1, 2) + tensor.shape[1:])
-    # The P1 dofs are the first P2 dofs and the first three local P2 dofs are the vertices, so
-    # the P2 pattern's vertex rows hold the columns and slots of each component's block.
-    pattern, nv = vel_space.pattern, pres_space.n_dofs
-    slots, size = pattern.entries[:, :3].ravel(), pattern.indptr[nv]
+    # Each component's block is the P2 pattern's rows of the vertices, the even-even lattice points,
+    # summed over the first three local P2 dofs, the vertices.
+    pattern = vel_space.pattern
+    rows = np.arange(vel_space.n_dofs).reshape(vel_space.lattice_shape)[::2, ::2].ravel()
     blocks = [
-        CsrMatrix((np.bincount(slots, weights=elem[:, d].ravel(), minlength=size),
-                   pattern.indices[:size], pattern.indptr[: nv + 1]), shape=(nv, vel_space.n_dofs))
+        pattern.matrix(np.bincount(pattern.entries[:, :3].ravel(), weights=elem[:, d].ravel(),
+                                   minlength=pattern.indices.shape[0]))[rows]
         for d in range(2)
     ]
     return hstack(blocks, format="csr")
@@ -484,8 +490,12 @@ class DirichletSystem:
         self.matrix.data[hit] = rows[hit] == self.matrix.indices[hit]
         self.matrix.eliminate_zeros()
         self.matrix.sort_indices()
-        # Column slice of the original matrix, for lifting boundary data.
-        self._columns = matrix.tocsc()[:, self.dofs].tocsr()
+        self._original = matrix
+
+    @cached_property
+    def _columns(self) -> CsrMatrix:
+        """Column slice of the original matrix, for lifting nonzero boundary data."""
+        return self._original.tocsc()[:, self.dofs].tocsr()
 
     def reduce_rhs(self, rhs: np.ndarray, values=0.0) -> np.ndarray:
         out = np.array(rhs, dtype=float, copy=True)

@@ -8,9 +8,10 @@ Conventions (fixed so that results are reproducible bit for bit):
   upper-right corner, giving triangles ``(a, b, c)`` and ``(a, c, d)`` where
   ``a`` is the lower-left, ``b`` lower-right, ``c`` upper-right, ``d``
   upper-left corner.  Both triangles are counterclockwise.
-* Edges are stored as sorted vertex pairs in lexicographic order.  Quadratic
-  (P2) nodes are the vertices followed by the edge midpoints, so midpoint of
-  edge ``e`` is node ``n_vertices + e``.
+* Quadratic (P2) nodes are the points of the ``(2nx+1)`` by ``(2ny+1)``
+  lattice of spacing h/2, numbered row-major, x fastest: vertex (i, j) is
+  lattice point (2i, 2j), and the midpoint of an edge is the lattice point
+  halfway between its ends.  A P1 space is the same lattice at step 1.
 * Boundary classification is index based (``i == 0``, ``i == nx``, ...), so it
   is exact regardless of floating-point rounding in the coordinates.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StructuredTriMesh", "build_rect_mesh", "p2_numbering", "p2_lattice", "boundary_dofs"]
+__all__ = ["StructuredTriMesh", "build_rect_mesh", "p2_numbering", "dof_lattice", "boundary_dofs"]
 
 
 @dataclass(frozen=True)
@@ -33,10 +34,7 @@ class StructuredTriMesh:
     bounds: tuple[float, float, float, float]  # (ax, ay, bx, by)
     vertices: np.ndarray       # (n_vertices, 2) float
     triangles: np.ndarray      # (n_triangles, 3) int, counterclockwise
-    edges: np.ndarray          # (n_edges, 2) int, each row sorted, rows sorted
-    triangle_edges: np.ndarray  # (n_triangles, 3) int, edge opposite local vertex k
     vertex_on_boundary: np.ndarray  # (n_vertices,) bool
-    edge_on_boundary: np.ndarray    # (n_edges,) bool
     h: float                   # edge length of the axis-aligned sides
 
     @property
@@ -48,12 +46,8 @@ class StructuredTriMesh:
         return self.triangles.shape[0]
 
     @property
-    def n_edges(self) -> int:
-        return self.edges.shape[0]
-
-    @property
     def n_p2_nodes(self) -> int:
-        return self.n_vertices + self.n_edges
+        return (2 * self.nx + 1) * (2 * self.ny + 1)
 
 
 def build_rect_mesh(bounds, nx: int, ny: int) -> StructuredTriMesh:
@@ -93,33 +87,13 @@ def build_rect_mesh(bounds, nx: int, ny: int) -> StructuredTriMesh:
     triangles[0::2] = lower
     triangles[1::2] = upper
 
-    # Edge opposite local vertex k joins the other two local vertices.
-    raw = np.concatenate([triangles[:, [1, 2]], triangles[:, [2, 0]], triangles[:, [0, 1]]])
-    raw.sort(axis=1)
-    n_vert = vertices.shape[0]
-    keys = raw[:, 0] * n_vert + raw[:, 1]
-    unique_keys, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    edges = np.column_stack([unique_keys // n_vert, unique_keys % n_vert])
-    triangle_edges = inverse.reshape(3, -1).T.copy()
-
-    ivals = np.arange(nx + 1)
-    on_x = (ivals == 0) | (ivals == nx)
-    jvals = np.arange(ny + 1)
-    on_y = (jvals == 0) | (jvals == ny)
-    vertex_on_boundary = (on_y[:, None] | on_x[None, :]).ravel()
-    # A boundary edge belongs to exactly one triangle.
-    edge_on_boundary = counts == 1
-
     return StructuredTriMesh(
         nx=nx,
         ny=ny,
         bounds=(ax, ay, bx, by),
         vertices=vertices,
         triangles=triangles,
-        edges=edges,
-        triangle_edges=triangle_edges,
-        vertex_on_boundary=vertex_on_boundary,
-        edge_on_boundary=edge_on_boundary,
+        vertex_on_boundary=_frame(ny + 1, nx + 1).ravel(),
         h=hx,
     )
 
@@ -128,42 +102,45 @@ def p2_numbering(mesh: StructuredTriMesh) -> np.ndarray:
     """Local-to-global map for quadratic nodes, shape ``(n_triangles, 6)``.
 
     Local order is ``[v0, v1, v2, m12, m20, m01]``: the three vertices, then
-    the midpoint opposite each vertex in turn.  Global midpoint numbers start
-    at ``n_vertices``.
+    the midpoint opposite each vertex in turn.  A vertex (i, j) is lattice
+    point 2 * half with half = j*(2nx+1) + i, and a midpoint is the sum of
+    its ends' halves.
     """
-    return np.hstack([mesh.triangles, mesh.n_vertices + mesh.triangle_edges])
+    j, i = np.divmod(mesh.triangles, mesh.nx + 1)
+    half = j * (2 * mesh.nx + 1) + i
+    return np.hstack([2 * half, half[:, [1, 2, 0]] + half[:, [2, 0, 1]]])
 
 
 def p2_node_coords(mesh: StructuredTriMesh) -> np.ndarray:
-    """Coordinates of the P2 nodes: vertices, then edge midpoints."""
-    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
-    return np.vstack([mesh.vertices, mids])
+    """Coordinates of the P2 nodes in lattice order: the vertices and the means of edge ends."""
+    v = mesh.vertices.reshape(mesh.ny + 1, mesh.nx + 1, 2)
+    coords = np.empty((2 * mesh.ny + 1, 2 * mesh.nx + 1, 2))
+    coords[::2, ::2] = v
+    coords[::2, 1::2] = 0.5 * (v[:, :-1] + v[:, 1:])         # horizontal edges
+    coords[1::2, ::2] = 0.5 * (v[:-1] + v[1:])               # vertical edges
+    coords[1::2, 1::2] = 0.5 * (v[:-1, :-1] + v[1:, 1:])     # diagonals
+    return coords.reshape(-1, 2)
 
 
-def p2_lattice(mesh: StructuredTriMesh) -> np.ndarray:
-    """Row-major index of each P2 node on the (2nx+1) by (2ny+1) lattice of spacing h/2.
+def dof_lattice(mesh: StructuredTriMesh, space_kind: str) -> tuple[int, int]:
+    """(rows, columns) of the row-major lattice that numbers a space's dofs: spacing h for P1, h/2 for P2."""
+    step = {"p1": 1, "p2": 2}.get(space_kind.lower())
+    if step is None:
+        raise ValueError(f"unknown space kind: {space_kind!r}")
+    return step * mesh.ny + 1, step * mesh.nx + 1
 
-    Vertex (i, j) is lattice point (2i, 2j), and the midpoint of an edge is
-    the sum of its endpoints' (i, j).  Splitting each triangle at its edge
-    midpoints gives the diagonal-cut mesh of that lattice.
-    """
-    j, i = np.divmod(np.arange(mesh.n_vertices), mesh.nx + 1)
-    half = j * (2 * mesh.nx + 1) + i  # half the lattice index of each vertex
-    return np.concatenate([2 * half, half[mesh.edges].sum(axis=1)])
+
+def _frame(rows: int, columns: int) -> np.ndarray:
+    """The (rows, columns) mask of the outermost points of a lattice."""
+    frame = np.ones((rows, columns), dtype=bool)
+    frame[1:-1, 1:-1] = False
+    return frame
 
 
 def boundary_dofs(mesh: StructuredTriMesh, space_kind: str) -> np.ndarray:
-    """Sorted indices of degrees of freedom on the boundary.
+    """Sorted indices of degrees of freedom on the boundary: the frame of the space's lattice.
 
     ``space_kind`` is ``"p1"`` or ``"p2"``.  A vector field on the P2 space
     has the P2 boundary nodes as boundary dofs in each of its components.
     """
-    kind = space_kind.lower()
-    p1 = np.flatnonzero(mesh.vertex_on_boundary)
-    if kind == "p1":
-        return p1
-    p2 = np.concatenate([p1, mesh.n_vertices + np.flatnonzero(mesh.edge_on_boundary)])
-    p2.sort()
-    if kind == "p2":
-        return p2
-    raise ValueError(f"unknown space kind: {space_kind!r}")
+    return np.flatnonzero(_frame(*dof_lattice(mesh, space_kind)))

@@ -86,7 +86,7 @@ from .fem import (
     load_from_quadrature,
     quadrature_integral,  # not called here; perfbench/spans.py wraps it through this module
 )
-from .mesh import StructuredTriMesh, p2_lattice
+from .mesh import StructuredTriMesh
 from .sparse import GridSolver, bicgstab, cg, jacobi, matvec
 
 __all__ = [
@@ -184,8 +184,9 @@ class Operators:
 
     Holds everything that does not change between time steps: the P1 mass
     and stiffness matrices on the P1 pattern, the grid solvers of the
-    vertices and of the P2 node lattice, the scalar P2 mass and stiffness
-    that act on each row of a (2, n) velocity, the divergence coupling, and
+    vertices and of the P2 node lattice (the P2 dofs are numbered on it),
+    the scalar P2 mass and stiffness that act on each row of a (2, n)
+    velocity, the divergence coupling, and
     the Dirichlet elimination of the projection with its Jacobi
     preconditioner.  The systems that depend on tau (the velocity system and
     M/tau + A of the transport, each with its preconditioner) are built for
@@ -229,7 +230,7 @@ class Operators:
             base = pattern.matrix(self.mass_p2.data / params.tau + self.stiff_p2.data)
             system = DirichletSystem(base, self.velocity_dirichlet)
             grid = self.lattice_grid.shifted(1.0 / params.tau)
-            self._velocity_system = (params.tau, (system, _LatticeSolve(grid, p2_lattice(self.mesh))))
+            self._velocity_system = (params.tau, (system, _LatticeSolve(grid)))
         return self._velocity_system[1]
 
     def transport_base(self, params: SchemeParams):
@@ -312,20 +313,20 @@ class _LatticeSolve:
 
     Cutting each triangle at its edge midpoints gives the diagonal-cut mesh
     of that lattice, whose P1 operator is spectrally equivalent to the P2
-    M/tau + A (Deville and Mund, 1985).  A (2, n) residual is gathered into
-    lattice order; its boundary points, the eliminated dofs, pass through.
+    M/tau + A (Deville and Mund, 1985).  The P2 dofs are numbered on the
+    lattice, so a (2, n) residual is a (2, 2ny+1, 2nx+1) array: its interior
+    is solved, and its frame, the eliminated dofs, passes through.
     """
 
-    def __init__(self, grid: GridSolver, lattice: np.ndarray):
-        self.grid, self.lattice = grid, lattice  # lattice: the lattice point of each P2 node
-        self.order = np.argsort(lattice)
+    def __init__(self, grid: GridSolver):
+        self.grid = grid
         self.shape = tuple(n + 2 for n in grid.eigenvalues.shape)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        w = np.take(r, self.order, axis=-1).reshape(r.shape[:-1] + self.shape)
-        inner = w[..., 1:-1, 1:-1]
+        z = r.copy()
+        inner = z.reshape(r.shape[:-1] + self.shape)[..., 1:-1, 1:-1]
         inner[...] = self.grid(inner.reshape(r.shape[:-1] + (-1,))).reshape(inner.shape)
-        return np.take(w.reshape(r.shape), self.lattice, axis=-1)
+        return z
 
 
 def _require_converged(report, label: str):

@@ -60,19 +60,8 @@ P2_REF_STIFF_X6 = np.array(
 
 
 def reference_triangle_mesh() -> StructuredTriMesh:
-    """Single-triangle mesh equal to the reference element itself."""
-    return StructuredTriMesh(
-        nx=1,
-        ny=1,
-        bounds=(0.0, 0.0, 1.0, 1.0),
-        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        triangles=np.array([[0, 1, 2]]),
-        edges=np.array([[0, 1], [0, 2], [1, 2]]),
-        triangle_edges=np.array([[2, 1, 0]]),
-        vertex_on_boundary=np.array([True, True, True]),
-        edge_on_boundary=np.array([True, True, True]),
-        h=1.0,
-    )
+    """Single-triangle mesh equal to the reference element itself: vertices 0, 1, 2 of one cell."""
+    return dataclasses.replace(build_rect_mesh((0.0, 0.0, 1.0, 1.0), 1, 1), triangles=np.array([[0, 1, 2]]))
 
 
 def oracle_tables(space: FunctionSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -317,6 +306,39 @@ def test_matrices_on_a_space_share_its_pattern():
         coupled[np.ix_(tri, tri)] = True
     pattern = p1.pattern.matrix(np.ones(p1.pattern.indices.shape[0])).toarray()
     np.testing.assert_array_equal(pattern != 0, coupled)
+
+
+def argsort_pattern(element_dofs: np.ndarray, n: int):
+    """(indptr, indices, entries) of the element couplings by sorting all element entries."""
+    t, nloc = element_dofs.shape
+    keys = (np.repeat(element_dofs, nloc, axis=1).astype(np.int64) * n + np.tile(element_dofs, (1, nloc))).ravel()
+    unique, slots = np.unique(keys, return_inverse=True)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(unique // n, minlength=n))])
+    return indptr, unique % n, slots.reshape(t, nloc, nloc)
+
+
+@pytest.mark.parametrize("kind", ["p1", "p2"])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 3), (3, 2), (7, 5)])
+def test_sparsity_pattern_equals_the_argsort_build(nx, ny, kind):
+    space = FunctionSpace(build_rect_mesh((0.0, 0.0, float(nx), float(ny)), nx, ny), kind)
+    pattern = space.pattern
+    for got, want in zip((pattern.indptr, pattern.indices, pattern.entries),
+                         argsort_pattern(space.element_dofs, space.n_dofs)):
+        assert got.shape == want.shape
+        assert got.dtype == pattern.indices.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "mesh", [build_rect_mesh((0.0, 0.0, 1.0, 0.75), 4, 3), sheared_mesh(4)], ids=["square", "sheared"]
+)
+def test_p2_node_coords_are_vertex_averages(mesh):
+    # Each local P2 node of each triangle: a vertex, or the mean of the two ends of its edge.
+    p2 = FunctionSpace.p2(mesh)
+    v = mesh.vertices[mesh.triangles]
+    want = np.concatenate([v, 0.5 * (v[:, [1, 2, 0]] + v[:, [2, 0, 1]])], axis=1)
+    np.testing.assert_array_equal(p2.node_coords[p2.element_dofs], want)
+    assert np.unique(p2.element_dofs).size == p2.n_dofs
 
 
 def test_transport_kernels_reject_p2_spaces():

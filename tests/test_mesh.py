@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nspnp.mesh import boundary_dofs, build_rect_mesh, p2_lattice, p2_node_coords, p2_numbering
+from nspnp.mesh import boundary_dofs, build_rect_mesh, p2_node_coords, p2_numbering
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -16,8 +16,7 @@ def test_counts_3x3():
     mesh = build_rect_mesh(UNIT, 3, 3)
     assert mesh.n_vertices == 16
     assert mesh.n_triangles == 18
-    assert mesh.n_edges == 33
-    assert mesh.n_p2_nodes == 16 + 33
+    assert mesh.n_p2_nodes == 7 * 7  # 16 vertices and 33 edge midpoints
 
 
 def test_vertices_row_major_x_fastest():
@@ -45,27 +44,25 @@ def test_cell_split_uses_lower_left_to_upper_right_diagonal():
     assert shared == diag
 
 
-def test_edges_are_sorted_pairs_in_lexicographic_order():
-    mesh = build_rect_mesh((0.0, 0.0, 3.0, 2.0), 3, 2)
-    assert (mesh.edges[:, 0] < mesh.edges[:, 1]).all()
-    keys = mesh.edges[:, 0] * mesh.n_vertices + mesh.edges[:, 1]
-    assert (np.diff(keys) > 0).all()
-
-
 def test_triangle_edges_opposite_vertices():
-    mesh = build_rect_mesh(UNIT, 4, 4)
-    for t in range(mesh.n_triangles):
-        tri = set(mesh.triangles[t])
-        for k in range(3):
-            edge = set(mesh.edges[mesh.triangle_edges[t, k]])
-            # Edge k joins the two vertices other than local vertex k.
-            assert edge == tri - {mesh.triangles[t, k]}
+    mesh = build_rect_mesh((0.0, 0.0, 4.0, 3.0), 4, 3)
+    num = p2_numbering(mesh)
+    for k in range(3):
+        # Midpoint dof 3 + k is the lattice point halfway between the two vertices other than k.
+        a, b = num[:, (k + 1) % 3], num[:, (k + 2) % 3]
+        np.testing.assert_array_equal(2 * num[:, 3 + k], a + b)
+
+
+def test_p1_dof_of_a_vertex_is_the_p2_dof_at_its_even_even_lattice_point():
+    nx, ny = 5, 3
+    mesh = build_rect_mesh((0.0, 0.0, 5.0, 3.0), nx, ny)
+    j, i = np.divmod(mesh.triangles, nx + 1)
+    np.testing.assert_array_equal(p2_numbering(mesh)[:, :3], 2 * j * (2 * nx + 1) + 2 * i)
 
 
 def test_boundary_classification():
     mesh = build_rect_mesh(UNIT, 3, 3)
     assert int(mesh.vertex_on_boundary.sum()) == 12
-    assert int(mesh.edge_on_boundary.sum()) == 12
     inner = ~mesh.vertex_on_boundary
     assert int(inner.sum()) == 4
     # Boundary vertices sit exactly on the rectangle outline.
@@ -93,9 +90,9 @@ def test_p2_numbering_shape_and_midpoints():
 @pytest.mark.parametrize("nx, ny", [(5, 5), (6, 2)], ids=["square", "rectangle"])
 def test_p2_lattice_numbers_the_half_step_grid_of_the_p2_nodes(nx, ny):
     mesh = build_rect_mesh((-1.0, 0.5, 2.0, 0.5 + 3.0 * ny / nx), nx, ny)
-    lattice = p2_lattice(mesh)
-    np.testing.assert_array_equal(np.sort(lattice), np.arange((2 * nx + 1) * (2 * ny + 1)))
-    j, i = np.divmod(lattice, 2 * nx + 1)
+    # Node k is lattice point (i, j) = divmod, and every lattice point is a node of some triangle.
+    np.testing.assert_array_equal(np.unique(p2_numbering(mesh)), np.arange(mesh.n_p2_nodes))
+    j, i = np.divmod(np.arange(mesh.n_p2_nodes), 2 * nx + 1)
     np.testing.assert_allclose(
         (p2_node_coords(mesh) - [-1.0, 0.5]) / (mesh.h / 2), np.stack([i, j], axis=1), atol=1e-12
     )
@@ -117,6 +114,14 @@ def test_boundary_dofs_spaces():
             boundary_dofs(mesh, kind)
 
 
+@pytest.mark.parametrize("nx, ny", [(1, 1), (4, 4), (5, 2)])
+def test_p2_boundary_dofs_are_the_lattice_frame(nx, ny):
+    mesh = build_rect_mesh((0.0, 0.0, float(nx), float(ny)), nx, ny)
+    j, i = np.divmod(np.arange(mesh.n_p2_nodes), 2 * nx + 1)
+    frame = (i == 0) | (i == 2 * nx) | (j == 0) | (j == 2 * ny)
+    np.testing.assert_array_equal(boundary_dofs(mesh, "p2"), np.flatnonzero(frame))
+
+
 def test_rejects_anisotropic_and_bad_input():
     with pytest.raises(ValueError):
         build_rect_mesh(UNIT, 10, 20)
@@ -133,7 +138,9 @@ def test_counts_formulas(nx, ny):
     mesh = build_rect_mesh((0.0, 0.0, float(nx), float(ny)), nx, ny)
     assert mesh.n_vertices == (nx + 1) * (ny + 1)
     assert mesh.n_triangles == 2 * nx * ny
-    assert mesh.n_edges == nx * (ny + 1) + ny * (nx + 1) + nx * ny
+    # The P2 nodes are the vertices and one midpoint per edge.
+    n_edges = mesh.n_p2_nodes - mesh.n_vertices
+    assert n_edges == nx * (ny + 1) + ny * (nx + 1) + nx * ny
     # Euler characteristic of a disk: V - E + F = 1.
-    assert mesh.n_vertices - mesh.n_edges + mesh.n_triangles == 1
+    assert mesh.n_vertices - n_edges + mesh.n_triangles == 1
     assert int(mesh.vertex_on_boundary.sum()) == 2 * (nx + ny)
