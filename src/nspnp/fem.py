@@ -21,7 +21,8 @@ A triangle is the image x = v0 + J xi of the reference one.  A FunctionSpace
 holds the basis values (q, nloc) and reference gradients (q, nloc, 2) at the
 quadrature points, and per triangle the barycentric gradients (t, 3, 2): the
 P1 basis gradients, whose rows 1 and 2 are J^{-1}, mapping a reference
-gradient row g to g J^{-1}.  Each kernel is a GEMM against a reference table
+gradient row g to g J^{-1}; the spaces of one mesh share these per-triangle
+arrays, computed once.  Each kernel is a GEMM against a reference table
 followed by that 2x2 map; the stiffness and divergence coupling are area
 J^{-1} J^{-T} and area J^{-1}, as (t, 4), times a reference tensor.
 
@@ -60,6 +61,7 @@ entry of values.ravel(): all x components first, then all y components.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -208,6 +210,34 @@ class SparsityPattern:
         return self.matrix(data)
 
 
+_geometry = weakref.WeakKeyDictionary()  # of each live mesh, shared by its spaces
+
+
+def _triangle_geometry(mesh: StructuredTriMesh, rule: QuadratureRule):
+    """(area (t,), barycentric gradients (t, 3, 2), quadrature points (2, t, q)), read-only, once per mesh."""
+    if mesh not in _geometry:
+        # Affine geometry.  CCW orientation is part of the mesh contract.
+        verts = mesh.vertices[mesh.triangles]          # (t, 3, 2)
+        e1 = verts[:, 1] - verts[:, 0]
+        e2 = verts[:, 2] - verts[:, 0]
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        if np.any(det <= 0):
+            raise ValueError("mesh contains non-counterclockwise triangles")
+        # Barycentric gradients: rows 1 and 2 are J^{-1}, row 0 their negative sum.
+        jinv = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=1).reshape(-1, 2, 2)
+        jinv /= det[:, None, None]
+        geometry = (
+            0.5 * det,
+            np.concatenate([-jinv.sum(axis=1, keepdims=True), jinv], axis=1),
+            # x and y of the physical quadrature points, each (t, q).
+            np.ascontiguousarray(np.moveaxis(rule.points @ verts, -1, 0)),
+        )
+        for array in geometry:
+            array.flags.writeable = False
+        _geometry[mesh] = geometry
+    return _geometry[mesh]
+
+
 class FunctionSpace:
     """Nodal Lagrange space: reference tables and the per-triangle affine map.
 
@@ -231,24 +261,10 @@ class FunctionSpace:
         self.lattice_shape = dof_lattice(mesh, kind)
         self.n_dofs = self.node_coords.shape[0]
 
-        # Affine geometry.  CCW orientation is part of the mesh contract.
-        verts = mesh.vertices[mesh.triangles]          # (t, 3, 2)
-        e1 = verts[:, 1] - verts[:, 0]
-        e2 = verts[:, 2] - verts[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        if np.any(det <= 0):
-            raise ValueError("mesh contains non-counterclockwise triangles")
-        self.area = 0.5 * det
-        # Barycentric gradients: rows 1 and 2 are J^{-1}, row 0 their negative sum.
-        jinv = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=1).reshape(-1, 2, 2)
-        jinv /= det[:, None, None]
-        self.bary_gradients = np.concatenate([-jinv.sum(axis=1, keepdims=True), jinv], axis=1)
-
+        self.area, self.bary_gradients, self.quad_xy = _triangle_geometry(mesh, self.rule)
         vals, rgrads = zip(*(shape_eval(kind, p) for p in self.rule.points))
         self.basis_values = np.array(vals)      # (q, nloc)
         self.ref_gradients = np.array(rgrads)   # (q, nloc, 2)
-        # x and y of the physical quadrature points, each (t, q).
-        self.quad_xy = np.ascontiguousarray(np.moveaxis(self.rule.points @ verts, -1, 0))
 
     @classmethod
     def p1(cls, mesh: StructuredTriMesh) -> "FunctionSpace":

@@ -25,9 +25,9 @@ import numpy as np
 __all__ = ["StructuredTriMesh", "build_rect_mesh", "p2_numbering", "dof_lattice", "boundary_dofs"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuredTriMesh:
-    """Triangulation of ``(ax, bx) x (ay, by)`` into ``2*nx*ny`` triangles."""
+    """Triangulation of ``(ax, bx) x (ay, by)`` into ``2*nx*ny`` triangles; equal only to itself."""
 
     nx: int
     ny: int

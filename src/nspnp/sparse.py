@@ -19,7 +19,9 @@ stiffness of a uniform mesh whose cells are all cut along one diagonal, by
 fast diagonalization (Lynch, Rice and Thomas, 1964): four dense products
 against closed-form sine or cosine eigenvectors, no factor.  It serves the
 pure Neumann solves (sigma = 0, exact) and, with sigma = 1/tau, the
-preconditioners of the transport and of the velocity.
+preconditioner of the transport.  The velocity preconditioner takes the
+sine modes and eigenvalues of the P2 node lattice from it and inverts the
+P2 operator in them (scheme._LatticeSolve).
 
 ``cg`` takes a vector (n,) or a stack (k, n) of them: a (2, n) vector field
 is solved with one scalar block applied row by row, and inner products and

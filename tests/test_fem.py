@@ -290,6 +290,17 @@ def test_p1_and_p2_spaces_share_quadrature_points():
     assert np.array_equal(FunctionSpace.p1(mesh).quad_xy, FunctionSpace.p2(mesh).quad_xy)
 
 
+def test_spaces_on_one_mesh_share_its_triangle_geometry():
+    # Computed once per mesh and read-only; a sheared copy of a mesh gets its own.
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 4, 4)
+    p1, p2 = FunctionSpace.p1(mesh), FunctionSpace.p2(mesh)
+    for name in ("area", "bary_gradients", "quad_xy"):
+        assert getattr(p1, name) is getattr(p2, name)
+        assert not getattr(p1, name).flags.writeable
+    sheared = FunctionSpace.p1(sheared_mesh(4))
+    assert not np.array_equal(sheared.bary_gradients, p1.bary_gradients)
+
+
 def test_matrices_on_a_space_share_its_pattern():
     mesh = build_rect_mesh((0.0, 0.0, 1.0, 0.75), 4, 3)
     p1 = FunctionSpace.p1(mesh)

@@ -435,6 +435,30 @@ def test_velocity_iterations_stay_flat_under_refinement(nx, monkeypatch):
 
 
 @pytest.mark.parametrize("nx", [16, 32])
+def test_velocity_iterations_are_few_with_the_exact_p2_lattice_inverse(nx, monkeypatch):
+    # Only the lumped mass separates the preconditioner from the velocity
+    # system at tau = 0.05: u1 and u2 take a handful of CG iterations.
+    case = example3()
+    ops = Operators(build_rect_mesh(case.bounds, nx, nx), velocity_bc=case.velocity_bc)
+    params = SchemeParams(tau=0.05, t_final=0.1, c0=case.c0)
+    _, velocity_solve = ops.velocity_system(params)
+    iterations = []
+
+    def counting_cg(*args, **kwargs):
+        x, report = cg(*args, **kwargs)
+        if kwargs.get("preconditioner") is velocity_solve:
+            iterations.append(report.iterations)
+        return x, report
+
+    monkeypatch.setattr(scheme, "cg", counting_cg)
+    state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
+    for _ in range(params.n_steps):
+        state, _ = advance(ops, state, params, case.sources)
+    assert len(iterations) == 2 * params.n_steps
+    assert max(iterations) <= 8
+
+
+@pytest.mark.parametrize("nx", [16, 32])
 def test_transport_iterations_stay_few(nx, monkeypatch):
     # Preconditioned by the grid solve of M/tau + A, BiCGStab only has to resolve
     # convection and drift: a few iterations per species at every resolution.

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nspnp.fem import FunctionSpace, assemble_stiffness
-from nspnp.mesh import build_rect_mesh, p2_node_coords
+from nspnp.mesh import build_rect_mesh
 from nspnp.scheme import Operators, SchemeParams
 from nspnp.sparse import GridSolver, SolveReport, bicgstab, cg, matvec
 
@@ -193,23 +193,36 @@ def test_lattice_solve_is_spd_and_keeps_dirichlet_dofs(tau):
             np.testing.assert_array_equal(bx[k], solve(x[k]))
 
 
+@pytest.mark.parametrize("nx, ny", [(6, 6), (6, 3)], ids=["square", "rectangle"])
+def test_p2_stiffness_is_four_thirds_the_half_step_p1_minus_a_third_the_vertex_p1(nx, ny):
+    # A_P2 = (4/3) A_P1(h/2) - (1/3) E^T A_P1(h) E on the interior points of the h/2 lattice,
+    # E the injection at the vertices: the identity that _LatticeSolve inverts.
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, ny / nx), nx, ny)
+    fine = build_rect_mesh(mesh.bounds, 2 * nx, 2 * ny)  # its vertices are the P2 lattice, in order
+    lattice = np.arange(fine.n_vertices).reshape(2 * ny + 1, 2 * nx + 1)
+    inner = lattice[1:-1, 1:-1].ravel()
+    vertices = np.flatnonzero(~mesh.vertex_on_boundary)
+    injection = (lattice[::2, ::2][1:-1, 1:-1].ravel()[:, None] == inner).astype(float)
+    a_p2 = assemble_stiffness(FunctionSpace.p2(mesh)).toarray()[np.ix_(inner, inner)]
+    a_half = assemble_stiffness(FunctionSpace.p1(fine)).toarray()[np.ix_(inner, inner)]
+    a_vertex = assemble_stiffness(FunctionSpace.p1(mesh)).toarray()[np.ix_(vertices, vertices)]
+    combination = (4.0 / 3.0) * a_half - (1.0 / 3.0) * injection.T @ a_vertex @ injection
+    assert np.abs(combination - a_p2).max() <= 1e-13 * np.abs(a_p2).max()
+
+
 @pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
 @pytest.mark.parametrize("nx, ny", [(6, 6), (6, 3)], ids=["square", "rectangle"])
-def test_lattice_solve_is_the_inverse_of_the_half_step_p1_helmholtz(nx, ny, tau):
-    # On the interior points of the h/2 lattice: (h^2/4 tau) I plus the P1
-    # stiffness of the mesh of twice the cells, the P2 nodes matched by position.
+def test_lattice_solve_is_the_inverse_of_the_p2_helmholtz(nx, ny, tau):
+    # On the interior points of the h/2 lattice, the non-Dirichlet P2 dofs: (h^2/4 tau) I,
+    # the lumped mass, plus the P2 stiffness.
     system, solve = velocity_system(nx, ny, tau)
     mesh = build_rect_mesh((0.0, 0.0, 1.0, ny / nx), nx, ny)
-    fine = build_rect_mesh(mesh.bounds, 2 * nx, 2 * ny)
-    interior = ~fine.vertex_on_boundary
-    distance = np.linalg.norm(p2_node_coords(mesh)[None] - fine.vertices[interior][:, None], axis=-1)
-    nodes = distance.argmin(axis=1)
-    assert distance.min(axis=1).max() <= 1e-12
-    helmholtz = assemble_stiffness(FunctionSpace.p1(fine))[interior][:, interior].toarray()
-    helmholtz += mesh.h**2 / (4.0 * tau) * np.eye(helmholtz.shape[0])
     n = system.matrix.shape[0]
+    inner = np.setdiff1d(np.arange(n), system.dofs)
+    helmholtz = assemble_stiffness(FunctionSpace.p2(mesh)).toarray()[np.ix_(inner, inner)]
+    helmholtz += mesh.h**2 / (4.0 * tau) * np.eye(inner.size)
     want = np.eye(n)
-    want[np.ix_(nodes, nodes)] = np.linalg.inv(helmholtz)
+    want[np.ix_(inner, inner)] = np.linalg.inv(helmholtz)
     got = solve(np.eye(n))  # row k is the solve of unit vector k; the solve is symmetric
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -223,6 +236,17 @@ def test_lattice_preconditioned_velocity_spectrum_is_bounded(nx, tau):
     a = system.matrix.toarray()
     lam = scipy.linalg.eigvalsh(a, np.linalg.inv(solve(np.eye(a.shape[0]))))
     assert 0.3 <= lam.min() and lam.max() <= 1.5
+
+
+@pytest.mark.parametrize("tau", [0.05, 1e3])
+@pytest.mark.parametrize("nx", [8, 16])
+def test_lattice_preconditioned_velocity_spectrum_is_near_one_when_stiffness_weighs(nx, tau):
+    # The stiffness is inverted exactly and only the mass is lumped, so once
+    # tau is not small the preconditioned operator is close to the identity.
+    system, solve = velocity_system(nx, nx, tau)
+    a = system.matrix.toarray()
+    lam = scipy.linalg.eigvalsh(a, np.linalg.inv(solve(np.eye(a.shape[0]))))
+    assert 0.9 <= lam.min() and lam.max() <= 1.1
 
 
 def test_lattice_preconditioned_cg_matches_dense_solve():
