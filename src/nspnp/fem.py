@@ -486,12 +486,13 @@ class DirichletSystem:
     """Symmetric elimination of Dirichlet rows/columns, reusable across solves.
 
     The eliminated matrix has identity rows and columns at the constrained
-    dofs; reduce_rhs subtracts the lifted boundary values from the interior
-    load and pins the constrained entries, so solving the reduced system gives
-    the constrained solution directly.  The matrix must store its diagonal,
-    as every assembled matrix does.  reduce_rhs also takes a stack, such
-    as a (2, n) vector field, with boundary values shaped (2, nb), and
-    returns the shape it was given.
+    dofs.  It is kept with lift, the constrained columns sliced from the
+    matrix given, which is not kept.  reduce_rhs subtracts lift times the
+    boundary values from the load and pins the constrained entries, so the
+    reduced system gives the constrained solution directly.  The matrix must
+    store its diagonal, as every assembled matrix does.  reduce_rhs also
+    takes a stack, such as a (2, n) vector field, with boundary values
+    shaped (2, nb), and returns the shape it was given.
     """
 
     def __init__(self, matrix: CsrMatrix, dofs):
@@ -499,24 +500,19 @@ class DirichletSystem:
         self.dofs = np.asarray(dofs, dtype=np.int64)
         fixed = np.zeros(n, dtype=bool)
         fixed[self.dofs] = True
-        # Entries in a fixed row or column become 0, a fixed diagonal 1.
         self.matrix = matrix.tocsr(copy=True)
+        self.lift = self.matrix[:, self.dofs]  # no CSC copy: each row keeps its order of columns
+        # Entries in a fixed row or column become 0, a fixed diagonal 1.
         rows = np.repeat(np.arange(n), np.diff(self.matrix.indptr))
         hit = fixed[rows] | fixed[self.matrix.indices]
         self.matrix.data[hit] = rows[hit] == self.matrix.indices[hit]
         self.matrix.eliminate_zeros()
         self.matrix.sort_indices()
-        self._original = matrix
-
-    @cached_property
-    def _columns(self) -> CsrMatrix:
-        """Column slice of the original matrix, for lifting nonzero boundary data."""
-        return self._original.tocsc()[:, self.dofs].tocsr()
 
     def reduce_rhs(self, rhs: np.ndarray, values=0.0) -> np.ndarray:
         out = np.array(rhs, dtype=float, copy=True)
         vals = np.broadcast_to(np.asarray(values, dtype=float), out.shape[:-1] + self.dofs.shape)
         if np.any(vals):
-            out -= (self._columns @ vals.T).T
+            out -= (self.lift @ vals.T).T
         out[..., self.dofs] = vals
         return out

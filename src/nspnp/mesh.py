@@ -19,6 +19,7 @@ Conventions (fixed so that results are reproducible bit for bit):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -53,17 +54,16 @@ class StructuredTriMesh:
 def build_rect_mesh(bounds, nx: int, ny: int) -> StructuredTriMesh:
     """Triangulate the rectangle ``bounds = (ax, ay, bx, by)``.
 
-    ``nx`` and ``ny`` count cells per direction; each cell is split into two
-    triangles.  The two directions must give the same mesh size h (uniform,
-    shape-regular family).
+    ``nx`` and ``ny``, integers, count cells per direction; each cell is split
+    into two triangles.  The rectangle must be finite, and the two directions
+    must give the same mesh size h (uniform, shape-regular family).
     """
     ax, ay, bx, by = map(float, bounds)
-    if not (bx > ax and by > ay):
-        raise ValueError(f"degenerate rectangle: {bounds!r}")
-    nx = int(nx)
-    ny = int(ny)
-    if nx < 1 or ny < 1:
-        raise ValueError(f"need at least one cell per direction, got nx={nx}, ny={ny}")
+    if not (np.isfinite([ax, ay, bx, by, bx - ax, by - ay]).all() and bx > ax and by > ay):
+        raise ValueError(f"degenerate or non-finite rectangle: {bounds!r}")
+    if not (isinstance(nx, Integral) and isinstance(ny, Integral) and nx >= 1 and ny >= 1):
+        raise ValueError(f"need a positive integer number of cells per direction, got nx={nx!r}, ny={ny!r}")
+    nx, ny = int(nx), int(ny)
     hx = (bx - ax) / nx
     hy = (by - ay) / ny
     if abs(hx - hy) > 1e-12 * max(hx, hy):

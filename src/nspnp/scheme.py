@@ -89,7 +89,7 @@ from .fem import (
     quadrature_integral,  # not called here; perfbench/spans.py wraps it through this module
 )
 from .mesh import StructuredTriMesh
-from .sparse import GridSolver, bicgstab, cg, jacobi, matvec
+from .sparse import GridSolver, bicgstab, cg, jacobi, lattice_modes, matvec
 
 __all__ = [
     "SchemeParams",
@@ -184,17 +184,16 @@ class SplitCoefficients:
 class Operators:
     """Assembled matrices and reusable eliminated systems for one mesh.
 
-    Holds everything that does not change between time steps: the P1 mass
-    and stiffness matrices on the P1 pattern, the grid solver of the
-    vertices, the sine modes of the P2 node lattice (the P2 dofs are
-    numbered on it), the scalar P2 mass and stiffness that act on each row
-    of a (2, n) velocity, the divergence coupling, and the Dirichlet
-    elimination of the projection with its Jacobi preconditioner.  The
-    systems that depend on tau (the velocity system with the 1/omega and
-    1/G arrays of its _LatticeSolve, and M/tau + A of the transport with
-    its grid solve) are built for the tau last asked for and kept until
-    another tau is asked for.  The mesh must be the uniform grid of its
-    bounds, as build_rect_mesh makes it.
+    Holds, once each, what does not change between time steps: the P1 mass
+    and stiffness matrices on the P1 pattern, the grid solver of their
+    pure Neumann stiffness, the scalar P2 mass and stiffness that act on
+    each row of a (2, n) velocity, the divergence coupling B (B^T is its
+    transposed view), and the Dirichlet elimination of the projection with
+    its Jacobi preconditioner.  The systems that depend on tau (the
+    eliminated velocity system with its _LatticeSolve, and M/tau + A of the
+    transport with the grid solve of sigma = 1/tau) are built for the tau
+    last asked for and kept until another tau is asked for.  The mesh must
+    be the uniform grid of its bounds, as build_rect_mesh makes it.
     """
 
     def __init__(self, mesh: StructuredTriMesh, velocity_bc=None):
@@ -208,11 +207,9 @@ class Operators:
         self.stiff_p1 = assemble_stiffness(self.scalar_space)
         # stiff_p1 is exactly M⊗K + K⊗M of the grid lines (see sparse.GridSolver).
         self.vertex_grid = GridSolver(mesh.nx, mesh.ny, mesh.h)
-        self.lattice_grid = GridSolver(2 * mesh.nx, 2 * mesh.ny, mesh.h / 2, interior=True)
         self.mass_p2 = assemble_mass(self.velocity_space)
         self.stiff_p2 = assemble_stiffness(self.velocity_space)
         self.div = assemble_div_coupling(self.velocity_space, self.scalar_space)
-        self.div_t = self.div.T.tocsr()
         self.velocity_bc = velocity_bc
         self.area = self.scalar_space.domain_area()
         # ones^T M as a vector: integral of a P1 field is mass_row @ values.
@@ -229,24 +226,16 @@ class Operators:
     def velocity_system(self, params: SchemeParams):
         """(DirichletSystem of the scalar P2 M/tau + A, the _LatticeSolve that preconditions it)."""
         if self._velocity_system[0] != params.tau:
-            pattern = self.velocity_space.pattern
-            base = pattern.matrix(self.mass_p2.data / params.tau + self.stiff_p2.data)
+            base = self.velocity_space.pattern.matrix(self.mass_p2.data / params.tau + self.stiff_p2.data)
             system = DirichletSystem(base, self.velocity_dirichlet)
-            lam = self.lattice_grid.eigenvalues
-            inv_omega = 1.0 / (1.0 / params.tau + (4.0 / 3.0) * lam)
-            # mu = lam[1::2, 1::2] / 4: vertex mode k is lattice mode 2k at twice the spacing.
-            inv_g = 1.0 / (12.0 / lam[1::2, 1::2] - sum(_aliases(inv_omega)))
-            solve = _LatticeSolve(self.lattice_grid, inv_omega, inv_g)
-            self._velocity_system = (params.tau, (system, solve))
+            self._velocity_system = (params.tau, (system, _LatticeSolve(self.mesh, params.tau)))
         return self._velocity_system[1]
 
     def transport_base(self, params: SchemeParams):
         """(M/tau + A on the P1 pattern, the _MassKeepingSolve that preconditions it)."""
         if self._transport_base[0] != params.tau:
-            pattern = self.scalar_space.pattern
-            base = pattern.matrix(self.mass_p1.data / params.tau + self.stiff_p1.data)
-            grid = self.vertex_grid.shifted(1.0 / params.tau)
-            self._transport_base = (params.tau, (base, _MassKeepingSolve(grid, self.mass_row, params.tau)))
+            base = self.scalar_space.pattern.matrix(self.mass_p1.data / params.tau + self.stiff_p1.data)
+            self._transport_base = (params.tau, (base, _MassKeepingSolve(self.mesh, self.mass_row, params.tau)))
         return self._transport_base[1]
 
     def boundary_values(self, t: float) -> np.ndarray:
@@ -286,7 +275,7 @@ class Operators:
 
     def pressure_load(self, p: np.ndarray) -> np.ndarray:
         """B^T p of a P1 pressure as a (2, n) load: (p, div v_i) for each P2 v_i."""
-        return (self.div_t @ p).reshape(2, -1)
+        return (self.div.T @ p).reshape(2, -1)
 
     def integral_mean(self, values: np.ndarray) -> float:
         return float(self.mass_row @ values) / self.area
@@ -305,8 +294,9 @@ class _MassKeepingSolve:
     with an exact solve of M/tau + A: BiCGStab preconditioned by it keeps the mass.
     """
 
-    def __init__(self, grid: GridSolver, mass_row: np.ndarray, tau: float):
-        self.grid, self.mass_row, self.tau = grid, mass_row, tau
+    def __init__(self, mesh: StructuredTriMesh, mass_row: np.ndarray, tau: float):
+        self.grid = GridSolver(mesh.nx, mesh.ny, mesh.h, 1.0 / tau)
+        self.mass_row, self.tau = mass_row, tau
         self.area = float(mass_row.sum())
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
@@ -315,59 +305,53 @@ class _MassKeepingSolve:
         return z
 
 
-def _aliases(w: np.ndarray):
-    """The four views of a lattice mode array, each (ny-1, nx-1), that alias the vertex modes.
-
-    At the vertices, lattice sine mode k of an axis is vertex mode k for
-    k < n, minus vertex mode 2n - k for k > n, and 0 for k = n.  The views
-    are (k, k), (k, 2n-k), (2n-k, k), (2n-k, 2n-k) of vertex mode (k_y, k_x),
-    so E, lattice modes to vertex modes, is a - b - c + d.
-    """
-    ny, nx = ((m + 1) // 2 for m in w.shape[-2:])
-    low, high = w[..., : ny - 1, :], w[..., : ny - 1 : -1, :]
-    return low[..., : nx - 1], low[..., : nx - 1 : -1], high[..., : nx - 1], high[..., : nx - 1 : -1]
-
-
 class _LatticeSolve:
     """The exact inverse of (h^2/4 tau) I + A_P2 on the interior of the h/2 lattice of the P2 nodes.
 
     There A_P2 = (4/3) A(h/2) - (1/3) E^T A(h) E, with A(h/2) and A(h) the P1
     stiffness of the lattice and of the vertices, and E the injection at the
-    vertices, the even-even points.  Both are diagonal in the sine modes
-    (GridSolver), lam on the lattice and mu on the vertices, so in the
-    lattice modes the operator is diag(omega), omega = 1/tau + (4/3) lam,
-    minus a rank-one term per vertex mode (_aliases).  The Woodbury identity
-    inverts it: divide by omega, take c = E w / G, G = 3/mu - the sum of
-    1/omega over the four aliases, and add (1/omega) E^T c.  inv_omega and
-    inv_g = 1/G belong to one tau.  Only the mass is lumped: the
-    preconditioned P2 M/tau + A has its spectrum in [0.95, 1.04] at
-    tau = 0.05, [0.31, 1.40] when the mass dominates.
+    vertices, the even-even points.  Both are diagonal in the sine modes of
+    sparse.lattice_modes, lam on the lattice and mu on the vertices, so in
+    the lattice modes the operator is diag(omega), omega = 1/tau + (4/3) lam,
+    minus a rank-one term per vertex mode that couples its four aliases, the
+    blocks of one view (_blocks).  The Woodbury identity inverts it: divide
+    by omega, take c = E w / G, G = 3/mu - E (1/omega), and add (1/omega)
+    E^T c to each block.  Only the mass is lumped: the preconditioned P2
+    M/tau + A has its spectrum in [0.95, 1.04] at tau = 0.05, [0.31, 1.40]
+    when the mass dominates.
 
     A (2, n) residual is a (2, 2ny+1, 2nx+1) lattice array.  The first
     product reads its interior and the last writes the result's, with no
-    copy; the frame, the eliminated dofs, passes through.  The interior
-    sine matrices are symmetric, so no product takes a transpose.
+    copy; the frame, the eliminated dofs, passes through.  The products
+    take contiguous copies of V^T, faster than transposed views.
     """
 
-    def __init__(self, grid: GridSolver, inv_omega: np.ndarray, inv_g: np.ndarray):
-        self.vy, self.vx = grid.vy, grid.vx
-        self.inv_omega, self.inv_g = inv_omega, inv_g
-        self.alias_weights = [sign * view for sign, view in zip((1.0, -1.0, -1.0, 1.0), _aliases(inv_omega))]
-        self.shape = tuple(n + 2 for n in inv_omega.shape)
+    def __init__(self, mesh: StructuredTriMesh, tau: float):
+        (vy, lam_y, mu_y), (vx, lam_x, mu_x) = (lattice_modes(n, mesh.h) for n in (mesh.ny, mesh.nx))
+        self.vy, self.vy_t, self.vx, self.vx_t = vy, vy.T.copy(), vx, vx.T.copy()
+        self.shape, self.folded = (2 * mesh.ny + 1, 2 * mesh.nx + 1), (2, mesh.ny - 1, 2, mesh.nx - 1)
+        self.inv_omega = 1.0 / (1.0 / tau + (4.0 / 3.0) * (lam_y[:, None] + lam_x))
+        self.weights = [block.copy() for block in self._blocks(self.inv_omega)]
+        self.inv_g = 1.0 / (3.0 / (mu_y[:, None] + mu_x) - sum(self.weights))
+
+    def _blocks(self, w: np.ndarray) -> list[np.ndarray]:
+        """The blocks of the (..., 2, ny-1, 2, nx-1) view of w without the modes k = n: E w is their sum."""
+        folded = w[..., :-1, :-1].reshape(w.shape[:-2] + self.folded)
+        return [folded[..., i, :, j, :] for i in (0, 1) for j in (0, 1)]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         z = r.copy()
         shape = r.shape[:-1] + self.shape
-        w = self.vy @ (r.reshape(shape)[..., 1:-1, 1:-1] @ self.vx)
+        w = self.vy_t @ (r.reshape(shape)[..., 1:-1, 1:-1] @ self.vx)
         w *= self.inv_omega
-        a, b, c, d = _aliases(w)
-        coarse = a - b
-        coarse -= c
-        coarse += d
+        blocks = self._blocks(w)
+        coarse = blocks[0] + blocks[1]  # three additions: faster than sum() over the 5-D view
+        coarse += blocks[2]
+        coarse += blocks[3]
         coarse *= self.inv_g
-        for view, weight in zip((a, b, c, d), self.alias_weights):
-            view += weight * coarse
-        np.matmul(self.vy, w @ self.vx, out=z.reshape(shape)[..., 1:-1, 1:-1])
+        for block, weight in zip(blocks, self.weights):
+            block += weight * coarse
+        np.matmul(self.vy, w @ self.vx_t, out=z.reshape(shape)[..., 1:-1, 1:-1])
         return z
 
 

@@ -17,11 +17,12 @@ the convergence check computed it.
 ``GridSolver`` inverts sigma M⊗M + M⊗K + K⊗M, M⊗K + K⊗M being the P1
 stiffness of a uniform mesh whose cells are all cut along one diagonal, by
 fast diagonalization (Lynch, Rice and Thomas, 1964): four dense products
-against closed-form sine or cosine eigenvectors, no factor.  It serves the
-pure Neumann solves (sigma = 0, exact) and, with sigma = 1/tau, the
-preconditioner of the transport.  The velocity preconditioner takes the
-sine modes and eigenvalues of the P2 node lattice from it and inverts the
-P2 operator in them (scheme._LatticeSolve).
+against closed-form cosine eigenvectors, no factor.  It serves the pure
+Neumann solves (sigma = 0, exact) and, with sigma = 1/tau, the
+preconditioner of the transport.  ``lattice_modes`` gives the sine modes of
+the interior of the h/2 lattice of the P2 nodes, ordered and signed so that
+the four aliases of a vertex mode are the blocks of one view; the velocity
+preconditioner inverts the P2 operator in them (scheme._LatticeSolve).
 
 ``cg`` takes a vector (n,) or a stack (k, n) of them: a (2, n) vector field
 is solved with one scalar block applied row by row, and inner products and
@@ -33,7 +34,6 @@ requires one; ``cg`` preconditions with ``jacobi(matrix)`` without one.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +46,7 @@ __all__ = [
     "CsrMatrix",
     "SolveReport",
     "GridSolver",
+    "lattice_modes",
     "matvec",
     "jacobi",
     "cg",
@@ -69,53 +70,61 @@ class SolveReport:
 
 
 class GridSolver:
-    """Applies (sigma M⊗M + M⊗K + K⊗M)^-1 on an nx by ny grid of cells of size h; sigma = 0, see shifted.
+    """Applies (sigma M⊗M + M⊗K + K⊗M)^-1 on the points of an nx by ny grid of cells of size h.
 
-    K and M are the 1-D P1 stiffness and lumped mass of one grid line; the
-    points are numbered row-major, x fastest, and a field is b.reshape(ny', nx').
-    With natural ends the lines hold all n + 1 points; interior=True keeps
-    their n - 1 interior points (Dirichlet ends).  On each axis V has
-    V^T M V = I and V^T K V = diag(lam) (_line_eigenbasis), so the inverse
-    maps B to V_y ((V_y^T B V_x) / (sigma + lam_y + lam_x)) V_x^T.
-    The constants, kernel of the natural-end operator at sigma = 0, map to 0.
-    b is a vector (n,) or a stack (k, n) of them.
+    K and M are the 1-D P1 stiffness and lumped mass of one grid line with
+    natural ends; the points are numbered row-major, x fastest, and a field
+    is b.reshape(ny + 1, nx + 1).  On each axis the cosine vectors V have
+    V^T M V = I and V^T K V = diag(lam) (_cosine_modes), so the inverse maps
+    B to V_y ((V_y^T B V_x) / (sigma + lam_y + lam_x)) V_x^T.  At sigma = 0
+    the constants, the kernel, map to 0.  b is a vector (n,) or a stack (k, n).
     """
 
-    def __init__(self, nx: int, ny: int, h: float, interior: bool = False):
-        (self.vy, lam_y), (self.vx, lam_x) = (_line_eigenbasis(n, h, interior) for n in (ny, nx))
-        self.eigenvalues = lam_y[:, None] + lam_x  # of M⊗K + K⊗M, shaped like a field
-        self.inverse = self.shifted(0.0).inverse
-
-    def shifted(self, sigma: float) -> "GridSolver":
-        """The solver of another sigma, sharing this one's eigenvectors."""
-        solver = copy.copy(self)
-        total = sigma + self.eigenvalues
-        solver.inverse = np.divide(1.0, total, out=np.zeros(total.shape), where=total != 0.0)
-        return solver
+    def __init__(self, nx: int, ny: int, h: float, sigma: float = 0.0):
+        (self.vy, lam_y), (self.vx, lam_x) = (_cosine_modes(n, h) for n in (ny, nx))
+        total = sigma + (lam_y[:, None] + lam_x)
+        self.inverse = np.divide(1.0, total, out=np.zeros(total.shape), where=total != 0.0)
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        w = self.vy.T @ b.reshape(b.shape[:-1] + self.eigenvalues.shape) @ self.vx
+        w = self.vy.T @ b.reshape(b.shape[:-1] + self.inverse.shape) @ self.vx
         w *= self.inverse
         return (self.vy @ w @ self.vx.T).reshape(b.shape)
 
 
-def _line_eigenbasis(n: int, h: float, interior: bool):
-    """(V, lam), V^T M V = I and V^T K V = diag(lam), of one line of n cells of size h.
+def _cosine_modes(n: int, h: float):
+    """(V, lam), V^T M V = I and V^T K V = diag(lam), of all points of a line of n cells of size h.
 
-    The interior points j = 1..n-1 have the sine vectors sin(pi k j / n),
-    k = 1..n-1 (DST-I); all points j = 0..n have the cosine vectors
-    cos(pi k j / n), k = 0..n (DCT-I), whose ends weigh half in M.  Both
-    have lam_k = (4 / h^2) sin^2(pi k / 2n), exactly 0 for the constants.
+    V holds cos(pi k j / n), j, k = 0..n (DCT-I); the ends weigh half in M.
     """
-    k = np.arange(1, n) if interior else np.arange(n + 1)
-    angle = (np.pi / n) * (np.outer(k, k) % (2 * n))  # reduced exactly: sin and cos stay accurate
-    if interior:
-        v = np.sin(angle) * np.sqrt(2.0 / (n * h))
-    else:
-        weight = np.full(n + 1, 2.0)
-        weight[[0, n]] = 1.0  # the constants and the alternating vector have twice the norm
-        v = np.cos(angle) * np.sqrt(weight / (n * h))
-    return v, (2.0 / h * np.sin(np.pi / (2 * n) * k)) ** 2
+    k = np.arange(n + 1)
+    weight = np.full(n + 1, 2.0)
+    weight[[0, n]] = 1.0  # the constants and the alternating vector have twice the norm
+    v = np.cos((np.pi / n) * (np.outer(k, k) % (2 * n))) * np.sqrt(weight / (n * h))
+    return v, _eigenvalues(n, h, k)
+
+
+def lattice_modes(n: int, h: float):
+    """(V, lam, mu): the sine modes of the interior of the h/2 lattice of a line of n cells of size h.
+
+    V^T M V = I and V^T K V = diag(lam) on the 2n - 1 interior lattice
+    points, V holding sin(pi k j / 2n) (DST-I).  At the vertices, the even
+    points, mode k is vertex mode k for k < n, minus vertex mode 2n - k for
+    k > n, and 0 for k = n.  So the columns are k = 1..n-1, then 2n - k
+    negated, then n: both blocks of n - 1 columns are the vertex modes at
+    the vertices, whose eigenvalues are mu, and E, lattice modes to vertex
+    modes, is their sum.
+    """
+    k = np.arange(1, n)
+    modes = np.concatenate([k, 2 * n - k, [n]])
+    # The angles are reduced exactly, so sin and cos stay accurate.
+    v = np.sin((np.pi / (2 * n)) * (np.outer(np.arange(1, 2 * n), modes) % (4 * n))) * np.sqrt(2.0 / (n * h))
+    v[:, n - 1 : 2 * n - 2] *= -1.0
+    return v, _eigenvalues(2 * n, h / 2, modes), _eigenvalues(n, h, k)
+
+
+def _eigenvalues(n: int, h: float, k: np.ndarray) -> np.ndarray:
+    """lam_k = (4 / h^2) sin^2(pi k / 2n) of mode k of a line of n cells of size h, exactly 0 for k = 0."""
+    return (2.0 / h * np.sin(np.pi / (2 * n) * k)) ** 2
 
 
 def matvec(matrix: CsrMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -453,6 +455,28 @@ def test_dirichlet_elimination_equals_projected_matrix():
     got = system.reduce_rhs(load, values)
     assert got.shape == load.shape
     np.testing.assert_allclose(got, want_rhs, rtol=1e-13, atol=1e-13 * np.abs(a.data).max())
+
+
+@pytest.mark.parametrize("nx", [8, 40])
+@pytest.mark.parametrize("kind", ["mass", "helmholtz"])
+def test_dirichlet_system_keeps_only_the_eliminated_matrix_and_a_slim_lift(nx, kind):
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), nx, nx)
+    p2 = FunctionSpace.p2(mesh)
+    matrix = assemble_mass(p2)
+    if kind == "helmholtz":
+        matrix = p2.pattern.matrix(matrix.data / 0.05 + assemble_stiffness(p2).data)
+    bdofs = p2.boundary_dofs()
+    inner = np.setdiff1d(np.arange(p2.n_dofs), bdofs)
+    g = np.random.default_rng(nx).standard_normal(bdofs.size)
+    want = matrix.tocsc()[:, bdofs] @ g
+
+    given = weakref.ref(matrix)
+    system = DirichletSystem(matrix, bdofs)
+    del matrix
+    gc.collect()
+    assert given() is None  # the matrix given is not kept
+    # On the free rows the lift is the column slice of the matrix, bit for bit.
+    np.testing.assert_array_equal(-system.reduce_rhs(np.zeros(p2.n_dofs), g)[inner], want[inner])
 
 
 def test_field_vector_validates_length():

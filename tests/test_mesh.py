@@ -131,6 +131,23 @@ def test_rejects_anisotropic_and_bad_input():
         build_rect_mesh(UNIT, 0, 0)
 
 
+@pytest.mark.parametrize("nx, ny", [(1.5, 1.5), (2.0, 2), (3, "3"), (np.float64(4.0), 4)])
+def test_rejects_cell_counts_that_are_not_integers(nx, ny):
+    # int() would truncate 1.5 to a 1 x 1 mesh in silence.
+    with pytest.raises(ValueError, match="integer"):
+        build_rect_mesh(UNIT, nx, ny)
+    assert build_rect_mesh(UNIT, np.int64(2), 2).nx == 2  # numpy integers are integers
+
+
+@pytest.mark.parametrize(
+    "bounds", [(0.0, 0.0, np.inf, 1.0), (-np.inf, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0, np.nan), (-1e308, 0.0, 1e308, 1.0)]
+)
+def test_rejects_non_finite_rectangles(bounds):
+    # (0, 0, inf, 1) passed the isotropy check and built NaN and inf vertices.
+    with pytest.raises(ValueError, match="non-finite"):
+        build_rect_mesh(bounds, 4, 4)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(nx=st.integers(min_value=1, max_value=9), ny=st.integers(min_value=1, max_value=9))
 def test_counts_formulas(nx, ny):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nspnp.fem import FunctionSpace, assemble_stiffness
 from nspnp.mesh import build_rect_mesh
 from nspnp.scheme import Operators, SchemeParams
-from nspnp.sparse import GridSolver, SolveReport, bicgstab, cg, matvec
+from nspnp.sparse import GridSolver, SolveReport, bicgstab, cg, lattice_modes, matvec
 
 
 def random_spd(n: int, seed: int) -> np.ndarray:
@@ -130,11 +130,9 @@ def line_matrices(n: int, h: float):
     return k, m
 
 
-def grid_operator(nx: int, ny: int, h: float, sigma: float, interior: bool) -> np.ndarray:
+def grid_operator(nx: int, ny: int, h: float, sigma: float) -> np.ndarray:
     """sigma M⊗M + M⊗K + K⊗M on the grid points (row-major, x fastest), dense."""
     (kx, mx), (ky, my) = line_matrices(nx, h), line_matrices(ny, h)
-    if interior:
-        kx, mx, ky, my = (a[1:-1, 1:-1] for a in (kx, mx, ky, my))
     return sigma * np.kron(my, mx) + np.kron(my, kx) + np.kron(ky, mx)
 
 
@@ -143,32 +141,49 @@ def test_p1_stiffness_is_the_kronecker_sum_of_the_grid_lines(nx, ny):
     # Every cell cut along one diagonal: the diagonal edges carry no coupling.
     mesh = build_rect_mesh((-1.0, 0.0, 1.0, 2.0 * ny / nx), nx, ny)
     got = assemble_stiffness(FunctionSpace.p1(mesh)).toarray()
-    want = grid_operator(nx, ny, mesh.h, 0.0, interior=False)
+    want = grid_operator(nx, ny, mesh.h, 0.0)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("interior", [False, True], ids=["natural", "interior"])
-@pytest.mark.parametrize("nx, ny", [(6, 6), (7, 3), (1, 1)], ids=["square", "rectangle", "one-cell"])
-def test_grid_solver_matches_dense_solve(nx, ny, interior):
+@pytest.mark.parametrize(
+    "nx, ny", [(6, 6), (7, 3), (1, 1)], ids=["square-natural", "rectangle-natural", "one-cell-natural"]
+)
+def test_grid_solver_matches_dense_solve(nx, ny):
     h = 0.25
-    solver = GridSolver(nx, ny, h, interior=interior)
     rng = np.random.default_rng(nx + ny)
     for sigma in (0.0, 20.0):
-        shifted = solver.shifted(sigma)
-        a = grid_operator(nx, ny, h, sigma, interior)
+        solver = GridSolver(nx, ny, h, sigma)
+        a = grid_operator(nx, ny, h, sigma)
         b = rng.standard_normal((2, a.shape[0]))
-        if a.shape[0] == 0:  # the interior of a one-cell mesh has no point
-            assert shifted(b).shape == (2, 0) and shifted(b[0]).shape == (0,)
-            continue
-        singular = sigma == 0.0 and not interior
+        singular = sigma == 0.0
         if singular:  # kernel span(ones): a consistent b, solutions up to a constant
             b -= b.mean(axis=1, keepdims=True)
         want = (np.linalg.pinv(a) @ b.T).T if singular else np.linalg.solve(a, b.T).T
-        for got, w in ((shifted(b), want), (shifted(b[1]), want[1])):
+        for got, w in ((solver(b), want), (solver(b[1]), want[1])):
             assert got.shape == w.shape
             if singular:
                 got = got - got.mean(axis=-1, keepdims=True)
             assert np.abs(got - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
+def test_lattice_modes_diagonalize_the_interior_lines_and_fold_onto_the_vertex_modes(n):
+    h = 0.25
+    v, lam, mu = lattice_modes(n, h)
+    k, m = (a[1:-1, 1:-1] for a in line_matrices(2 * n, h / 2))
+    assert v.shape == (2 * n - 1, 2 * n - 1) and lam.shape == (2 * n - 1,)
+    assert np.abs(v.T @ m @ v - np.eye(2 * n - 1)).max() <= 1e-12
+    assert np.abs(v.T @ k @ v - np.diag(lam)).max() <= 1e-12 * lam.max()
+    # At the vertices, the even lattice points, both blocks of n - 1 modes are the vertex
+    # modes, whose eigenvalues are mu, and mode n vanishes.
+    at_vertices = v[1::2]
+    low, high = at_vertices[:, : n - 1], at_vertices[:, n - 1 : 2 * n - 2]
+    np.testing.assert_allclose(high, low, rtol=0, atol=1e-12 * np.abs(v).max())
+    assert np.abs(at_vertices[:, -1]).max(initial=0.0) <= 1e-12 * np.abs(v).max()
+    k_vertex, m_vertex = (a[1:-1, 1:-1] for a in line_matrices(n, h))
+    assert mu.shape == (n - 1,)
+    assert np.abs(low.T @ m_vertex @ low - np.eye(n - 1)).max(initial=0.0) <= 1e-12
+    assert np.abs(low.T @ k_vertex @ low - np.diag(mu)).max(initial=0.0) <= 1e-12 * lam.max()
 
 
 def velocity_system(nx: int, ny: int, tau: float):
@@ -211,7 +226,9 @@ def test_p2_stiffness_is_four_thirds_the_half_step_p1_minus_a_third_the_vertex_p
 
 
 @pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
-@pytest.mark.parametrize("nx, ny", [(6, 6), (6, 3)], ids=["square", "rectangle"])
+@pytest.mark.parametrize(
+    "nx, ny", [(6, 6), (6, 3), (1, 1), (3, 5)], ids=["square", "rectangle", "one-cell", "odd-tall"]
+)
 def test_lattice_solve_is_the_inverse_of_the_p2_helmholtz(nx, ny, tau):
     # On the interior points of the h/2 lattice, the non-Dirichlet P2 dofs: (h^2/4 tau) I,
     # the lumped mass, plus the P2 stiffness.
