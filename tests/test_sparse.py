@@ -130,9 +130,11 @@ def line_matrices(n: int, h: float):
     return k, m
 
 
-def grid_operator(nx: int, ny: int, h: float, sigma: float) -> np.ndarray:
+def grid_operator(nx: int, ny: int, h: float, sigma: float, interior: bool = False) -> np.ndarray:
     """sigma M⊗M + M⊗K + K⊗M on the grid points (row-major, x fastest), dense."""
     (kx, mx), (ky, my) = line_matrices(nx, h), line_matrices(ny, h)
+    if interior:
+        kx, mx, ky, my = (a[1:-1, 1:-1] for a in (kx, mx, ky, my))
     return sigma * np.kron(my, mx) + np.kron(my, kx) + np.kron(ky, mx)
 
 
@@ -145,17 +147,37 @@ def test_p1_stiffness_is_the_kronecker_sum_of_the_grid_lines(nx, ny):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-@pytest.mark.parametrize(
-    "nx, ny", [(6, 6), (7, 3), (1, 1)], ids=["square-natural", "rectangle-natural", "one-cell-natural"]
-)
-def test_grid_solver_matches_dense_solve(nx, ny):
+def interior_lattice_solver(nx: int, ny: int, h: float, sigma: float):
+    """(sigma M⊗M + M⊗K + K⊗M)^-1 on the interior of the h/2 lattice of an nx by ny grid of cells of size h.
+
+    In the sine modes V of sparse.lattice_modes, V^T M V = I and V^T K V =
+    diag(lam) on each axis, so the inverse is V diag(1 / (sigma + lam_y + lam_x)) V^T.
+    """
+    (vy, lam_y, _), (vx, lam_x, _) = (lattice_modes(n, h) for n in (ny, nx))
+    inverse = 1.0 / (sigma + (lam_y[:, None] + lam_x))
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        w = vy.T @ b.reshape(b.shape[:-1] + inverse.shape) @ vx
+        return (vy @ (w * inverse) @ vx.T).reshape(b.shape)
+
+    return solve
+
+
+@pytest.mark.parametrize("interior", [False, True], ids=["natural", "interior"])
+@pytest.mark.parametrize("nx, ny", [(6, 6), (7, 3), (1, 1)], ids=["square", "rectangle", "one-cell"])
+def test_grid_solver_matches_dense_solve(nx, ny, interior):
+    # natural: GridSolver on the vertices; interior: the Dirichlet-end sine modes on the h/2 lattice.
     h = 0.25
     rng = np.random.default_rng(nx + ny)
     for sigma in (0.0, 20.0):
-        solver = GridSolver(nx, ny, h, sigma)
-        a = grid_operator(nx, ny, h, sigma)
+        if interior:
+            solver = interior_lattice_solver(nx, ny, h, sigma)
+            a = grid_operator(2 * nx, 2 * ny, h / 2, sigma, interior=True)
+        else:
+            solver = GridSolver(nx, ny, h, sigma)
+            a = grid_operator(nx, ny, h, sigma)
         b = rng.standard_normal((2, a.shape[0]))
-        singular = sigma == 0.0
+        singular = sigma == 0.0 and not interior
         if singular:  # kernel span(ones): a consistent b, solutions up to a constant
             b -= b.mean(axis=1, keepdims=True)
         want = (np.linalg.pinv(a) @ b.T).T if singular else np.linalg.solve(a, b.T).T
