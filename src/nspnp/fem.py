@@ -17,14 +17,14 @@ commits no quadrature error.  Loads of analytic sources are not exact.
 
 Reference tables
 ----------------
-A triangle is the image x = v0 + J xi of the reference one.  A FunctionSpace
-holds the basis values (q, nloc) and reference gradients (q, nloc, 2) at the
-quadrature points, and per triangle the barycentric gradients (t, 3, 2): the
-P1 basis gradients, whose rows 1 and 2 are J^{-1}, mapping a reference
-gradient row g to g J^{-1}; the spaces of one mesh share these per-triangle
-arrays, computed once.  Each kernel is a GEMM against a reference table
-followed by that 2x2 map; the stiffness and divergence coupling are area
-J^{-1} J^{-T} and area J^{-1}, as (t, 4), times a reference tensor.
+A triangle is the image x = v0 + J xi of the reference one.  Each cell is cut
+into the same two triangles, so triangle t has kind t % 2 and the triangles
+of a kind are translates: a mesh's spaces share per kind the area and the P1
+basis gradients (K, 2, 3), whose columns 1 and 2 are J^{-T}; only the
+quadrature points (2, t, q) are per triangle.  A FunctionSpace holds per kind
+its basis values and physical gradients at the points, (K, 3, q, nloc), and
+gathers coefficients as (K, nloc, t_k), a strided lattice slice per local
+dof.  Each kernel is that gather and one GEMM per kind against a table.
 
 The per-step transport blocks are assembled in closed form, since
 P1 gradients are constant on each triangle: the convection block from the
@@ -201,10 +201,11 @@ class SparsityPattern:
         return CsrMatrix((data, self.indices, self.indptr), shape=self.shape)
 
     def assemble(self, element_matrices: np.ndarray) -> CsrMatrix:
-        """Sum of the element matrices, one bincount into csr.data."""
+        """Sum of the element matrices, (t, ...) or one per kind (K, ...), one bincount into csr.data."""
+        by_cell = self.entries.reshape((-1, len(element_matrices)) + self.entries.shape[1:])
         data = np.bincount(
             self.entries.ravel(),
-            weights=np.broadcast_to(element_matrices, self.entries.shape).ravel(),
+            weights=np.broadcast_to(element_matrices, by_cell.shape).ravel(),
             minlength=self.indices.shape[0],
         )
         return self.matrix(data)
@@ -214,21 +215,26 @@ _geometry = weakref.WeakKeyDictionary()  # of each live mesh, shared by its spac
 
 
 def _triangle_geometry(mesh: StructuredTriMesh, rule: QuadratureRule):
-    """(area (t,), barycentric gradients (t, 3, 2), quadrature points (2, t, q)), read-only, once per mesh."""
+    """(area (K,), P1 basis gradients (K, 2, 3), quadrature points (2, t, q)), read-only, once per mesh.
+
+    Triangle t, of kind t % K, K = min(2, t), must be a translate of triangle t % K.
+    """
     if mesh not in _geometry:
         # Affine geometry.  CCW orientation is part of the mesh contract.
         verts = mesh.vertices[mesh.triangles]          # (t, 3, 2)
-        e1 = verts[:, 1] - verts[:, 0]
-        e2 = verts[:, 2] - verts[:, 0]
+        edges = (verts[:, 1:] - verts[:, :1]).reshape(-1, min(2, len(verts)), 2, 2)  # v1 - v0, v2 - v0
+        if np.abs(edges - edges[0]).max() > 1e-9 * np.abs(edges[0]).max():
+            raise ValueError("the triangles of a kind are not translates of one another")
+        (e1, e2) = edges[0, :, 0], edges[0, :, 1]
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         if np.any(det <= 0):
             raise ValueError("mesh contains non-counterclockwise triangles")
-        # Barycentric gradients: rows 1 and 2 are J^{-1}, row 0 their negative sum.
-        jinv = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=1).reshape(-1, 2, 2)
-        jinv /= det[:, None, None]
+        # Barycentric gradients: columns 1 and 2 are J^{-T}, column 0 their negative sum.
+        jinv_t = np.stack([e2[:, 1], -e1[:, 1], -e2[:, 0], e1[:, 0]], axis=1).reshape(-1, 2, 2)
+        jinv_t /= det[:, None, None]
         geometry = (
             0.5 * det,
-            np.concatenate([-jinv.sum(axis=1, keepdims=True), jinv], axis=1),
+            np.concatenate([-jinv_t.sum(axis=2, keepdims=True), jinv_t], axis=2),
             # x and y of the physical quadrature points, each (t, q).
             np.ascontiguousarray(np.moveaxis(rule.points @ verts, -1, 0)),
         )
@@ -238,8 +244,13 @@ def _triangle_geometry(mesh: StructuredTriMesh, rule: QuadratureRule):
     return _geometry[mesh]
 
 
+def _by_triangle(per_kind: np.ndarray) -> np.ndarray:
+    """(K, ..., t_k), the layout of the kernels, to (t, ...): triangle t is number t // K of kind t % K."""
+    return np.moveaxis(per_kind, -1, 0).reshape((-1,) + per_kind.shape[1:-1])
+
+
 class FunctionSpace:
-    """Nodal Lagrange space: reference tables and the per-triangle affine map.
+    """Nodal Lagrange space: its tables per triangle kind and the gather of a kind's coefficients.
 
     Kinds: "p1" (vertex dofs) and "p2" (vertex + edge midpoint dofs), on their lattices.
     """
@@ -261,10 +272,20 @@ class FunctionSpace:
         self.lattice_shape = dof_lattice(mesh, kind)
         self.n_dofs = self.node_coords.shape[0]
 
-        self.area, self.bary_gradients, self.quad_xy = _triangle_geometry(mesh, self.rule)
+        self.kind_area, self.kind_gradients, self.quad_xy = _triangle_geometry(mesh, self.rule)
         vals, rgrads = zip(*(shape_eval(kind, p) for p in self.rule.points))
         self.basis_values = np.array(vals)      # (q, nloc)
         self.ref_gradients = np.array(rgrads)   # (q, nloc, 2)
+        # Per kind, the rows value, d/dx and d/dy of each basis function at the points: g J^{-1}.
+        physical = np.einsum("qie,kde->kdqi", self.ref_gradients, self.kind_gradients[:, :, 1:])
+        self.tables = np.concatenate([np.broadcast_to(self.basis_values, physical[:, :1].shape), physical], 1)
+        # A kind's triangles are the cells in order: a local dof runs over a strided lattice slice.
+        step = (self.lattice_shape[0] - 1) // mesh.ny
+        corners = np.divmod(self.element_dofs[: len(self.kind_area)].ravel(), self.lattice_shape[1])
+        self._slices = [(slice(r, r + step * mesh.ny, step), slice(c, c + step * mesh.nx, step))
+                        for r, c in zip(*corners)]
+        if not np.array_equal(_by_triangle(self.gather(np.arange(self.n_dofs))), self.element_dofs):
+            raise ValueError("the dofs of a kind's triangles are not a lattice of cells")
 
     @classmethod
     def p1(cls, mesh: StructuredTriMesh) -> "FunctionSpace":
@@ -282,8 +303,26 @@ class FunctionSpace:
     def boundary_dofs(self) -> np.ndarray:
         return boundary_dofs(self.mesh, self.kind)
 
-    def domain_area(self) -> float:
-        return float(self.area.sum())
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """The coefficients (..., K, nloc, t_k) of each kind's triangles, a lattice slice per local dof."""
+        lattice = values.reshape(values.shape[:-1] + self.lattice_shape)
+        parts = np.stack([lattice[(...,) + at] for at in self._slices], axis=-3)
+        return parts.reshape(values.shape[:-1] + self.tables.shape[:1] + (self.tables.shape[-1], -1))
+
+    def at_quadrature(self, values: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """(..., K, r, q, t_k): the table rows (0 value, 1 d/dx, 2 d/dy) of the field values at the points."""
+        table = self.tables[:, rows]
+        out = table.reshape(len(table), -1, table.shape[-1]) @ self.gather(values)
+        return out.reshape(out.shape[:-2] + table.shape[1:-1] + (-1,))
+
+    def load(self, values: np.ndarray) -> np.ndarray:
+        """The load (..., n), sum_T area_T sum_q w_q g(x_q) basis_i(x_q), of values (..., K, q, t_k)."""
+        element_loads = (self.kind_area[:, None, None] * self.rule.weights * self.basis_values.T) @ values
+        lattice = np.zeros(values.shape[:-3] + self.lattice_shape)
+        parts = element_loads.reshape(element_loads.shape[:-3] + (-1, self.mesh.ny, self.mesh.nx))
+        for at, part in zip(self._slices, np.moveaxis(parts, -3, 0)):
+            lattice[(...,) + at] += part
+        return lattice.reshape(values.shape[:-3] + (self.n_dofs,))
 
 
 @dataclass
@@ -320,8 +359,8 @@ def interpolate(space: FunctionSpace, f, t: float) -> FieldVector:
 
 def field_at_quadrature(field: FieldVector) -> np.ndarray:
     """Values at quadrature points: (t, q) for scalars, (t, q, 2) for vectors."""
-    sp = field.space
-    return np.moveaxis(field.values[..., sp.element_dofs] @ sp.basis_values.T, (-2, -1), (0, 1))
+    values = field.space.at_quadrature(field.values, 0)  # (..., K, q, t_k)
+    return np.moveaxis(_by_triangle(np.moveaxis(values, -3, 0)), -1, 1)
 
 
 def gradient_at_quadrature(field: FieldVector) -> np.ndarray:
@@ -329,11 +368,8 @@ def gradient_at_quadrature(field: FieldVector) -> np.ndarray:
 
     Vector output is ordered [component, partial].
     """
-    sp = field.space
-    nq, nloc, _ = sp.ref_gradients.shape
-    ref = field.values[..., sp.element_dofs] @ sp.ref_gradients.transpose(1, 0, 2).reshape(nloc, 2 * nq)
-    grads = ref.reshape(ref.shape[:-1] + (nq, 2)) @ sp.bary_gradients[:, 1:]   # g J^{-1}
-    return np.moveaxis(grads, (-3, -2), (0, 1))
+    grads = field.space.at_quadrature(field.values, slice(1, 3))  # (..., K, 2, q, t_k)
+    return np.moveaxis(_by_triangle(np.moveaxis(grads, -4, 0)), -1, 1)
 
 
 def load_from_quadrature(space: FunctionSpace, values: np.ndarray) -> np.ndarray:
@@ -342,16 +378,14 @@ def load_from_quadrature(space: FunctionSpace, values: np.ndarray) -> np.ndarray
     ``values`` has shape (t, q) for a scalar g, (t, q, 2) for a vector one;
     the load has shape (n,) or (2, n).
     """
-    weighted_basis = space.rule.weights[:, None] * space.basis_values
-    fe = (np.moveaxis(values, (0, 1), (-2, -1)) @ weighted_basis) * space.area[:, None]
-    dofs = space.element_dofs.ravel()
-    rows = [np.bincount(dofs, weights=w, minlength=space.n_dofs) for w in fe.reshape(-1, dofs.size)]
-    return np.stack(rows).reshape(fe.shape[:-2] + (space.n_dofs,))
+    by_cell = values.reshape((-1, len(space.kind_area)) + values.shape[1:])  # (t_k, K, q, ...)
+    return space.load(np.moveaxis(by_cell, (0, 1, 2), (-1, -3, -2)))
 
 
 def quadrature_integral(space: FunctionSpace, values: np.ndarray) -> float:
     """Integral over the domain of a quantity sampled at quadrature points."""
-    return float(space.area @ (values @ space.rule.weights))
+    by_cell = values.reshape(-1, len(space.kind_area), values.shape[-1])  # (t_k, K, q)
+    return float((by_cell @ space.rule.weights).sum(axis=0) @ space.kind_area)
 
 
 # ---------------------------------------------------------------------------
@@ -359,20 +393,16 @@ def quadrature_integral(space: FunctionSpace, values: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def assemble_mass(space: FunctionSpace) -> CsrMatrix:
-    """Mass matrix (basis_j, basis_i)."""
+    """Mass matrix (basis_j, basis_i): one element matrix per kind."""
     ref = np.einsum("q,qi,qj->ij", space.rule.weights, space.basis_values, space.basis_values)
-    return space.pattern.assemble(space.area[:, None, None] * ref[None, :, :])
+    return space.pattern.assemble(space.kind_area[:, None, None] * ref)
 
 
 def assemble_stiffness(space: FunctionSpace) -> CsrMatrix:
-    """Stiffness matrix (grad basis_j, grad basis_i)."""
-    # K_e[i, j] = sum_kl (area J^{-1} J^{-T})[k, l] S[k, l, i, j], S the reference tensor.
-    ref = space.ref_gradients
-    nloc = ref.shape[1]
-    tensor = np.einsum("q,qik,qjl->klij", space.rule.weights, ref, ref).reshape(4, nloc * nloc)
-    jinv = space.bary_gradients[:, 1:]
-    geometry = (jinv @ jinv.transpose(0, 2, 1)) * space.area[:, None, None]
-    return space.pattern.assemble((geometry.reshape(-1, 4) @ tensor).reshape(-1, nloc, nloc))
+    """Stiffness matrix (grad basis_j, grad basis_i): one element matrix per kind."""
+    grads = space.tables[:, 1:]
+    elem = np.einsum("k,q,kdqi,kdqj->kij", space.kind_area, space.rule.weights, grads, grads)
+    return space.pattern.assemble(elem)
 
 
 def _require_p1(space: FunctionSpace, what: str):
@@ -384,7 +414,7 @@ def element_gradient(field: FieldVector) -> np.ndarray:
     """Gradient of a scalar P1 field on each triangle, where it is constant: shape (t, 2)."""
     sp = field.space
     _require_p1(sp, "element_gradient")
-    return np.einsum("ti,tid->td", field.values[sp.element_dofs], sp.bary_gradients)
+    return _by_triangle(sp.kind_gradients @ sp.gather(field.values))
 
 
 def assemble_convection(u_field: FieldVector, space: FunctionSpace) -> CsrMatrix:
@@ -395,18 +425,19 @@ def assemble_convection(u_field: FieldVector, space: FunctionSpace) -> CsrMatrix
     ones annihilate K exactly (columns sum to zero) for any discrete u, which
     is what makes the ion masses exactly conserved.
 
-    grad theta_i is constant on a triangle, so with R[j, k] = int theta_j
-    psi_k on the reference triangle (psi the velocity basis, unit area),
-    K_e[i, j] = -area sum_d d_d theta_i (R u_d)_j.
+    grad theta_i is constant on a triangle, so with R[j, m] = int theta_j
+    psi_m on the reference triangle (psi the velocity basis, unit area),
+    K_e[i, j] = -area sum_d d_d theta_i (R u_d)_j: per kind, the table
+    -area d_d theta_i R[j, m] against the gathered velocity.
     """
     _require_p1(space, "assemble_convection")
     if u_field.space.mesh is not space.mesh:
         raise ValueError("velocity and scalar space live on different meshes")
-    vel = u_field.space
-    ref = np.einsum("q,qj,qk->jk", space.rule.weights, space.basis_values, vel.basis_values)
-    weighted = u_field.values[:, vel.element_dofs] @ ref.T  # (2, t, 3): (R u_d)_j
-    weighted *= -space.area[:, None]
-    return space.pattern.assemble(space.bary_gradients @ weighted.transpose(1, 0, 2))
+    ref = np.einsum("q,qj,qm->jm", space.rule.weights, space.basis_values, u_field.space.basis_values)
+    tables = np.einsum("k,kdi,jm->kijdm", -space.kind_area, space.kind_gradients, ref)
+    u_e = np.moveaxis(u_field.space.gather(u_field.values), 0, 1)  # (K, 2, nloc_u, t_k)
+    elem = tables.reshape(len(tables), 9, -1) @ u_e.reshape(len(tables), -1, u_e.shape[-1])
+    return space.pattern.assemble(_by_triangle(elem).reshape(-1, 3, 3))
 
 
 def assemble_drift(phi_field: FieldVector) -> CsrMatrix:
@@ -415,13 +446,14 @@ def assemble_drift(phi_field: FieldVector) -> CsrMatrix:
     The cation equation adds it and the anion equation subtracts it.  Columns
     sum to zero because sum_i theta_i = 1.  Both gradients are constant on a
     triangle and int theta_j = area/3, so D_e[i, j] = (grad theta_i . grad
-    phi) area/3 for every j: rank one.
+    phi) area/3 for every j: rank one, and per kind a third of the element
+    stiffness times the gathered phi.
     """
     space = phi_field.space
     _require_p1(space, "assemble_drift")
-    row = np.einsum("tid,td->ti", space.bary_gradients, element_gradient(phi_field))
-    row *= space.area[:, None] / 3.0
-    return space.pattern.assemble(row[:, :, None])
+    grads = space.kind_gradients
+    tables = (space.kind_area[:, None, None] / 3.0) * (grads.transpose(0, 2, 1) @ grads)
+    return space.pattern.assemble(_by_triangle(tables @ space.gather(phi_field.values))[:, :, None])
 
 
 def assemble_div_coupling(vel_space: FunctionSpace, pres_space: FunctionSpace) -> CsrMatrix:
@@ -436,22 +468,14 @@ def assemble_div_coupling(vel_space: FunctionSpace, pres_space: FunctionSpace) -
         raise ValueError("div coupling needs (p2, p1) spaces")
     if vel_space.mesh is not pres_space.mesh:
         raise ValueError("spaces live on different meshes")
-    # Element entries sum_k (area J^{-1})[k, d] T[k, i, j], T[k, i, j] = int q_i d_k psi_j on the
-    # reference triangle, laid out (t, d, i, j).
-    tensor = np.einsum("q,qi,qjk->kij", pres_space.rule.weights, pres_space.basis_values,
-                       vel_space.ref_gradients)
-    geometry = vel_space.bary_gradients[:, 1:] * vel_space.area[:, None, None]
-    elem = (geometry.transpose(0, 2, 1).reshape(-1, 2) @ tensor.reshape(2, -1)).reshape(
-        (-1, 2) + tensor.shape[1:])
-    # Each component's block is the P2 pattern's rows of the vertices, the even-even lattice points,
-    # summed over the first three local P2 dofs, the vertices.
-    pattern = vel_space.pattern
+    # Per component d, one element matrix per kind on the P2 pattern, int q_i d_d psi_j in the rows
+    # of the first three local P2 dofs, the vertices; B's block is the rows of the vertices, the
+    # even-even lattice points.
+    elem = np.zeros((2, len(vel_space.kind_area)) + vel_space.tables.shape[-1:] * 2)
+    elem[:, :, :3] = np.einsum("k,q,qi,kdqj->dkij", vel_space.kind_area, vel_space.rule.weights,
+                               pres_space.basis_values, vel_space.tables[:, 1:])
     rows = np.arange(vel_space.n_dofs).reshape(vel_space.lattice_shape)[::2, ::2].ravel()
-    blocks = [
-        pattern.matrix(np.bincount(pattern.entries[:, :3].ravel(), weights=elem[:, d].ravel(),
-                                   minlength=pattern.indices.shape[0]))[rows]
-        for d in range(2)
-    ]
+    blocks = [vel_space.pattern.assemble(e)[rows] for e in elem]
     return hstack(blocks, format="csr")
 
 

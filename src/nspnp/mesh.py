@@ -7,7 +7,10 @@ Conventions (fixed so that results are reproducible bit for bit):
 * Each grid cell is split along the diagonal from its lower-left to its
   upper-right corner, giving triangles ``(a, b, c)`` and ``(a, c, d)`` where
   ``a`` is the lower-left, ``b`` lower-right, ``c`` upper-right, ``d``
-  upper-left corner.  Both triangles are counterclockwise.
+  upper-left corner.  Both triangles are counterclockwise.  Cell ``c``
+  (row-major, x fastest) holds triangles ``2c`` and ``2c + 1``, so triangle
+  ``t`` has kind ``t % 2``, and each kind is a set of translates of its
+  first triangle: the finite element kernels hold their geometry per kind.
 * Quadratic (P2) nodes are the points of the ``(2nx+1)`` by ``(2ny+1)``
   lattice of spacing h/2, numbered row-major, x fastest: vertex (i, j) is
   lattice point (2i, 2j), and the midpoint of an edge is the lattice point

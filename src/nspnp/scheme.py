@@ -81,9 +81,8 @@ from .fem import (
     assemble_load,  # not called here; perfbench/spans.py wraps it through this module
     assemble_mass,
     assemble_stiffness,
-    element_gradient,
-    field_at_quadrature,
-    gradient_at_quadrature,
+    field_at_quadrature,  # not called here; perfbench/spans.py wraps it through this module
+    gradient_at_quadrature,  # not called here; perfbench/spans.py wraps it through this module
     interpolate,
     load_from_quadrature,
     quadrature_integral,  # not called here; perfbench/spans.py wraps it through this module
@@ -192,8 +191,9 @@ class Operators:
     its Jacobi preconditioner.  The systems that depend on tau (the
     eliminated velocity system with its _LatticeSolve, and M/tau + A of the
     transport with the grid solve of sigma = 1/tau) are built for the tau
-    last asked for and kept until another tau is asked for.  The mesh must
-    be the uniform grid of its bounds, as build_rect_mesh makes it.
+    last asked for and kept until another tau is asked for, on bases built
+    once here.  The mesh must be the uniform grid of its bounds, as
+    build_rect_mesh makes it.
     """
 
     def __init__(self, mesh: StructuredTriMesh, velocity_bc=None):
@@ -207,13 +207,17 @@ class Operators:
         self.stiff_p1 = assemble_stiffness(self.scalar_space)
         # stiff_p1 is exactly M⊗K + K⊗M of the grid lines (see sparse.GridSolver).
         self.vertex_grid = GridSolver(mesh.nx, mesh.ny, mesh.h)
+        # (V, a contiguous V^T, lam, mu) of the lattice solve for every tau, once per axis length.
+        axes = {n: lattice_modes(n, mesh.h) for n in {mesh.ny, mesh.nx}}
+        axes = {n: (v, v.T.copy(), lam, mu) for n, (v, lam, mu) in axes.items()}
+        self.lattice_modes = (axes[mesh.ny], axes[mesh.nx])
         self.mass_p2 = assemble_mass(self.velocity_space)
         self.stiff_p2 = assemble_stiffness(self.velocity_space)
         self.div = assemble_div_coupling(self.velocity_space, self.scalar_space)
         self.velocity_bc = velocity_bc
-        self.area = self.scalar_space.domain_area()
         # ones^T M as a vector: integral of a P1 field is mass_row @ values.
         self.mass_row = self.mass_p1 @ np.ones(self.scalar_space.n_dofs)
+        self.area = float(self.mass_row.sum())
 
         self.velocity_dirichlet = self.velocity_space.boundary_dofs()
         self._bnode_coords = self.velocity_space.node_coords[self.velocity_dirichlet]
@@ -228,14 +232,15 @@ class Operators:
         if self._velocity_system[0] != params.tau:
             base = self.velocity_space.pattern.matrix(self.mass_p2.data / params.tau + self.stiff_p2.data)
             system = DirichletSystem(base, self.velocity_dirichlet)
-            self._velocity_system = (params.tau, (system, _LatticeSolve(self.mesh, params.tau)))
+            self._velocity_system = (params.tau, (system, _LatticeSolve(self.lattice_modes, params.tau)))
         return self._velocity_system[1]
 
     def transport_base(self, params: SchemeParams):
         """(M/tau + A on the P1 pattern, the _MassKeepingSolve that preconditions it)."""
         if self._transport_base[0] != params.tau:
             base = self.scalar_space.pattern.matrix(self.mass_p1.data / params.tau + self.stiff_p1.data)
-            self._transport_base = (params.tau, (base, _MassKeepingSolve(self.mesh, self.mass_row, params.tau)))
+            solve = _MassKeepingSolve(self.vertex_grid, self.mass_row, params.tau)
+            self._transport_base = (params.tau, (base, solve))
         return self._transport_base[1]
 
     def boundary_values(self, t: float) -> np.ndarray:
@@ -294,8 +299,8 @@ class _MassKeepingSolve:
     with an exact solve of M/tau + A: BiCGStab preconditioned by it keeps the mass.
     """
 
-    def __init__(self, mesh: StructuredTriMesh, mass_row: np.ndarray, tau: float):
-        self.grid = GridSolver(mesh.nx, mesh.ny, mesh.h, 1.0 / tau)
+    def __init__(self, vertex_grid: GridSolver, mass_row: np.ndarray, tau: float):
+        self.grid = vertex_grid.shifted(1.0 / tau)  # on the vertex grid's bases
         self.mass_row, self.tau = mass_row, tau
         self.area = float(mass_row.sum())
 
@@ -323,13 +328,14 @@ class _LatticeSolve:
     A (2, n) residual is a (2, 2ny+1, 2nx+1) lattice array.  The first
     product reads its interior and the last writes the result's, with no
     copy; the frame, the eliminated dofs, passes through.  The products
-    take contiguous copies of V^T, faster than transposed views.
+    take contiguous copies of V^T, faster than transposed views.  Every tau
+    shares the modes, Operators.lattice_modes, and builds only 1/omega, the
+    weights and 1/G.
     """
 
-    def __init__(self, mesh: StructuredTriMesh, tau: float):
-        (vy, lam_y, mu_y), (vx, lam_x, mu_x) = (lattice_modes(n, mesh.h) for n in (mesh.ny, mesh.nx))
-        self.vy, self.vy_t, self.vx, self.vx_t = vy, vy.T.copy(), vx, vx.T.copy()
-        self.shape, self.folded = (2 * mesh.ny + 1, 2 * mesh.nx + 1), (2, mesh.ny - 1, 2, mesh.nx - 1)
+    def __init__(self, modes, tau: float):
+        (self.vy, self.vy_t, lam_y, mu_y), (self.vx, self.vx_t, lam_x, mu_x) = modes
+        self.shape, self.folded = (len(lam_y) + 2, len(lam_x) + 2), (2, len(mu_y), 2, len(mu_x))
         self.inv_omega = 1.0 / (1.0 / tau + (4.0 / 3.0) * (lam_y[:, None] + lam_x))
         self.weights = [block.copy() for block in self._blocks(self.inv_omega)]
         self.inv_g = 1.0 / (3.0 / (mu_y[:, None] + mu_x) - sum(self.weights))
@@ -440,14 +446,19 @@ def step_potential(ops: Operators, c1_next: FieldVector, c2_next: FieldVector):
 
 
 def _momentum_forcing(ops: Operators, state: State) -> np.ndarray:
-    """Explicit coupling load N_i = (u . grad u + (c1 - c2) grad phi, v_i) at t^n."""
-    u_q = field_at_quadrature(state.u)            # (t, q, 2)
-    grad_u_q = gradient_at_quadrature(state.u)    # (t, q, comp, partial)
-    forcing_q = u_q[..., 0, None] * grad_u_q[..., 0] + u_q[..., 1, None] * grad_u_q[..., 1]
-    del u_q, grad_u_q  # not held through the load
-    charge_q = field_at_quadrature(FieldVector(ops.scalar_space, state.c1.values - state.c2.values))
-    forcing_q += charge_q[..., None] * element_gradient(state.phi)[:, None, :]  # one per triangle
-    return load_from_quadrature(ops.velocity_space, forcing_q)
+    """Explicit coupling load N_i = (u . grad u + (c1 - c2) grad phi, v_i) at t^n.
+
+    One gather and one GEMM per kind (FunctionSpace.at_quadrature) give u
+    and its partials, and c1 - c2 and grad phi; the forcing is laid out
+    component-first, (2, K, q, t_k).
+    """
+    jet = ops.velocity_space.at_quadrature(state.u.values)  # (2, K, 3, q, t_k): value, d/dx, d/dy
+    forcing = jet[0, :, 0] * jet[:, :, 1]
+    forcing += jet[1, :, 0] * jet[:, :, 2]
+    del jet  # not held through the load
+    p1 = ops.scalar_space.at_quadrature(np.stack([state.c1.values - state.c2.values, state.phi.values]))
+    forcing += p1[0, :, 0] * np.moveaxis(p1[1, :, 1:], 1, 0)  # (c1 - c2) grad phi
+    return ops.velocity_space.load(forcing)
 
 
 def compute_velocity_split(
@@ -530,9 +541,9 @@ def solve_xi(
     # P1 fields: |grad phi|^2 is constant on a triangle and c1 + c2 linear,
     # so each triangle gives area |grad phi|^2 (mean of c1 + c2 at its vertices).
     sp = ops.scalar_space
-    total = (c1_next.values + c2_next.values)[sp.element_dofs].mean(axis=1)
-    grad_phi = element_gradient(phi_next)
-    drift_dissipation = float(np.sum(sp.area * total * np.sum(grad_phi**2, axis=1)))
+    total = sp.gather(c1_next.values + c2_next.values).mean(axis=1)  # (K, t_k)
+    grad_phi = sp.kind_gradients @ sp.gather(phi_next.values)  # (K, 2, t_k)
+    drift_dissipation = float(sp.kind_area @ np.sum(total * np.sum(grad_phi**2, axis=1), axis=1))
     c = tau * (charge_norm_sq + drift_dissipation)
     c -= tau * float((loads[0] - loads[1]) @ phi_next.values)
 

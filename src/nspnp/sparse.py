@@ -18,8 +18,8 @@ the convergence check computed it.
 stiffness of a uniform mesh whose cells are all cut along one diagonal, by
 fast diagonalization (Lynch, Rice and Thomas, 1964): four dense products
 against closed-form cosine eigenvectors, no factor.  It serves the pure
-Neumann solves (sigma = 0, exact) and, with sigma = 1/tau, the
-preconditioner of the transport.  ``lattice_modes`` gives the sine modes of
+Neumann solves (sigma = 0, exact) and, shifted to sigma = 1/tau on the same
+bases, the preconditioner of the transport.  ``lattice_modes`` gives the sine modes of
 the interior of the h/2 lattice of the P2 nodes, ordered and signed so that
 the four aliases of a vertex mode are the blocks of one view; the velocity
 preconditioner inverts the P2 operator in them (scheme._LatticeSolve).
@@ -34,6 +34,7 @@ requires one; ``cg`` preconditions with ``jacobi(matrix)`` without one.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +83,14 @@ class GridSolver:
 
     def __init__(self, nx: int, ny: int, h: float, sigma: float = 0.0):
         (self.vy, lam_y), (self.vx, lam_x) = (_cosine_modes(n, h) for n in (ny, nx))
-        total = sigma + (lam_y[:, None] + lam_x)
-        self.inverse = np.divide(1.0, total, out=np.zeros(total.shape), where=total != 0.0)
+        self.lam = lam_y[:, None] + lam_x
+        self.inverse = self.shifted(sigma).inverse
+
+    def shifted(self, sigma: float) -> "GridSolver":
+        """The solver of the same grid at sigma, sharing this one's bases."""
+        solver, total = copy.copy(self), sigma + self.lam
+        solver.inverse = np.divide(1.0, total, out=np.zeros(total.shape), where=total != 0.0)
+        return solver
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         w = self.vy.T @ b.reshape(b.shape[:-1] + self.inverse.shape) @ self.vx

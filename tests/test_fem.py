@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from nspnp.fem import (
     tri_quadrature_degree5,
 )
 from nspnp.mesh import StructuredTriMesh, build_rect_mesh
+from nspnp.scheme import SchemeParams, _momentum_forcing, solve_xi
 from nspnp.sparse import cg
 
 # Element matrices on the unit right triangle (0,0)-(1,0)-(0,1), local order
@@ -286,6 +288,58 @@ def test_reference_kernels_match_the_physical_gradient_table(mesh):
     close(assemble_convection(u, p1).toarray(), -_quadrature_oracle(p1, u_q))
 
 
+@pytest.mark.parametrize(
+    "mesh",
+    [build_rect_mesh((0.0, 0.0, 1.0, 1.0), 4, 4), sheared_mesh(4), build_rect_mesh((0.0, 0.0, 1.0, 0.75), 4, 3)],
+    ids=["square", "sheared", "rectangle"],
+)
+def test_per_kind_kernels_match_the_quadrature_oracle(mesh):
+    # The momentum forcing, the drift matrix and the drift dissipation of the xi quadratic,
+    # computed per triangle kind, against the per-triangle quadrature of the oracle tables.
+    p1, p2 = FunctionSpace.p1(mesh), FunctionSpace.p2(mesh)
+    rng = np.random.default_rng(29)
+    u = FieldVector(p2, rng.standard_normal((2, p2.n_dofs)))
+    c1, c2 = (FieldVector(p1, rng.uniform(0.5, 1.5, p1.n_dofs)) for _ in range(2))
+    phi = FieldVector(p1, rng.standard_normal(p1.n_dofs))
+    (w1, g1), (w2, g2) = oracle_tables(p1), oracle_tables(p2)
+    u_e, phi_e = u.values[:, p2.element_dofs], phi.values[p1.element_dofs]
+    u_q = np.einsum("qi,cti->tqc", p2.basis_values, u_e)
+    grad_u_q = np.einsum("tqid,cti->tqcd", g2, u_e)
+    grad_phi_q = np.einsum("tqid,ti->tqd", g1, phi_e)
+    c_q = [np.einsum("qi,ti->tq", p1.basis_values, c.values[p1.element_dofs]) for c in (c1, c2)]
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    forcing_q = np.einsum("tqd,tqcd->tqc", u_q, grad_u_q) + (c_q[0] - c_q[1])[..., None] * grad_phi_q
+    elem = np.einsum("tq,tqc,qi->cti", w2, forcing_q, p2.basis_values)
+    want = np.stack([np.bincount(p2.element_dofs.ravel(), e.ravel(), p2.n_dofs) for e in elem])
+    ops = SimpleNamespace(
+        scalar_space=p1, velocity_space=p2, stiff_p1=assemble_stiffness(p1), mass_p1=assemble_mass(p1)
+    )
+    close(_momentum_forcing(ops, SimpleNamespace(u=u, c1=c1, c2=c2, phi=phi)), want)
+
+    close(assemble_drift(phi).toarray(), _quadrature_oracle(p1, grad_phi_q))
+
+    zero = FieldVector(p2, np.zeros((2, p2.n_dofs)))
+    split = SimpleNamespace(forcing=np.zeros((2, p2.n_dofs)), u1=zero, u2=zero)
+    params = SchemeParams(tau=0.1, t_final=0.1, c0=1.0)
+    *_, coeffs = solve_xi(ops, SimpleNamespace(r=100.0), split, c1, c2, phi, params, np.zeros((2, p1.n_dofs)))
+    want = np.sum(w1 * (c_q[0] + c_q[1]) * np.sum(grad_phi_q**2, axis=-1))
+    close(np.array(coeffs.drift_dissipation), want)
+
+
+def test_function_space_rejects_a_mesh_whose_triangle_kinds_are_not_translates():
+    # Interior vertex (2, 2) moved: its triangles are no longer translates of their kind's first one.
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 4, 4)
+    vertices = mesh.vertices.copy()
+    vertices[2 * (mesh.nx + 1) + 2] += (0.05, 0.03)
+    moved = dataclasses.replace(mesh, vertices=vertices)
+    for kind in ("p1", "p2"):
+        with pytest.raises(ValueError, match="translates"):
+            FunctionSpace(moved, kind)
+
+
 def test_p1_and_p2_spaces_share_quadrature_points():
     # Analytic data is evaluated once per step on the P1 points and loaded on both spaces.
     mesh = build_rect_mesh((0.0, 0.0, 1.0, 0.75), 4, 3)
@@ -293,14 +347,16 @@ def test_p1_and_p2_spaces_share_quadrature_points():
 
 
 def test_spaces_on_one_mesh_share_its_triangle_geometry():
-    # Computed once per mesh and read-only; a sheared copy of a mesh gets its own.
+    # Computed once per mesh and read-only, the area and gradients one per triangle kind;
+    # a sheared copy of a mesh gets its own.
     mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 4, 4)
     p1, p2 = FunctionSpace.p1(mesh), FunctionSpace.p2(mesh)
-    for name in ("area", "bary_gradients", "quad_xy"):
+    for name in ("kind_area", "kind_gradients", "quad_xy"):
         assert getattr(p1, name) is getattr(p2, name)
         assert not getattr(p1, name).flags.writeable
+    assert p1.kind_area.shape == (2,) and p1.kind_gradients.shape == (2, 2, 3)
     sheared = FunctionSpace.p1(sheared_mesh(4))
-    assert not np.array_equal(sheared.bary_gradients, p1.bary_gradients)
+    assert not np.array_equal(sheared.kind_gradients, p1.kind_gradients)
 
 
 def test_matrices_on_a_space_share_its_pattern():

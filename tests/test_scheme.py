@@ -347,6 +347,23 @@ def test_operator_caches_reused_per_tau(ex3_ops):
         assert build(params) is not first  # rebuilt: the other tau replaced it
 
 
+@pytest.mark.parametrize("nx, ny", [(6, 6), (6, 3)], ids=["square", "rectangle"])
+def test_systems_of_every_tau_share_the_modes_of_the_operators(nx, ny):
+    # The sine modes of the lattice solve and the cosine modes of the transport's grid solve
+    # do not depend on tau: built once per Operators, once per axis length, and shared.
+    ops = Operators(build_rect_mesh((0.0, 0.0, 1.0, ny / nx), nx, ny))
+    params = [SchemeParams(tau=tau, t_final=tau, c0=1.0) for tau in (0.05, 0.01)]
+    lattice = [ops.velocity_system(p)[1] for p in params]
+    grids = [ops.transport_base(p)[1].grid for p in params]
+    for name in ("vy", "vy_t", "vx", "vx_t"):
+        assert getattr(lattice[0], name) is getattr(lattice[1], name)
+    assert (lattice[0].vy is lattice[0].vx) == (nx == ny)
+    assert not np.array_equal(lattice[0].inv_omega, lattice[1].inv_omega)
+    for grid in grids:
+        assert grid.vy is ops.vertex_grid.vy and grid.vx is ops.vertex_grid.vx
+        assert not np.array_equal(grid.inverse, ops.vertex_grid.inverse)
+
+
 def test_advance_computes_the_new_velocity_mass_norm_once(ex3_ops, monkeypatch):
     # ||u^{n+1}||_M^2 feeds E_h, E_orig and the energy identity from one product.
     case, ops = ex3_ops
