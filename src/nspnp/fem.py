@@ -20,11 +20,12 @@ Reference tables
 A triangle is the image x = v0 + J xi of the reference one.  Each cell is cut
 into the same two triangles, so triangle t has kind t % 2 and the triangles
 of a kind are translates: a mesh's spaces share per kind the area and the P1
-basis gradients (K, 2, 3), whose columns 1 and 2 are J^{-T}; only the
-quadrature points (2, t, q) are per triangle.  A FunctionSpace holds per kind
-its basis values and physical gradients at the points, (K, 3, q, nloc), and
-gathers coefficients as (K, nloc, t_k), a strided lattice slice per local
-dof.  Each kernel is that gather and one GEMM per kind against a table.
+basis gradients (K, 2, 3), whose columns 1 and 2 are J^{-T}, and the
+quadrature points (2, K, q, t_k): triangle t is number t // K of kind t % K,
+and all values at the points, of fields and analytic data, are (..., K, q, t_k).
+A FunctionSpace holds per kind its basis values and physical gradients at the
+points, (K, 3, q, nloc), and gathers coefficients as (K, nloc, t_k), a strided
+lattice slice per local dof.  Each kernel is that gather and one GEMM per kind.
 
 The per-step transport blocks are assembled in closed form, since
 P1 gradients are constant on each triangle: the convection block from the
@@ -53,9 +54,9 @@ Vector fields
 -------------
 A velocity lives on the scalar P2 space and stores its coefficients as a
 (2, n) array, one row per component.  Every kernel takes component axes as
-leading axes of the coefficients and as trailing axes of quadrature-point
-values, so scalars and vectors share one code path, and the solvers take
-the (2, n) array as it is.  Only the divergence coupling has one column per
+leading axes, of the coefficients and of quadrature-point values alike, so
+scalars and vectors share one code path, and the solvers take the (2, n)
+array as it is.  Only the divergence coupling has one column per
 entry of values.ravel(): all x components first, then all y components.
 """
 
@@ -85,9 +86,12 @@ __all__ = [
     "assemble_drift",
     "assemble_div_coupling",
     "assemble_load",
-    "element_gradient",
     "error_norms",
     "interpolate",
+    "field_at_quadrature",
+    "gradient_at_quadrature",
+    "load_from_quadrature",
+    "quadrature_integral",
 ]
 
 
@@ -201,11 +205,12 @@ class SparsityPattern:
         return CsrMatrix((data, self.indices, self.indptr), shape=self.shape)
 
     def assemble(self, element_matrices: np.ndarray) -> CsrMatrix:
-        """Sum of the element matrices, (t, ...) or one per kind (K, ...), one bincount into csr.data."""
+        """Sum of the element matrices (K, nloc, nloc, t_k), or (K, nloc, nloc, 1) for one per kind."""
+        # One bincount into csr.data, in triangle order: t_k moves to the front, before K.
         by_cell = self.entries.reshape((-1, len(element_matrices)) + self.entries.shape[1:])
         data = np.bincount(
             self.entries.ravel(),
-            weights=np.broadcast_to(element_matrices, by_cell.shape).ravel(),
+            weights=np.broadcast_to(np.moveaxis(element_matrices, -1, 0), by_cell.shape).ravel(),
             minlength=self.indices.shape[0],
         )
         return self.matrix(data)
@@ -215,14 +220,14 @@ _geometry = weakref.WeakKeyDictionary()  # of each live mesh, shared by its spac
 
 
 def _triangle_geometry(mesh: StructuredTriMesh, rule: QuadratureRule):
-    """(area (K,), P1 basis gradients (K, 2, 3), quadrature points (2, t, q)), read-only, once per mesh.
+    """(area (K,), P1 basis gradients (K, 2, 3), quadrature points (2, K, q, t_k)), read-only, once per mesh.
 
-    Triangle t, of kind t % K, K = min(2, t), must be a translate of triangle t % K.
+    Triangle t, number t // K of kind t % K, K = min(2, t), must be a translate of triangle t % K.
     """
     if mesh not in _geometry:
         # Affine geometry.  CCW orientation is part of the mesh contract.
-        verts = mesh.vertices[mesh.triangles]          # (t, 3, 2)
-        edges = (verts[:, 1:] - verts[:, :1]).reshape(-1, min(2, len(verts)), 2, 2)  # v1 - v0, v2 - v0
+        verts = mesh.vertices[mesh.triangles.reshape(-1, min(2, mesh.n_triangles), 3)]  # (t_k, K, 3, 2)
+        edges = verts[:, :, 1:] - verts[:, :, :1]  # v1 - v0, v2 - v0
         if np.abs(edges - edges[0]).max() > 1e-9 * np.abs(edges[0]).max():
             raise ValueError("the triangles of a kind are not translates of one another")
         (e1, e2) = edges[0, :, 0], edges[0, :, 1]
@@ -235,18 +240,13 @@ def _triangle_geometry(mesh: StructuredTriMesh, rule: QuadratureRule):
         geometry = (
             0.5 * det,
             np.concatenate([-jinv_t.sum(axis=2, keepdims=True), jinv_t], axis=2),
-            # x and y of the physical quadrature points, each (t, q).
-            np.ascontiguousarray(np.moveaxis(rule.points @ verts, -1, 0)),
+            # x and y of the physical quadrature points, each (K, q, t_k).
+            np.ascontiguousarray((rule.points @ verts).transpose(3, 1, 2, 0)),
         )
         for array in geometry:
             array.flags.writeable = False
         _geometry[mesh] = geometry
     return _geometry[mesh]
-
-
-def _by_triangle(per_kind: np.ndarray) -> np.ndarray:
-    """(K, ..., t_k), the layout of the kernels, to (t, ...): triangle t is number t // K of kind t % K."""
-    return np.moveaxis(per_kind, -1, 0).reshape((-1,) + per_kind.shape[1:-1])
 
 
 class FunctionSpace:
@@ -284,7 +284,8 @@ class FunctionSpace:
         corners = np.divmod(self.element_dofs[: len(self.kind_area)].ravel(), self.lattice_shape[1])
         self._slices = [(slice(r, r + step * mesh.ny, step), slice(c, c + step * mesh.nx, step))
                         for r, c in zip(*corners)]
-        if not np.array_equal(_by_triangle(self.gather(np.arange(self.n_dofs))), self.element_dofs):
+        by_cell = self.element_dofs.reshape(-1, len(self.kind_area), self.tables.shape[-1])  # (t_k, K, nloc)
+        if not np.array_equal(self.gather(np.arange(self.n_dofs)).transpose(2, 0, 1), by_cell):
             raise ValueError("the dofs of a kind's triangles are not a lattice of cells")
 
     @classmethod
@@ -315,15 +316,6 @@ class FunctionSpace:
         out = table.reshape(len(table), -1, table.shape[-1]) @ self.gather(values)
         return out.reshape(out.shape[:-2] + table.shape[1:-1] + (-1,))
 
-    def load(self, values: np.ndarray) -> np.ndarray:
-        """The load (..., n), sum_T area_T sum_q w_q g(x_q) basis_i(x_q), of values (..., K, q, t_k)."""
-        element_loads = (self.kind_area[:, None, None] * self.rule.weights * self.basis_values.T) @ values
-        lattice = np.zeros(values.shape[:-3] + self.lattice_shape)
-        parts = element_loads.reshape(element_loads.shape[:-3] + (-1, self.mesh.ny, self.mesh.nx))
-        for at, part in zip(self._slices, np.moveaxis(parts, -3, 0)):
-            lattice[(...,) + at] += part
-        return lattice.reshape(values.shape[:-3] + (self.n_dofs,))
-
 
 @dataclass
 class FieldVector:
@@ -337,10 +329,6 @@ class FieldVector:
         n = self.space.n_dofs
         if self.values.shape not in ((n,), (2, n)):
             raise ValueError(f"expected shape ({n},) or (2, {n}), got {self.values.shape}")
-
-    @classmethod
-    def zeros(cls, space: FunctionSpace) -> "FieldVector":
-        return cls(space, np.zeros(space.n_dofs))
 
     def copy(self) -> "FieldVector":
         return FieldVector(self.space, self.values.copy())
@@ -358,34 +346,31 @@ def interpolate(space: FunctionSpace, f, t: float) -> FieldVector:
 # ---------------------------------------------------------------------------
 
 def field_at_quadrature(field: FieldVector) -> np.ndarray:
-    """Values at quadrature points: (t, q) for scalars, (t, q, 2) for vectors."""
-    values = field.space.at_quadrature(field.values, 0)  # (..., K, q, t_k)
-    return np.moveaxis(_by_triangle(np.moveaxis(values, -3, 0)), -1, 1)
+    """Values at the quadrature points: (K, q, t_k) for scalars, (2, K, q, t_k) for vectors."""
+    return field.space.at_quadrature(field.values, 0)
 
 
 def gradient_at_quadrature(field: FieldVector) -> np.ndarray:
-    """Gradients at quadrature points: (t, q, 2) scalar, (t, q, 2, 2) vector.
+    """Gradients at the quadrature points: (2, K, q, t_k) scalar, (2, 2, K, q, t_k) vector.
 
     Vector output is ordered [component, partial].
     """
-    grads = field.space.at_quadrature(field.values, slice(1, 3))  # (..., K, 2, q, t_k)
-    return np.moveaxis(_by_triangle(np.moveaxis(grads, -4, 0)), -1, 1)
+    return np.swapaxes(field.space.at_quadrature(field.values, slice(1, 3)), -4, -3)
 
 
 def load_from_quadrature(space: FunctionSpace, values: np.ndarray) -> np.ndarray:
-    """Load with entries sum_T area_T sum_q w_q g(x_q) basis_i(x_q).
-
-    ``values`` has shape (t, q) for a scalar g, (t, q, 2) for a vector one;
-    the load has shape (n,) or (2, n).
-    """
-    by_cell = values.reshape((-1, len(space.kind_area)) + values.shape[1:])  # (t_k, K, q, ...)
-    return space.load(np.moveaxis(by_cell, (0, 1, 2), (-1, -3, -2)))
+    """The load (..., n), sum_T area_T sum_q w_q g(x_q) basis_i(x_q), of values (..., K, q, t_k)."""
+    element_loads = (space.kind_area[:, None, None] * space.rule.weights * space.basis_values.T) @ values
+    lattice = np.zeros(values.shape[:-3] + space.lattice_shape)
+    parts = element_loads.reshape(element_loads.shape[:-3] + (-1, space.mesh.ny, space.mesh.nx))
+    for at, part in zip(space._slices, np.moveaxis(parts, -3, 0)):
+        lattice[(...,) + at] += part
+    return lattice.reshape(values.shape[:-3] + (space.n_dofs,))
 
 
 def quadrature_integral(space: FunctionSpace, values: np.ndarray) -> float:
-    """Integral over the domain of a quantity sampled at quadrature points."""
-    by_cell = values.reshape(-1, len(space.kind_area), values.shape[-1])  # (t_k, K, q)
-    return float((by_cell @ space.rule.weights).sum(axis=0) @ space.kind_area)
+    """Integral over the domain of a quantity sampled at the quadrature points, (K, q, t_k)."""
+    return float((space.rule.weights @ values.T).sum(axis=0) @ space.kind_area)  # each kind's triangles in order
 
 
 # ---------------------------------------------------------------------------
@@ -395,26 +380,19 @@ def quadrature_integral(space: FunctionSpace, values: np.ndarray) -> float:
 def assemble_mass(space: FunctionSpace) -> CsrMatrix:
     """Mass matrix (basis_j, basis_i): one element matrix per kind."""
     ref = np.einsum("q,qi,qj->ij", space.rule.weights, space.basis_values, space.basis_values)
-    return space.pattern.assemble(space.kind_area[:, None, None] * ref)
+    return space.pattern.assemble(space.kind_area[:, None, None, None] * ref[..., None])
 
 
 def assemble_stiffness(space: FunctionSpace) -> CsrMatrix:
     """Stiffness matrix (grad basis_j, grad basis_i): one element matrix per kind."""
     grads = space.tables[:, 1:]
     elem = np.einsum("k,q,kdqi,kdqj->kij", space.kind_area, space.rule.weights, grads, grads)
-    return space.pattern.assemble(elem)
+    return space.pattern.assemble(elem[..., None])
 
 
 def _require_p1(space: FunctionSpace, what: str):
     if space.kind != "p1":
         raise ValueError(f"{what} needs a P1 space, got {space.kind!r}")
-
-
-def element_gradient(field: FieldVector) -> np.ndarray:
-    """Gradient of a scalar P1 field on each triangle, where it is constant: shape (t, 2)."""
-    sp = field.space
-    _require_p1(sp, "element_gradient")
-    return _by_triangle(sp.kind_gradients @ sp.gather(field.values))
 
 
 def assemble_convection(u_field: FieldVector, space: FunctionSpace) -> CsrMatrix:
@@ -437,7 +415,7 @@ def assemble_convection(u_field: FieldVector, space: FunctionSpace) -> CsrMatrix
     tables = np.einsum("k,kdi,jm->kijdm", -space.kind_area, space.kind_gradients, ref)
     u_e = np.moveaxis(u_field.space.gather(u_field.values), 0, 1)  # (K, 2, nloc_u, t_k)
     elem = tables.reshape(len(tables), 9, -1) @ u_e.reshape(len(tables), -1, u_e.shape[-1])
-    return space.pattern.assemble(_by_triangle(elem).reshape(-1, 3, 3))
+    return space.pattern.assemble(elem.reshape(len(tables), 3, 3, -1))
 
 
 def assemble_drift(phi_field: FieldVector) -> CsrMatrix:
@@ -453,7 +431,7 @@ def assemble_drift(phi_field: FieldVector) -> CsrMatrix:
     _require_p1(space, "assemble_drift")
     grads = space.kind_gradients
     tables = (space.kind_area[:, None, None] / 3.0) * (grads.transpose(0, 2, 1) @ grads)
-    return space.pattern.assemble(_by_triangle(tables @ space.gather(phi_field.values))[:, :, None])
+    return space.pattern.assemble((tables @ space.gather(phi_field.values))[:, :, None])
 
 
 def assemble_div_coupling(vel_space: FunctionSpace, pres_space: FunctionSpace) -> CsrMatrix:
@@ -475,14 +453,13 @@ def assemble_div_coupling(vel_space: FunctionSpace, pres_space: FunctionSpace) -
     elem[:, :, :3] = np.einsum("k,q,qi,kdqj->dkij", vel_space.kind_area, vel_space.rule.weights,
                                pres_space.basis_values, vel_space.tables[:, 1:])
     rows = np.arange(vel_space.n_dofs).reshape(vel_space.lattice_shape)[::2, ::2].ravel()
-    blocks = [vel_space.pattern.assemble(e)[rows] for e in elem]
+    blocks = [vel_space.pattern.assemble(e[..., None])[rows] for e in elem]
     return hstack(blocks, format="csr")
 
 
 def assemble_load(space: FunctionSpace, f, t: float) -> FieldVector:
     """Right-hand-side vector (f(t), basis_i) by quadrature, one row per component of f."""
-    g = np.asarray(f(*space.quad_xy, t), dtype=float)
-    return FieldVector(space, load_from_quadrature(space, np.moveaxis(g, (-2, -1), (0, 1))))
+    return FieldVector(space, load_from_quadrature(space, np.asarray(f(*space.quad_xy, t), dtype=float)))
 
 
 def error_norms(field: FieldVector, exact, exact_grad, t: float) -> tuple[float, float, float]:
@@ -493,11 +470,15 @@ def error_norms(field: FieldVector, exact, exact_grad, t: float) -> tuple[float,
     sp = field.space
     squares = []
     for at_quadrature, f in ((field_at_quadrature, exact), (gradient_at_quadrature, exact_grad)):
-        # In place: one quadrature-layout array (t, q, ...) per norm.
+        # In place: one array (..., K, q, t_k) per norm.
         diff = at_quadrature(field)
-        diff -= np.moveaxis(np.asarray(f(*sp.quad_xy, t), dtype=float), (-2, -1), (0, 1))
+        want = np.asarray(f(*sp.quad_xy, t), dtype=float)
+        if want.shape != diff.shape:  # a scalar evaluator would broadcast over a vector's components
+            raise ValueError(f"evaluator returned shape {want.shape}, the field has {diff.shape} at the points")
+        diff -= want
+        del want  # not held through the next evaluation
         diff *= diff
-        squares.append(quadrature_integral(sp, diff.sum(axis=tuple(range(2, diff.ndim)))))
+        squares.append(quadrature_integral(sp, diff.sum(axis=tuple(range(diff.ndim - 3)))))
     l2sq, h1sq = squares
     return np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(l2sq + h1sq)
 

@@ -38,7 +38,6 @@ class StructuredTriMesh:
     bounds: tuple[float, float, float, float]  # (ax, ay, bx, by)
     vertices: np.ndarray       # (n_vertices, 2) float
     triangles: np.ndarray      # (n_triangles, 3) int, counterclockwise
-    vertex_on_boundary: np.ndarray  # (n_vertices,) bool
     h: float                   # edge length of the axis-aligned sides
 
     @property
@@ -96,7 +95,6 @@ def build_rect_mesh(bounds, nx: int, ny: int) -> StructuredTriMesh:
         bounds=(ax, ay, bx, by),
         vertices=vertices,
         triangles=triangles,
-        vertex_on_boundary=_frame(ny + 1, nx + 1).ravel(),
         h=hx,
     )
 
@@ -133,17 +131,12 @@ def dof_lattice(mesh: StructuredTriMesh, space_kind: str) -> tuple[int, int]:
     return step * mesh.ny + 1, step * mesh.nx + 1
 
 
-def _frame(rows: int, columns: int) -> np.ndarray:
-    """The (rows, columns) mask of the outermost points of a lattice."""
-    frame = np.ones((rows, columns), dtype=bool)
-    frame[1:-1, 1:-1] = False
-    return frame
-
-
 def boundary_dofs(mesh: StructuredTriMesh, space_kind: str) -> np.ndarray:
     """Sorted indices of degrees of freedom on the boundary: the frame of the space's lattice.
 
     ``space_kind`` is ``"p1"`` or ``"p2"``.  A vector field on the P2 space
     has the P2 boundary nodes as boundary dofs in each of its components.
     """
-    return np.flatnonzero(_frame(*dof_lattice(mesh, space_kind)))
+    frame = np.ones(dof_lattice(mesh, space_kind), dtype=bool)
+    frame[1:-1, 1:-1] = False
+    return np.flatnonzero(frame)

@@ -126,6 +126,8 @@ class SchemeParams:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
+        if not isfinite(self.t_final / self.tau):
+            raise ValueError(f"t_final={self.t_final!r} / tau={self.tau!r} overflows")
         n = round(self.t_final / self.tau)
         if n < 1 or abs(n * self.tau - self.t_final) > 1e-9 * self.t_final:
             raise ValueError(
@@ -266,7 +268,7 @@ class Operators:
         if self._source_modes[0] is not sources:
             def mode_loads(mode):
                 ion = [load_from_quadrature(self.scalar_space, f) for f in mode[:2]]
-                return ion, load_from_quadrature(self.velocity_space, np.moveaxis(mode[2], 0, -1))
+                return ion, load_from_quadrature(self.velocity_space, mode[2])
 
             # The P1 and P2 spaces of a mesh share their quadrature points.
             loads = zip(*map(mode_loads, sources.modes(*self.scalar_space.quad_xy)))
@@ -448,9 +450,8 @@ def step_potential(ops: Operators, c1_next: FieldVector, c2_next: FieldVector):
 def _momentum_forcing(ops: Operators, state: State) -> np.ndarray:
     """Explicit coupling load N_i = (u . grad u + (c1 - c2) grad phi, v_i) at t^n.
 
-    One gather and one GEMM per kind (FunctionSpace.at_quadrature) give u
-    and its partials, and c1 - c2 and grad phi; the forcing is laid out
-    component-first, (2, K, q, t_k).
+    One gather and one GEMM per kind (FunctionSpace.at_quadrature) give u and
+    its partials, and c1 - c2 and grad phi; the forcing is (2, K, q, t_k).
     """
     jet = ops.velocity_space.at_quadrature(state.u.values)  # (2, K, 3, q, t_k): value, d/dx, d/dy
     forcing = jet[0, :, 0] * jet[:, :, 1]
@@ -458,7 +459,7 @@ def _momentum_forcing(ops: Operators, state: State) -> np.ndarray:
     del jet  # not held through the load
     p1 = ops.scalar_space.at_quadrature(np.stack([state.c1.values - state.c2.values, state.phi.values]))
     forcing += p1[0, :, 0] * np.moveaxis(p1[1, :, 1:], 1, 0)  # (c1 - c2) grad phi
-    return ops.velocity_space.load(forcing)
+    return load_from_quadrature(ops.velocity_space, forcing)
 
 
 def compute_velocity_split(

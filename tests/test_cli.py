@@ -231,8 +231,13 @@ def test_main_empty_tau_list_is_usage_error(tmp_path, capsys):
         ("run", "case=example3\nnx=4\ntau=inf\nt_final=0.1\n", "line 3: tau must be finite"),
         ("run", "case=example3\nnx=4\ntau=0.1\nt_final=0.1\nc0=inf\n", "line 5: c0 must be finite"),
         ("run", "case=example3\nnx=4\nny=6\ntau=0.1\nt_final=0.1\n", "anisotropic cells"),
+        ("run", "case=example3\nnx=4\ntau=1e-300\nt_final=1e10\n", "tau=1e-300 overflows"),
+        ("convergence", "case=example1\nnx=4\ntaus=0.1 1e-300\nt_final=1e10\n", "tau=1e-300 overflows"),
     ],
-    ids=["t_final-not-multiple", "later-tau-not-multiple", "tau-nan", "tau-inf", "c0-inf", "unequal-cells"],
+    ids=[
+        "t_final-not-multiple", "later-tau-not-multiple", "tau-nan", "tau-inf", "c0-inf", "unequal-cells",
+        "step-count-overflows", "later-step-count-overflows",
+    ],
 )
 def test_main_invalid_parameters_are_usage_errors(tmp_path, capsys, command, text, fragment):
     cfg = write_config(tmp_path, text)

@@ -22,7 +22,6 @@ from nspnp.fem import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    element_gradient,
     error_norms,
     field_at_quadrature,
     gradient_at_quadrature,
@@ -79,6 +78,12 @@ def oracle_tables(space: FunctionSpace) -> tuple[np.ndarray, np.ndarray]:
     w_area = 0.5 * np.linalg.det(jac)[:, None] * space.rule.weights
     grads = np.einsum("qik,tkd->tqid", space.ref_gradients, np.linalg.inv(jac))
     return w_area, grads
+
+
+def by_triangle(values: np.ndarray) -> np.ndarray:
+    """Values (..., K, q, t_k) in the oracles' layout (t, q, ...): triangle t is number t // K of kind t % K."""
+    per_cell = np.moveaxis(values, (-1, -3, -2), (0, 1, 2))  # (t_k, K, q, ...)
+    return per_cell.reshape((-1,) + per_cell.shape[2:])
 
 
 def dense_assembly(rows: np.ndarray, cols: np.ndarray, elem: np.ndarray, shape) -> np.ndarray:
@@ -185,11 +190,37 @@ def test_error_norms_of_zero_field_give_exact_norms():
             ]
         )
 
-    zero = FieldVector.zeros(space)
+    zero = FieldVector(space, np.zeros(space.n_dofs))
     l2, h1s, h1 = error_norms(zero, f, grad_f, 0.0)
     assert l2 == pytest.approx(0.5, rel=1e-10)
     assert h1s == pytest.approx(np.pi / np.sqrt(2.0), rel=1e-10)
     assert h1 == pytest.approx(np.hypot(0.5, np.pi / np.sqrt(2.0)), rel=1e-10)
+
+
+def test_error_norms_rejects_an_evaluator_of_the_wrong_shape():
+    # Component axes lead, so a scalar evaluator would broadcast over a vector's components:
+    # every evaluator must return exactly the shape of the field's values at the points.
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 4, 4)
+    p1, p2 = FunctionSpace.p1(mesh), FunctionSpace.p2(mesh)
+    u = FieldVector(p2, np.zeros((2, p2.n_dofs)))
+    c = FieldVector(p1, np.zeros(p1.n_dofs))
+
+    def scalar(x, y, t):
+        return x
+
+    def scalar_grad(x, y, t):
+        return np.stack([np.ones_like(x), np.zeros_like(x)])
+
+    def vector(x, y, t):
+        return np.stack([x, y])
+
+    def vector_grad(x, y, t):
+        return np.stack([scalar_grad(x, y, t)] * 2)
+
+    # The third is a vector field whose value evaluator is right and whose gradient evaluator is not.
+    for field, exact, exact_grad in ((u, scalar, scalar_grad), (c, vector, vector_grad), (u, vector, scalar_grad)):
+        with pytest.raises(ValueError):
+            error_norms(field, exact, exact_grad, 0.0)
 
 
 def test_mass_matrix_row_sums_integrate_to_area():
@@ -247,8 +278,8 @@ def test_closed_form_transport_kernels_match_quadrature():
     u = FieldVector(p2, rng.standard_normal((2, p2.n_dofs)))
     phi = FieldVector(p1, rng.standard_normal(p1.n_dofs))
     for got, want in (
-        (assemble_convection(u, p1), -_quadrature_oracle(p1, field_at_quadrature(u))),
-        (assemble_drift(phi), _quadrature_oracle(p1, gradient_at_quadrature(phi))),
+        (assemble_convection(u, p1), -_quadrature_oracle(p1, by_triangle(field_at_quadrature(u)))),
+        (assemble_drift(phi), _quadrature_oracle(p1, by_triangle(gradient_at_quadrature(phi)))),
     ):
         assert np.abs(got.toarray() - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -270,9 +301,8 @@ def test_reference_kernels_match_the_physical_gradient_table(mesh):
     def close(got, want):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    close(gradient_at_quadrature(u), np.einsum("tqid,cti->tqcd", g2, u_e))
-    close(gradient_at_quadrature(phi), np.einsum("tqid,ti->tqd", g1, phi.values[p1.element_dofs]))
-    close(element_gradient(phi), np.einsum("tid,ti->td", g1[:, 0], phi.values[p1.element_dofs]))
+    close(by_triangle(gradient_at_quadrature(u)), np.einsum("tqid,cti->tqcd", g2, u_e))
+    close(by_triangle(gradient_at_quadrature(phi)), np.einsum("tqid,ti->tqd", g1, phi.values[p1.element_dofs]))
     for space, w, g in ((p1, w1, g1), (p2, w2, g2)):
         elem = np.einsum("tq,tqid,tqjd->tij", w, g, g)
         want = dense_assembly(space.element_dofs, space.element_dofs, elem, (space.n_dofs,) * 2)
@@ -344,6 +374,8 @@ def test_p1_and_p2_spaces_share_quadrature_points():
     # Analytic data is evaluated once per step on the P1 points and loaded on both spaces.
     mesh = build_rect_mesh((0.0, 0.0, 1.0, 0.75), 4, 3)
     assert np.array_equal(FunctionSpace.p1(mesh).quad_xy, FunctionSpace.p2(mesh).quad_xy)
+    # Laid out like the kernels' values, (2, K, q, t_k), as every evaluator sees them.
+    assert FunctionSpace.p1(mesh).quad_xy.shape == (2, 2, 7, mesh.n_triangles // 2)
 
 
 def test_spaces_on_one_mesh_share_its_triangle_geometry():
@@ -565,15 +597,13 @@ def test_vector_kernels_equal_scalar_kernels_on_each_row():
     close(field.values, np.stack([s.values for s in scalars]))
 
     values_q = field_at_quadrature(field)
-    close(values_q, np.stack([field_at_quadrature(s) for s in scalars], axis=-1))
-    close(
-        gradient_at_quadrature(field),
-        np.stack([gradient_at_quadrature(s) for s in scalars], axis=-2),
-    )
-    close(
-        load_from_quadrature(p2, values_q),
-        np.stack([load_from_quadrature(p2, values_q[..., c]) for c in range(2)]),
-    )
+    close(values_q, np.stack([field_at_quadrature(s) for s in scalars]))
+    close(gradient_at_quadrature(field), np.stack([gradient_at_quadrature(s) for s in scalars]))
+    close(load_from_quadrature(p2, values_q), np.stack([load_from_quadrature(p2, v) for v in values_q]))
+    # An evaluator's values on quad_xy are already in the layout of the load.
+    for f in (*rows, stacked(*rows)):
+        want = load_from_quadrature(p2, f(*p2.quad_xy, t))
+        np.testing.assert_array_equal(assemble_load(p2, f, t).values, want)
     close(
         assemble_load(p2, stacked(*rows), t).values,
         np.stack([assemble_load(p2, f, t).values for f in rows]),

@@ -54,6 +54,8 @@ def test_params_validation():
         SchemeParams(tau=0.1, t_final=1.0, c0=-1.0)
     with pytest.raises(ValueError):
         SchemeParams(tau=0.3, t_final=1.0, c0=1.0)  # horizon not a multiple
+    with pytest.raises(ValueError, match="overflows"):
+        SchemeParams(tau=1e-300, t_final=1e10, c0=1.0)  # t_final / tau is inf
     for max_iter in (0, -5, 2.5):
         with pytest.raises(ValueError, match="max_iter"):
             SchemeParams(tau=0.1, t_final=1.0, c0=1.0, max_iter=max_iter)
@@ -547,7 +549,7 @@ def test_drift_dissipation_matches_quadrature(ex3_ops):
     _, _, coeffs = solve_xi(ops, state, split, state.c1, state.c2, state.phi, params, no_sources)
     total_q = scheme.field_at_quadrature(state.c1) + scheme.field_at_quadrature(state.c2)
     grad_q = scheme.gradient_at_quadrature(state.phi)
-    want = scheme.quadrature_integral(ops.scalar_space, total_q * np.sum(grad_q**2, axis=-1))
+    want = scheme.quadrature_integral(ops.scalar_space, total_q * np.sum(grad_q**2, axis=0))
     assert coeffs.drift_dissipation == pytest.approx(want, rel=1e-13)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nspnp.fem import FunctionSpace, assemble_stiffness
-from nspnp.mesh import build_rect_mesh
+from nspnp.mesh import boundary_dofs, build_rect_mesh
 from nspnp.scheme import Operators, SchemeParams
 from nspnp.sparse import GridSolver, SolveReport, bicgstab, cg, lattice_modes, matvec
 
@@ -238,7 +238,7 @@ def test_p2_stiffness_is_four_thirds_the_half_step_p1_minus_a_third_the_vertex_p
     fine = build_rect_mesh(mesh.bounds, 2 * nx, 2 * ny)  # its vertices are the P2 lattice, in order
     lattice = np.arange(fine.n_vertices).reshape(2 * ny + 1, 2 * nx + 1)
     inner = lattice[1:-1, 1:-1].ravel()
-    vertices = np.flatnonzero(~mesh.vertex_on_boundary)
+    vertices = np.setdiff1d(np.arange(mesh.n_vertices), boundary_dofs(mesh, "p1"))
     injection = (lattice[::2, ::2][1:-1, 1:-1].ravel()[:, None] == inner).astype(float)
     a_p2 = assemble_stiffness(FunctionSpace.p2(mesh)).toarray()[np.ix_(inner, inner)]
     a_half = assemble_stiffness(FunctionSpace.p1(fine)).toarray()[np.ix_(inner, inner)]
