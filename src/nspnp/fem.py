@@ -62,6 +62,7 @@ entry of values.ravel(): all x components first, then all y components.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -173,30 +174,37 @@ class SparsityPattern:
     shape: tuple[int, int]
 
     @classmethod
-    def build(cls, element_dofs: np.ndarray, shape: tuple[int, int]) -> "SparsityPattern":
+    def build(cls, element_dofs: np.ndarray, slices, shape: tuple[int, int]) -> "SparsityPattern":
         """The pattern of a space whose dofs are the points of a row-major lattice of shape (rows, columns).
 
-        Triangles 2c and 2c + 1 are the lower and upper triangle of cell c, cell 0 at the origin,
-        so entry (i, j) of a triangle couples its row to a constant offset of a fixed stencil.
-        Every row gets the whole stencil, sorted row-major, and a cumsum over the slots that a
-        triangle touches drops the rest.
+        element_dofs (K, nloc) are the dofs of the first triangle of each kind and slices[k * nloc + i]
+        the lattice slice of local dof i of the kind's triangles, cell by cell (FunctionSpace._slices).
+        So entry (i, j) of a kind couples the points of one slice to a constant offset of a fixed
+        stencil.  Every point gets the whole stencil, sorted row-major: one strided assignment per
+        slice marks the slots its triangles use, and a cumsum over the marks numbers them.
         """
-        t, nloc = element_dofs.shape
-        y, x = np.divmod(element_dofs[:2], shape[1])  # (2, nloc): the local offsets of each kind
+        kinds, nloc = element_dofs.shape
+        y, x = np.divmod(element_dofs, shape[1])  # (K, nloc): the local offsets of each kind
         offsets = np.stack([y[:, None, :] - y[:, :, None], x[:, None, :] - x[:, :, None]], -1)
         stencil, position = np.unique(offsets.reshape(-1, 2), axis=0, return_inverse=True)
-        n, width = shape[0] * shape[1], stencil.shape[0]
-        full = element_dofs.reshape(-1, 2, nloc, 1) * width + position.reshape(2, nloc, nloc)
-        used = np.zeros(n * width, dtype=bool)
-        used[full] = True
-        count = np.concatenate([[0], np.cumsum(used)])  # the slot of each used position
-        columns = (np.arange(n)[:, None] + stencil @ [shape[1], 1]).ravel()[used]
+        position = position.reshape(kinds * nloc, nloc)
+        used = np.zeros(shape + (len(stencil),), dtype=bool)
+        for at, slots in zip(slices, position):
+            used[at][..., slots] = True
+        total = np.cumsum(used, dtype=np.int32 if used.size < 2**31 else np.int64).reshape(used.shape)
+        n = shape[0] * shape[1]
+        indptr = np.zeros(n + 1, dtype=total.dtype)
+        indptr[1:] = total[..., -1].ravel()  # the slots used up to the end of each row
+        columns = (np.arange(n, dtype=total.dtype)[:, None] + (stencil @ [shape[1], 1]).astype(total.dtype))
+        # Per slice (ny, nx, nloc) -> (t, nloc, nloc), triangle t = cell * K + kind.
+        entries = np.stack([total[at][..., slots] for at, slots in zip(slices, position)]) - 1
+        entries = entries.reshape(kinds, nloc, -1, nloc).transpose(2, 0, 1, 3).reshape(-1, nloc, nloc)
         # scipy picks the index dtype; the stored arrays are shared by every matrix.
-        template = CsrMatrix((np.zeros(count[-1]), columns, count[::width]), shape=(n, n))
+        template = CsrMatrix((np.zeros(indptr[-1]), columns.ravel()[used.ravel()], indptr), shape=(n, n))
         return cls(
             indptr=template.indptr,
             indices=template.indices,
-            entries=count[full].reshape(t, nloc, nloc).astype(template.indices.dtype),
+            entries=entries.astype(template.indices.dtype, copy=False),
             shape=(n, n),
         )
 
@@ -205,11 +213,15 @@ class SparsityPattern:
         return CsrMatrix((data, self.indices, self.indptr), shape=self.shape)
 
     def assemble(self, element_matrices: np.ndarray) -> CsrMatrix:
-        """Sum of the element matrices (K, nloc, nloc, t_k), or (K, nloc, nloc, 1) for one per kind."""
+        """Sum of the element matrices (K, r, nloc, t_k), or (K, r, nloc, 1) for one per kind.
+
+        They are the rows of the first r <= nloc local dofs; the slots of the other rows stay 0.
+        """
         # One bincount into csr.data, in triangle order: t_k moves to the front, before K.
         by_cell = self.entries.reshape((-1, len(element_matrices)) + self.entries.shape[1:])
+        by_cell = by_cell[:, :, : element_matrices.shape[1]]
         data = np.bincount(
-            self.entries.ravel(),
+            by_cell.ravel(),
             weights=np.broadcast_to(np.moveaxis(element_matrices, -1, 0), by_cell.shape).ravel(),
             minlength=self.indices.shape[0],
         )
@@ -299,7 +311,7 @@ class FunctionSpace:
     @cached_property
     def pattern(self) -> SparsityPattern:
         """The pattern of the square matrices on this space."""
-        return SparsityPattern.build(self.element_dofs, self.lattice_shape)
+        return SparsityPattern.build(self.element_dofs[: len(self.kind_area)], self._slices, self.lattice_shape)
 
     def boundary_dofs(self) -> np.ndarray:
         return boundary_dofs(self.mesh, self.kind)
@@ -446,12 +458,11 @@ def assemble_div_coupling(vel_space: FunctionSpace, pres_space: FunctionSpace) -
         raise ValueError("div coupling needs (p2, p1) spaces")
     if vel_space.mesh is not pres_space.mesh:
         raise ValueError("spaces live on different meshes")
-    # Per component d, one element matrix per kind on the P2 pattern, int q_i d_d psi_j in the rows
-    # of the first three local P2 dofs, the vertices; B's block is the rows of the vertices, the
+    # Per component d, one element matrix per kind, int q_i d_d psi_j, is the rows of the first three
+    # local P2 dofs, the vertices, on the P2 pattern; B's block is the rows of the vertices, the
     # even-even lattice points.
-    elem = np.zeros((2, len(vel_space.kind_area)) + vel_space.tables.shape[-1:] * 2)
-    elem[:, :, :3] = np.einsum("k,q,qi,kdqj->dkij", vel_space.kind_area, vel_space.rule.weights,
-                               pres_space.basis_values, vel_space.tables[:, 1:])
+    elem = np.einsum("k,q,qi,kdqj->dkij", vel_space.kind_area, vel_space.rule.weights,
+                     pres_space.basis_values, vel_space.tables[:, 1:])
     rows = np.arange(vel_space.n_dofs).reshape(vel_space.lattice_shape)[::2, ::2].ravel()
     blocks = [vel_space.pattern.assemble(e[..., None])[rows] for e in elem]
     return hstack(blocks, format="csr")
@@ -488,16 +499,20 @@ def error_norms(field: FieldVector, exact, exact_grad, t: float) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 class DirichletSystem:
-    """Symmetric elimination of Dirichlet rows/columns, reusable across solves.
+    """Symmetric elimination of Dirichlet rows/columns, reusable across solves and across matrices of one pattern.
 
     The eliminated matrix has identity rows and columns at the constrained
-    dofs.  It is kept with lift, the constrained columns sliced from the
-    matrix given, which is not kept.  reduce_rhs subtracts lift times the
-    boundary values from the load and pins the constrained entries, so the
-    reduced system gives the constrained solution directly.  The matrix must
-    store its diagonal, as every assembled matrix does.  reduce_rhs also
+    dofs: the entries of a constrained row or column are dropped, a
+    constrained diagonal becomes 1, and every other stored entry stays, in
+    its order.  It is kept with lift, the constrained columns sliced from
+    the matrix given, which is not kept.  reduce_rhs subtracts lift times
+    the boundary values from the load and pins the constrained entries, so
+    the reduced system gives the constrained solution directly.  The matrix
+    must store its diagonal, as every assembled matrix does.  reduce_rhs also
     takes a stack, such as a (2, n) vector field, with boundary values
-    shaped (2, nb), and returns the shape it was given.
+    shaped (2, nb), and returns the shape it was given.  with_data gives the
+    system of another matrix on the same indptr and indices from the slots
+    found here: a gather of its data, no second elimination.
     """
 
     def __init__(self, matrix: CsrMatrix, dofs):
@@ -505,14 +520,30 @@ class DirichletSystem:
         self.dofs = np.asarray(dofs, dtype=np.int64)
         fixed = np.zeros(n, dtype=bool)
         fixed[self.dofs] = True
-        self.matrix = matrix.tocsr(copy=True)
-        self.lift = self.matrix[:, self.dofs]  # no CSC copy: each row keeps its order of columns
-        # Entries in a fixed row or column become 0, a fixed diagonal 1.
-        rows = np.repeat(np.arange(n), np.diff(self.matrix.indptr))
-        hit = fixed[rows] | fixed[self.matrix.indices]
-        self.matrix.data[hit] = rows[hit] == self.matrix.indices[hit]
-        self.matrix.eliminate_zeros()
-        self.matrix.sort_indices()
+        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        self._keep = ~(fixed[rows] | fixed[matrix.indices]) | (rows == matrix.indices)
+        self._ones = np.flatnonzero(fixed[rows[self._keep]])  # the constrained diagonals among the kept
+        self._lift = fixed[matrix.indices]  # each row keeps its order of columns
+        column = np.zeros(n, dtype=matrix.indices.dtype)
+        column[self.dofs] = np.arange(self.dofs.size)
+        self._parts = [(indices, np.r_[0, np.bincount(rows[slots], minlength=n).cumsum()].astype(matrix.indptr.dtype))
+                       for slots, indices in ((self._keep, matrix.indices[self._keep]),
+                                              (self._lift, column[matrix.indices[self._lift]]))]
+        self.matrix, self.lift = self._eliminate(matrix.data)
+
+    def with_data(self, data: np.ndarray) -> "DirichletSystem":
+        """The system of the matrix with this csr.data on the indptr and indices of the one given."""
+        system = copy.copy(self)
+        system.matrix, system.lift = system._eliminate(data)
+        return system
+
+    def _eliminate(self, data: np.ndarray):
+        kept = data[self._keep]
+        kept[self._ones] = 1.0
+        (indices, indptr), lift = self._parts
+        n = indptr.size - 1
+        lift = CsrMatrix((data[self._lift], *lift), shape=(n, self.dofs.size))
+        return CsrMatrix((kept, indices, indptr), shape=(n, n)), lift
 
     def reduce_rhs(self, rhs: np.ndarray, values=0.0) -> np.ndarray:
         out = np.array(rhs, dtype=float, copy=True)

@@ -25,10 +25,10 @@ drift blocks:
        (M_v/tau + A_v) u2 = -N
    with u_hat = u1 + xi u2.  M_v/tau + A_v is one scalar P2 block acting on
    both rows of the (2, n) velocity; CG solves both components at once,
-   preconditioned by the exact inverse of the lumped M_v/tau + A_v on the
-   h/2 lattice of the P2 nodes: two sine transforms per axis and a
-   correction through the vertex grid's modes (_LatticeSolve), 4 to 6
-   iterations per solve.
+   preconditioned by the exact inverse of the alias blocks of M_v/tau + A_v
+   in the sine modes of the h/2 lattice of the P2 nodes: two sine
+   transforms per axis and one symmetric 4x4 block per vertex mode
+   (_LatticeSolve), 2 to 4 iterations per solve.
 4. The auxiliary scalar r tracks sqrt(E(phi) + C0); eliminating r^{n+1} from
    its update equation against the split gives a scalar quadratic
        a xi^2 - b xi + c = 0,
@@ -88,7 +88,7 @@ from .fem import (
     quadrature_integral,  # not called here; perfbench/spans.py wraps it through this module
 )
 from .mesh import StructuredTriMesh
-from .sparse import GridSolver, bicgstab, cg, jacobi, lattice_modes, matvec
+from .sparse import GridSolver, bicgstab, cg, jacobi, lattice_alias_blocks, lattice_modes, matvec
 
 __all__ = [
     "SchemeParams",
@@ -193,9 +193,11 @@ class Operators:
     its Jacobi preconditioner.  The systems that depend on tau (the
     eliminated velocity system with its _LatticeSolve, and M/tau + A of the
     transport with the grid solve of sigma = 1/tau) are built for the tau
-    last asked for and kept until another tau is asked for, on bases built
-    once here.  The mesh must be the uniform grid of its bounds, as
-    build_rect_mesh makes it.
+    last asked for and kept until another tau is asked for, on what is built
+    once here: the projection's elimination, which the velocity system
+    shares, the lattice sine modes with their alias blocks, the stencil
+    tables of the P2 mass and stiffness, and the cosine modes.  The mesh
+    must be the uniform grid of its bounds, as build_rect_mesh makes it.
     """
 
     def __init__(self, mesh: StructuredTriMesh, velocity_bc=None):
@@ -209,12 +211,14 @@ class Operators:
         self.stiff_p1 = assemble_stiffness(self.scalar_space)
         # stiff_p1 is exactly M⊗K + K⊗M of the grid lines (see sparse.GridSolver).
         self.vertex_grid = GridSolver(mesh.nx, mesh.ny, mesh.h)
-        # (V, a contiguous V^T, lam, mu) of the lattice solve for every tau, once per axis length.
+        # (V, a contiguous V^T, the alias blocks) of the lattice solve for every tau, once per axis length.
         axes = {n: lattice_modes(n, mesh.h) for n in {mesh.ny, mesh.nx}}
-        axes = {n: (v, v.T.copy(), lam, mu) for n, (v, lam, mu) in axes.items()}
+        axes = {n: (v, v.T.copy(), lattice_alias_blocks(v)) for n, v in axes.items()}
         self.lattice_modes = (axes[mesh.ny], axes[mesh.nx])
         self.mass_p2 = assemble_mass(self.velocity_space)
         self.stiff_p2 = assemble_stiffness(self.velocity_space)
+        shape = self.velocity_space.lattice_shape
+        self.lattice_stencils = [_lattice_stencil(a, shape) for a in (self.mass_p2, self.stiff_p2)]
         self.div = assemble_div_coupling(self.velocity_space, self.scalar_space)
         self.velocity_bc = velocity_bc
         # ones^T M as a vector: integral of a P1 field is mass_row @ values.
@@ -232,9 +236,10 @@ class Operators:
     def velocity_system(self, params: SchemeParams):
         """(DirichletSystem of the scalar P2 M/tau + A, the _LatticeSolve that preconditions it)."""
         if self._velocity_system[0] != params.tau:
-            base = self.velocity_space.pattern.matrix(self.mass_p2.data / params.tau + self.stiff_p2.data)
-            system = DirichletSystem(base, self.velocity_dirichlet)
-            self._velocity_system = (params.tau, (system, _LatticeSolve(self.lattice_modes, params.tau)))
+            system = self.projection_system.with_data(self.mass_p2.data / params.tau + self.stiff_p2.data)
+            mass, stiffness = self.lattice_stencils
+            solve = _LatticeSolve(self.lattice_modes, mass / params.tau + stiffness)
+            self._velocity_system = (params.tau, (system, solve))
         return self._velocity_system[1]
 
     def transport_base(self, params: SchemeParams):
@@ -312,55 +317,83 @@ class _MassKeepingSolve:
         return z
 
 
-class _LatticeSolve:
-    """The exact inverse of (h^2/4 tau) I + A_P2 on the interior of the h/2 lattice of the P2 nodes.
+def _lattice_stencil(matrix, shape: tuple[int, int]) -> np.ndarray:
+    """m[c_y, d_y + 2, c_x, d_x + 2]: the entries of a P2 matrix's rows of each parity class at offset (d_y, d_x).
 
-    There A_P2 = (4/3) A(h/2) - (1/3) E^T A(h) E, with A(h/2) and A(h) the P1
-    stiffness of the lattice and of the vertices, and E the injection at the
-    vertices, the even-even points.  Both are diagonal in the sine modes of
-    sparse.lattice_modes, lam on the lattice and mu on the vertices, so in
-    the lattice modes the operator is diag(omega), omega = 1/tau + (4/3) lam,
-    minus a rank-one term per vertex mode that couples its four aliases, the
-    blocks of one view (_blocks).  The Woodbury identity inverts it: divide
-    by omega, take c = E w / G, G = 3/mu - E (1/omega), and add (1/omega)
-    E^T c to each block.  Only the mass is lumped: the preconditioned P2
-    M/tau + A has its spectrum in [0.95, 1.04] at tau = 0.05, [0.31, 1.40]
-    when the mass dominates.
+    The dofs are the points of the row-major lattice of this shape.  Every
+    interior point of a class has the same row, so the row of the first one
+    gives it; a class with no interior point keeps zeros.
+    """
+    stencil = np.zeros((2, 5, 2, 5))
+    for c_y, c_x in np.ndindex(2, 2):
+        y, x = 2 - c_y, 2 - c_x
+        if y < shape[0] - 1 and x < shape[1] - 1:
+            row = slice(*matrix.indptr[y * shape[1] + x : y * shape[1] + x + 2])
+            d_y, d_x = np.divmod(matrix.indices[row], shape[1])
+            stencil[c_y, d_y - y + 2, c_x, d_x - x + 2] = matrix.data[row]
+    return stencil
+
+
+class _LatticeSolve:
+    """The exact inverse of a P2 operator's alias blocks in the sine modes of the interior of the h/2 lattice.
+
+    There the P2 M and A are each sum m[c_y, d_y, c_x, d_x] (P S)_y ⊗ (P S)_x
+    over the parity classes c of the rows and the offsets |d| <= 2: stencil
+    is the table m of M/tau + A (_lattice_stencil).  In the folded modes
+    V = V_y ⊗ V_x of sparse.lattice_modes, B, the part of V^T (M/tau + A) V
+    that couples the four aliases of a vertex mode, is sum m F_y ⊗ F_x of
+    the 1-D alias blocks F (sparse.lattice_alias_blocks), and the solve is
+    V B^-1 V^T.  The zero columns of the modes pad the blocks of the modes
+    k = n to 4x4 with a unit diagonal.  B holds A_P2 exactly and leaves out
+    only the mass's couplings along the cells' diagonals that are odd in
+    both axes: the preconditioned P2 M/tau + A has its spectrum in
+    [0.995, 1.005] at tau = 0.05 and nx = 8, [0.59, 1.41] when the mass
+    dominates.
 
     A (2, n) residual is a (2, 2ny+1, 2nx+1) lattice array.  The first
     product reads its interior and the last writes the result's, with no
-    copy; the frame, the eliminated dofs, passes through.  The products
-    take contiguous copies of V^T, faster than transposed views.  Every tau
-    shares the modes, Operators.lattice_modes, and builds only 1/omega, the
-    weights and 1/G.
+    copy; the frame, the eliminated dofs, passes through.  Between them one
+    einsum applies B^-1, laid out [b_y, b_x, a_y, p_y, a_x, p_x] from input
+    to output alias, to the (..., 2, ny, 2, nx) view of the modes.  The
+    products take contiguous copies of V^T, faster than transposed views.
+    Every tau shares the modes and F, Operators.lattice_modes.
     """
 
-    def __init__(self, modes, tau: float):
-        (self.vy, self.vy_t, lam_y, mu_y), (self.vx, self.vx_t, lam_x, mu_x) = modes
-        self.shape, self.folded = (len(lam_y) + 2, len(lam_x) + 2), (2, len(mu_y), 2, len(mu_x))
-        self.inv_omega = 1.0 / (1.0 / tau + (4.0 / 3.0) * (lam_y[:, None] + lam_x))
-        self.weights = [block.copy() for block in self._blocks(self.inv_omega)]
-        self.inv_g = 1.0 / (3.0 / (mu_y[:, None] + mu_x) - sum(self.weights))
-
-    def _blocks(self, w: np.ndarray) -> list[np.ndarray]:
-        """The blocks of the (..., 2, ny-1, 2, nx-1) view of w without the modes k = n: E w is their sum."""
-        folded = w[..., :-1, :-1].reshape(w.shape[:-2] + self.folded)
-        return [folded[..., i, :, j, :] for i in (0, 1) for j in (0, 1)]
+    def __init__(self, modes, stencil: np.ndarray):
+        (self.vy, self.vy_t, f_y), (self.vx, self.vx_t, f_x) = modes
+        ny, nx = f_y.shape[-1], f_x.shape[-1]
+        self.shape, self.folded = (2 * ny + 1, 2 * nx + 1), (2, ny, 2, nx)
+        b = f_y.reshape(10, -1).T @ stencil.reshape(10, 10) @ f_x.reshape(10, -1)
+        b = b.reshape(2, 2, ny, 2, 2, nx).transpose(0, 1, 3, 4, 2, 5)  # [a_y, b_y, a_x, b_x, p_y, p_x]
+        b[1, 1, [0, 1], [0, 1], -1] = 1.0  # the zero alias of mode n_y
+        b[[0, 1], [0, 1], 1, 1, :, -1] = 1.0  # and of mode n_x
+        self.inverse = np.ascontiguousarray(_block_inverse(b).transpose(1, 3, 0, 4, 2, 5))  # [b_y, b_x, a_y, ..]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         z = r.copy()
         shape = r.shape[:-1] + self.shape
         w = self.vy_t @ (r.reshape(shape)[..., 1:-1, 1:-1] @ self.vx)
-        w *= self.inv_omega
-        blocks = self._blocks(w)
-        coarse = blocks[0] + blocks[1]  # three additions: faster than sum() over the 5-D view
-        coarse += blocks[2]
-        coarse += blocks[3]
-        coarse *= self.inv_g
-        for block, weight in zip(blocks, self.weights):
-            block += weight * coarse
-        np.matmul(self.vy, w @ self.vx_t, out=z.reshape(shape)[..., 1:-1, 1:-1])
+        modes = np.einsum("jlaybx,...jylx->...aybx", self.inverse, w.reshape(w.shape[:-2] + self.folded))
+        np.matmul(self.vy, modes.reshape(w.shape) @ self.vx_t, out=z.reshape(shape)[..., 1:-1, 1:-1])
         return z
+
+
+def _block_inverse(b: np.ndarray) -> np.ndarray:
+    """The inverses of the symmetric positive definite [[P, Q], [Q^T, R]], 2x2 blocks b[i, j] of shape (2, 2, ...).
+
+    By the Schur complement S = R - Q^T P^-1 Q: the 2x2 inverses are closed form.
+    """
+    def product(x, y):
+        return np.einsum("ik...,kj...->ij...", x, y)
+
+    def inverse(x):
+        return np.array([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]]) / (x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0])
+
+    p_inv = inverse(b[0, 0])
+    x = product(p_inv, b[0, 1])
+    s_inv = inverse(b[1, 1] - product(b[0, 1].swapaxes(0, 1), x))
+    y = product(x, s_inv)
+    return np.array([[p_inv + product(y, x.swapaxes(0, 1)), -y], [-y.swapaxes(0, 1), s_inv]])
 
 
 def _require_converged(report, label: str):

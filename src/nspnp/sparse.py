@@ -20,9 +20,11 @@ fast diagonalization (Lynch, Rice and Thomas, 1964): four dense products
 against closed-form cosine eigenvectors, no factor.  It serves the pure
 Neumann solves (sigma = 0, exact) and, shifted to sigma = 1/tau on the same
 bases, the preconditioner of the transport.  ``lattice_modes`` gives the sine modes of
-the interior of the h/2 lattice of the P2 nodes, ordered and signed so that
-the four aliases of a vertex mode are the blocks of one view; the velocity
-preconditioner inverts the P2 operator in them (scheme._LatticeSolve).
+the interior of the h/2 lattice of the P2 nodes, ordered, signed and padded
+so that the aliases of a vertex mode are the blocks of one view, and
+``lattice_alias_blocks`` the blocks of the 1-D lattice operators between
+aliases; the velocity preconditioner inverts the P2 operator's alias blocks
+in them (scheme._LatticeSolve).
 
 ``cg`` takes a vector (n,) or a stack (k, n) of them: a (2, n) vector field
 is solved with one scalar block applied row by row, and inner products and
@@ -48,6 +50,7 @@ __all__ = [
     "SolveReport",
     "GridSolver",
     "lattice_modes",
+    "lattice_alias_blocks",
     "matvec",
     "jacobi",
     "cg",
@@ -107,31 +110,45 @@ def _cosine_modes(n: int, h: float):
     weight = np.full(n + 1, 2.0)
     weight[[0, n]] = 1.0  # the constants and the alternating vector have twice the norm
     v = np.cos((np.pi / n) * (np.outer(k, k) % (2 * n))) * np.sqrt(weight / (n * h))
-    return v, _eigenvalues(n, h, k)
+    return v, (2.0 / h * np.sin(np.pi / (2 * n) * k)) ** 2  # (4 / h^2) sin^2(pi k / 2n), exactly 0 at k = 0
 
 
-def lattice_modes(n: int, h: float):
-    """(V, lam, mu): the sine modes of the interior of the h/2 lattice of a line of n cells of size h.
+def lattice_modes(n: int, h: float) -> np.ndarray:
+    """V, the sine modes of the interior of the h/2 lattice of a line of n cells of size h, folded by alias.
 
-    V^T M V = I and V^T K V = diag(lam) on the 2n - 1 interior lattice
-    points, V holding sin(pi k j / 2n) (DST-I).  At the vertices, the even
-    points, mode k is vertex mode k for k < n, minus vertex mode 2n - k for
-    k > n, and 0 for k = n.  So the columns are k = 1..n-1, then 2n - k
-    negated, then n: both blocks of n - 1 columns are the vertex modes at
-    the vertices, whose eigenvalues are mu, and E, lattice modes to vertex
-    modes, is their sum.
+    V^T M V = I on the 2n - 1 interior lattice points but for a zero last
+    column, V holding sin(pi k j / 2n) (DST-I), and V^T K V is diagonal.  The
+    columns are k = 1..n, then 2n - k negated for k = 1..n-1, then zero: in
+    the (2, n) view of the columns, (0, p) is mode p + 1 and (1, p) its alias
+    2n - p - 1, which is the same vertex mode at the vertices, the even
+    points.  Mode n is its own alias; the zero column stands for it.
     """
     k = np.arange(1, n)
-    modes = np.concatenate([k, 2 * n - k, [n]])
+    modes = np.concatenate([k, [n], 2 * n - k])
     # The angles are reduced exactly, so sin and cos stay accurate.
     v = np.sin((np.pi / (2 * n)) * (np.outer(np.arange(1, 2 * n), modes) % (4 * n))) * np.sqrt(2.0 / (n * h))
-    v[:, n - 1 : 2 * n - 2] *= -1.0
-    return v, _eigenvalues(2 * n, h / 2, modes), _eigenvalues(n, h, k)
+    v[:, n:] *= -1.0
+    return np.pad(v, ((0, 0), (0, 1)))
 
 
-def _eigenvalues(n: int, h: float, k: np.ndarray) -> np.ndarray:
-    """lam_k = (4 / h^2) sin^2(pi k / 2n) of mode k of a line of n cells of size h, exactly 0 for k = 0."""
-    return (2.0 / h * np.sin(np.pi / (2 * n) * k)) ** 2
+def lattice_alias_blocks(v: np.ndarray) -> np.ndarray:
+    """F[c, d + 2, a, b, p] = (v^T P_c S_d v)[(a, p), (b, p)]: the alias blocks of the 1-D lattice operators.
+
+    v is lattice_modes(n, h), columns (a, p) and (b, p) two aliases of one
+    mode.  P_c keeps the interior lattice points of parity c (0: the
+    vertices) and S_d, |d| <= 2, shifts by d with zeros past the ends:
+    (P_c S_d x)_j = x_{j+d} at the points j of parity c.  Each entry is a
+    dot product of two columns over the points of parity c.
+    """
+    m, n = v.shape[0], v.shape[1] // 2
+    padded = np.zeros((m + 4, 2, n))
+    padded[2:-2] = v.reshape(m, 2, n)
+    blocks = np.empty((2, 5, 2, 2, n))
+    for c in (0, 1):
+        rows = padded[3 - c : m + 2 : 2]  # interior point j is lattice point j + 1
+        for d in range(-2, 3):
+            blocks[c, d + 2] = np.einsum("jap,jbp->abp", rows, padded[3 - c + d :: 2][: len(rows)])
+    return blocks
 
 
 def matvec(matrix: CsrMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -68,6 +68,7 @@ CHECK_NAMES = (
     "dirichlet_pinning",
     "sources_vs_finite_differences",
     "splitting_linearity",
+    "velocity_preconditioner",
 )
 
 

@@ -17,7 +17,7 @@ def test_run_all_passes(seed):
     results = run_all(seed=seed)
     names = [res.name for res in results]
     assert len(set(names)) == len(names)
-    assert len(results) == 8
+    assert len(results) == 9
     failures = [res for res in results if not res.passed]
     assert not failures, "\n".join(f"{r.name}: {r.detail}" for r in failures)
     for res in results:

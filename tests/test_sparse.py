@@ -9,10 +9,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nspnp.fem import FunctionSpace, assemble_stiffness
+from nspnp import scheme
+from nspnp.fem import FunctionSpace, assemble_mass, assemble_stiffness
 from nspnp.mesh import boundary_dofs, build_rect_mesh
 from nspnp.scheme import Operators, SchemeParams
-from nspnp.sparse import GridSolver, SolveReport, bicgstab, cg, lattice_modes, matvec
+from nspnp.sparse import GridSolver, SolveReport, bicgstab, cg, lattice_alias_blocks, lattice_modes, matvec
 
 
 def random_spd(n: int, seed: int) -> np.ndarray:
@@ -147,13 +148,21 @@ def test_p1_stiffness_is_the_kronecker_sum_of_the_grid_lines(nx, ny):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def interior_line_modes(n: int, h: float):
+    """(V, lam): lattice_modes(n, h) without the zero column, and the diagonal of V^T K V on the interior points."""
+    v = lattice_modes(n, h)[:, :-1]
+    k = line_matrices(2 * n, h / 2)[0][1:-1, 1:-1]
+    return v, np.diag(v.T @ k @ v)
+
+
 def interior_lattice_solver(nx: int, ny: int, h: float, sigma: float):
     """(sigma M⊗M + M⊗K + K⊗M)^-1 on the interior of the h/2 lattice of an nx by ny grid of cells of size h.
 
-    In the sine modes V of sparse.lattice_modes, V^T M V = I and V^T K V =
-    diag(lam) on each axis, so the inverse is V diag(1 / (sigma + lam_y + lam_x)) V^T.
+    In the sine modes V of sparse.lattice_modes, without their zero column,
+    V^T M V = I and V^T K V = diag(lam) on each axis, so the inverse is
+    V diag(1 / (sigma + lam_y + lam_x)) V^T.
     """
-    (vy, lam_y, _), (vx, lam_x, _) = (lattice_modes(n, h) for n in (ny, nx))
+    (vy, lam_y), (vx, lam_x) = (interior_line_modes(n, h) for n in (ny, nx))
     inverse = 1.0 / (sigma + (lam_y[:, None] + lam_x))
 
     def solve(b: np.ndarray) -> np.ndarray:
@@ -191,19 +200,20 @@ def test_grid_solver_matches_dense_solve(nx, ny, interior):
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
 def test_lattice_modes_diagonalize_the_interior_lines_and_fold_onto_the_vertex_modes(n):
     h = 0.25
-    v, lam, mu = lattice_modes(n, h)
+    folded = lattice_modes(n, h)
+    assert folded.shape == (2 * n - 1, 2 * n) and not folded[:, -1].any()  # the alias of mode n is zero
+    v, lam = interior_line_modes(n, h)
     k, m = (a[1:-1, 1:-1] for a in line_matrices(2 * n, h / 2))
-    assert v.shape == (2 * n - 1, 2 * n - 1) and lam.shape == (2 * n - 1,)
     assert np.abs(v.T @ m @ v - np.eye(2 * n - 1)).max() <= 1e-12
     assert np.abs(v.T @ k @ v - np.diag(lam)).max() <= 1e-12 * lam.max()
-    # At the vertices, the even lattice points, both blocks of n - 1 modes are the vertex
-    # modes, whose eigenvalues are mu, and mode n vanishes.
-    at_vertices = v[1::2]
-    low, high = at_vertices[:, : n - 1], at_vertices[:, n - 1 : 2 * n - 2]
+    # At the vertices, the even lattice points, column (1, p) of the (2, n) view is column (0, p),
+    # a vertex mode, and mode n, column (0, n - 1), vanishes.
+    at_vertices = folded[1::2].reshape(-1, 2, n)
+    low, high = at_vertices[:, 0, :-1], at_vertices[:, 1, :-1]
     np.testing.assert_allclose(high, low, rtol=0, atol=1e-12 * np.abs(v).max())
-    assert np.abs(at_vertices[:, -1]).max(initial=0.0) <= 1e-12 * np.abs(v).max()
+    assert np.abs(at_vertices[:, 0, -1]).max(initial=0.0) <= 1e-12 * np.abs(v).max()
     k_vertex, m_vertex = (a[1:-1, 1:-1] for a in line_matrices(n, h))
-    assert mu.shape == (n - 1,)
+    mu = np.diag(low.T @ k_vertex @ low)
     assert np.abs(low.T @ m_vertex @ low - np.eye(n - 1)).max(initial=0.0) <= 1e-12
     assert np.abs(low.T @ k_vertex @ low - np.diag(mu)).max(initial=0.0) <= 1e-12 * lam.max()
 
@@ -247,22 +257,40 @@ def test_p2_stiffness_is_four_thirds_the_half_step_p1_minus_a_third_the_vertex_p
     assert np.abs(combination - a_p2).max() <= 1e-13 * np.abs(a_p2).max()
 
 
+def alias_block_inverse(mesh, tau: float) -> np.ndarray:
+    """Dense V B^-1 V^T on the interior of the h/2 lattice, the identity on its frame.
+
+    V = V_y ⊗ V_x are the folded sine modes of sparse.lattice_modes, and B
+    is V^T S V, S the P2 M/tau + A on the interior points, with only the
+    entries that couple two aliases of one vertex mode kept: columns (a, p)
+    and (b, q) of the (2, n) views are aliases on both axes when p = q.  The
+    zero columns of V are left out.
+    """
+    n = mesh.n_p2_nodes
+    inner = np.setdiff1d(np.arange(n), boundary_dofs(mesh, "p2"))
+    p2 = FunctionSpace.p2(mesh)
+    s = (assemble_mass(p2) / tau + assemble_stiffness(p2)).toarray()[np.ix_(inner, inner)]
+    v = np.kron(lattice_modes(mesh.ny, mesh.h), lattice_modes(mesh.nx, mesh.h))
+    group = np.add.outer(np.arange(2 * mesh.ny) % mesh.ny * mesh.nx, np.arange(2 * mesh.nx) % mesh.nx).ravel()
+    real = np.abs(v).max(axis=0) > 0
+    v, group = v[:, real], group[real]
+    b = np.where(group[:, None] == group, v.T @ s @ v, 0.0)
+    want = np.eye(n)
+    want[np.ix_(inner, inner)] = v @ np.linalg.solve(b, v.T)
+    return want
+
+
 @pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
 @pytest.mark.parametrize(
     "nx, ny", [(6, 6), (6, 3), (1, 1), (3, 5)], ids=["square", "rectangle", "one-cell", "odd-tall"]
 )
 def test_lattice_solve_is_the_inverse_of_the_p2_helmholtz(nx, ny, tau):
-    # On the interior points of the h/2 lattice, the non-Dirichlet P2 dofs: (h^2/4 tau) I,
-    # the lumped mass, plus the P2 stiffness.
-    system, solve = velocity_system(nx, ny, tau)
+    # Of the consistent P2 M/tau + A in the alias blocks of the lattice sine modes, on the interior
+    # points of the h/2 lattice, the non-Dirichlet P2 dofs.
     mesh = build_rect_mesh((0.0, 0.0, 1.0, ny / nx), nx, ny)
-    n = system.matrix.shape[0]
-    inner = np.setdiff1d(np.arange(n), system.dofs)
-    helmholtz = assemble_stiffness(FunctionSpace.p2(mesh)).toarray()[np.ix_(inner, inner)]
-    helmholtz += mesh.h**2 / (4.0 * tau) * np.eye(inner.size)
-    want = np.eye(n)
-    want[np.ix_(inner, inner)] = np.linalg.inv(helmholtz)
-    got = solve(np.eye(n))  # row k is the solve of unit vector k; the solve is symmetric
+    _, solve = velocity_system(nx, ny, tau)
+    want = alias_block_inverse(mesh, tau)
+    got = solve(np.eye(want.shape[0]))  # row k is the solve of unit vector k; the solve is symmetric
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -286,6 +314,43 @@ def test_lattice_preconditioned_velocity_spectrum_is_near_one_when_stiffness_wei
     a = system.matrix.toarray()
     lam = scipy.linalg.eigvalsh(a, np.linalg.inv(solve(np.eye(a.shape[0]))))
     assert 0.9 <= lam.min() and lam.max() <= 1.1
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.05])
+@pytest.mark.parametrize("nx", [4, 8, 16])
+def test_alias_block_preconditioned_velocity_spectrum_is_tight(nx, tau):
+    # Only the mass's couplings along the cells' diagonals, odd in both axes, are left out of
+    # the alias blocks, so the spectrum closes on 1 as h^2/tau falls.  Measured: [0.556, 1.444],
+    # [0.587, 1.413], [0.719, 1.281] at tau = 1e-4 and 1 -+ 1.77e-2, 5.01e-3, 1.29e-3 at
+    # tau = 0.05, for nx = 4, 8, 16.
+    system, solve = velocity_system(nx, nx, tau)
+    a = system.matrix.toarray()
+    lam = scipy.linalg.eigvalsh(a, np.linalg.inv(solve(np.eye(a.shape[0]))))
+    bound = 0.45 if tau == 1e-4 else {4: 0.02, 8: 0.006, 16: 0.0015}[nx]
+    assert 1.0 - bound <= lam.min() and lam.max() <= 1.0 + bound
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (8, 8), (6, 3)], ids=["4", "8", "rectangle"])
+def test_alias_block_inverse_of_the_p2_stiffness_is_exact(nx, ny):
+    # A_P2 couples a mode only with its aliases: its alias blocks invert it to round-off.
+    ops = Operators(build_rect_mesh((0.0, 0.0, 1.0, ny / nx), nx, ny))
+    a = ops.projection_system.with_data(ops.stiff_p2.data).matrix.toarray()
+    solve = scheme._LatticeSolve(ops.lattice_modes, ops.lattice_stencils[1])
+    lam = scipy.linalg.eigvalsh(a, np.linalg.inv(solve(np.eye(a.shape[0]))))
+    assert np.abs(lam - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_lattice_alias_blocks_are_the_alias_blocks_of_the_dense_line_operators(n):
+    # F[c, d + 2] holds the entries of v^T P_c S_d v between the two aliases (a, p) and (b, p).
+    v = lattice_modes(n, 0.25)
+    blocks = lattice_alias_blocks(v)
+    points = np.arange(1, 2 * n)  # the interior lattice points
+    for c in (0, 1):
+        for d in range(-2, 3):
+            dense = v.T @ np.diag(points % 2 == c) @ np.eye(2 * n - 1, k=d) @ v
+            want = np.einsum("apbp->abp", dense.reshape(2, n, 2, n))
+            assert np.abs(blocks[c, d + 2] - want).max() <= 1e-14 * np.abs(v).max() ** 2
 
 
 def test_lattice_preconditioned_cg_matches_dense_solve():
