@@ -62,7 +62,6 @@ entry of values.ravel(): all x components first, then all y components.
 
 from __future__ import annotations
 
-import copy
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -78,7 +77,6 @@ __all__ = [
     "SparsityPattern",
     "FunctionSpace",
     "FieldVector",
-    "DirichletSystem",
     "tri_quadrature_degree5",
     "shape_eval",
     "assemble_mass",
@@ -493,62 +491,3 @@ def error_norms(field: FieldVector, exact, exact_grad, t: float) -> tuple[float,
     l2sq, h1sq = squares
     return np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(l2sq + h1sq)
 
-
-# ---------------------------------------------------------------------------
-# Dirichlet elimination
-# ---------------------------------------------------------------------------
-
-class DirichletSystem:
-    """Symmetric elimination of Dirichlet rows/columns, reusable across solves and across matrices of one pattern.
-
-    The eliminated matrix has identity rows and columns at the constrained
-    dofs: the entries of a constrained row or column are dropped, a
-    constrained diagonal becomes 1, and every other stored entry stays, in
-    its order.  It is kept with lift, the constrained columns sliced from
-    the matrix given, which is not kept.  reduce_rhs subtracts lift times
-    the boundary values from the load and pins the constrained entries, so
-    the reduced system gives the constrained solution directly.  The matrix
-    must store its diagonal, as every assembled matrix does.  reduce_rhs also
-    takes a stack, such as a (2, n) vector field, with boundary values
-    shaped (2, nb), and returns the shape it was given.  with_data gives the
-    system of another matrix on the same indptr and indices from the slots
-    found here: a gather of its data, no second elimination.
-    """
-
-    def __init__(self, matrix: CsrMatrix, dofs):
-        n = matrix.shape[0]
-        self.dofs = np.asarray(dofs, dtype=np.int64)
-        fixed = np.zeros(n, dtype=bool)
-        fixed[self.dofs] = True
-        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
-        self._keep = ~(fixed[rows] | fixed[matrix.indices]) | (rows == matrix.indices)
-        self._ones = np.flatnonzero(fixed[rows[self._keep]])  # the constrained diagonals among the kept
-        self._lift = fixed[matrix.indices]  # each row keeps its order of columns
-        column = np.zeros(n, dtype=matrix.indices.dtype)
-        column[self.dofs] = np.arange(self.dofs.size)
-        self._parts = [(indices, np.r_[0, np.bincount(rows[slots], minlength=n).cumsum()].astype(matrix.indptr.dtype))
-                       for slots, indices in ((self._keep, matrix.indices[self._keep]),
-                                              (self._lift, column[matrix.indices[self._lift]]))]
-        self.matrix, self.lift = self._eliminate(matrix.data)
-
-    def with_data(self, data: np.ndarray) -> "DirichletSystem":
-        """The system of the matrix with this csr.data on the indptr and indices of the one given."""
-        system = copy.copy(self)
-        system.matrix, system.lift = system._eliminate(data)
-        return system
-
-    def _eliminate(self, data: np.ndarray):
-        kept = data[self._keep]
-        kept[self._ones] = 1.0
-        (indices, indptr), lift = self._parts
-        n = indptr.size - 1
-        lift = CsrMatrix((data[self._lift], *lift), shape=(n, self.dofs.size))
-        return CsrMatrix((kept, indices, indptr), shape=(n, n)), lift
-
-    def reduce_rhs(self, rhs: np.ndarray, values=0.0) -> np.ndarray:
-        out = np.array(rhs, dtype=float, copy=True)
-        vals = np.broadcast_to(np.asarray(values, dtype=float), out.shape[:-1] + self.dofs.shape)
-        if np.any(vals):
-            out -= (self.lift @ vals.T).T
-        out[..., self.dofs] = vals
-        return out

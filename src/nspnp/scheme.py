@@ -24,7 +24,8 @@ drift blocks:
        (M_v/tau + A_v) u1 = M_v u^n / tau + B^T p^n + (f_u, v)
        (M_v/tau + A_v) u2 = -N
    with u_hat = u1 + xi u2.  M_v/tau + A_v is one scalar P2 block acting on
-   both rows of the (2, n) velocity; CG solves both components at once,
+   both rows of the (2, n) velocity; CG solves both components at once, its
+   Dirichlet dofs held at their start values (cg's fixed),
    preconditioned by the exact inverse of the alias blocks of M_v/tau + A_v
    in the sine modes of the h/2 lattice of the P2 nodes: two sine
    transforms per axis and one symmetric 4x4 block per vertex mode
@@ -41,7 +42,8 @@ drift blocks:
    L2 velocity projection that keeps the velocity in the
    boundary-condition-satisfying subspace:
        A_p p^{n+1} = A_p p^n - (1/tau) B u_hat,  int p = 0
-       M_v u^{n+1} = M_v u_hat + tau B^T (p^{n+1} - p^n).
+       M_v u^{n+1} = M_v u_hat + tau B^T (p^{n+1} - p^n),
+   Jacobi-CG on M_v from u_hat, its Dirichlet dofs held at u_hat's values.
 
 The decoupling is what makes each solve linear and symmetric (except stage
 1); the xi scaling is what transfers the explicit coupling's energy into the
@@ -56,9 +58,9 @@ per mesh at the quadrature points that the P1 and P2 spaces share; a step
 weighs them by w_k(t^{n+1}).  advance() gets the loads and the velocity
 Dirichlet values (``Operators.boundary_values``, homogeneous when
 ``velocity_bc`` is None) at t^{n+1} once for all stages.  Manufactured
-solutions with nonzero tangential boundary velocity pass their exact trace;
-since u2 always carries zero data, u_hat = u1 + xi u2 satisfies the
-condition for every xi.
+solutions with nonzero tangential boundary velocity pass their exact trace.
+No matrix is eliminated: u1 starts from g and u2 from zero, cg keeps those
+entries (fixed), so u_hat = u1 + xi u2 carries g for every xi.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ import numpy as np
 
 from .diagnostics import DiagRecord, discrete_energy, extrema, mass, mass_norm_sq, original_energy
 from .fem import (
-    DirichletSystem,
     FieldVector,
     FunctionSpace,
     assemble_convection,
@@ -183,21 +184,21 @@ class SplitCoefficients:
 
 
 class Operators:
-    """Assembled matrices and reusable eliminated systems for one mesh.
+    """Assembled matrices and reusable solvers for one mesh.
 
     Holds, once each, what does not change between time steps: the P1 mass
     and stiffness matrices on the P1 pattern, the grid solver of their
     pure Neumann stiffness, the scalar P2 mass and stiffness that act on
     each row of a (2, n) velocity, the divergence coupling B (B^T is its
-    transposed view), and the Dirichlet elimination of the projection with
-    its Jacobi preconditioner.  The systems that depend on tau (the
-    eliminated velocity system with its _LatticeSolve, and M/tau + A of the
-    transport with the grid solve of sigma = 1/tau) are built for the tau
-    last asked for and kept until another tau is asked for, on what is built
-    once here: the projection's elimination, which the velocity system
-    shares, the lattice sine modes with their alias blocks, the stencil
-    tables of the P2 mass and stiffness, and the cosine modes.  The mesh
-    must be the uniform grid of its bounds, as build_rect_mesh makes it.
+    transposed view), the velocity's Dirichlet dofs, which the solves pass
+    to cg as fixed, and the Jacobi preconditioner of the projection on the
+    P2 mass.  The systems that depend on tau (the velocity M/tau + A with
+    its _LatticeSolve, and M/tau + A of the transport with the grid solve
+    of sigma = 1/tau) are built for the tau last asked for and kept until
+    another tau is asked for, on what is built once here: the patterns, the
+    lattice sine modes with their alias blocks, the stencil tables of the
+    P2 mass and stiffness, and the cosine modes.  The mesh must be the
+    uniform grid of its bounds, as build_rect_mesh makes it.
     """
 
     def __init__(self, mesh: StructuredTriMesh, velocity_bc=None):
@@ -227,16 +228,15 @@ class Operators:
 
         self.velocity_dirichlet = self.velocity_space.boundary_dofs()
         self._bnode_coords = self.velocity_space.node_coords[self.velocity_dirichlet]
-        self.projection_system = DirichletSystem(self.mass_p2, self.velocity_dirichlet)
-        self.projection_preconditioner = jacobi(self.projection_system.matrix)
+        self.projection_preconditioner = jacobi(self.mass_p2)
         self._velocity_system = (None, None)
         self._transport_base = (None, None)
         self._source_modes = (None, None)
 
     def velocity_system(self, params: SchemeParams):
-        """(DirichletSystem of the scalar P2 M/tau + A, the _LatticeSolve that preconditions it)."""
+        """(the scalar P2 M/tau + A on mass_p2's pattern, uneliminated, the _LatticeSolve preconditioning it)."""
         if self._velocity_system[0] != params.tau:
-            system = self.projection_system.with_data(self.mass_p2.data / params.tau + self.stiff_p2.data)
+            system = self.velocity_space.pattern.matrix(self.mass_p2.data / params.tau + self.stiff_p2.data)
             mass, stiffness = self.lattice_stencils
             solve = _LatticeSolve(self.lattice_modes, mass / params.tau + stiffness)
             self._velocity_system = (params.tau, (system, solve))
@@ -352,7 +352,7 @@ class _LatticeSolve:
 
     A (2, n) residual is a (2, 2ny+1, 2nx+1) lattice array.  The first
     product reads its interior and the last writes the result's, with no
-    copy; the frame, the eliminated dofs, passes through.  Between them one
+    copy; the frame, the Dirichlet dofs, passes through.  Between them one
     einsum applies B^-1, laid out [b_y, b_x, a_y, p_y, a_x, p_x] from input
     to output alias, to the (..., 2, ny, 2, nx) view of the modes.  The
     products take contiguous copies of V^T, faster than transposed views.
@@ -498,12 +498,13 @@ def _momentum_forcing(ops: Operators, state: State) -> np.ndarray:
 def compute_velocity_split(
     ops: Operators, state: State, params: SchemeParams, momentum_load: np.ndarray, g: np.ndarray
 ) -> VelocitySplit:
-    """Solve the two tentative-velocity systems sharing one eliminated matrix.
+    """Solve the two tentative-velocity systems sharing one matrix, M/tau + A.
 
     momentum_load is the (2, n) source load (f_u(t^{n+1}), v) and g the
     boundary values at t^{n+1}, shaped like ops.boundary_values.  u1 starts
-    from u^n with its boundary entries set to g, so CG never changes them
-    and u_hat keeps the boundary values exactly; u2 starts from zero.
+    from u^n with its boundary entries set to g and u2 from zero; cg holds
+    the boundary entries (fixed=ops.velocity_dirichlet), so u_hat keeps the
+    boundary values exactly.
     """
     system, preconditioner = ops.velocity_system(params)
     forcing = _momentum_forcing(ops, state)
@@ -512,23 +513,11 @@ def compute_velocity_split(
     rhs1 += momentum_load
     x0 = state.u.values.copy()
     x0[:, ops.velocity_dirichlet] = g
-    u1, report = cg(
-        system.matrix,
-        system.reduce_rhs(rhs1, g),
-        x0=x0,
-        tol=params.tol,
-        max_iter=params.max_iter,
-        preconditioner=preconditioner,
-    )
+    solver = dict(tol=params.tol, max_iter=params.max_iter, preconditioner=preconditioner,
+                  fixed=ops.velocity_dirichlet)
+    u1, report = cg(system, rhs1, x0=x0, **solver)
     _require_converged(report, "tentative velocity (forcing-free part)")
-
-    u2, report = cg(
-        system.matrix,
-        system.reduce_rhs(-forcing),
-        tol=params.tol,
-        max_iter=params.max_iter,
-        preconditioner=preconditioner,
-    )
+    u2, report = cg(system, -forcing, **solver)
     _require_converged(report, "tentative velocity (coupling part)")
 
     return VelocitySplit(
@@ -618,10 +607,8 @@ def solve_xi(
     return xi, xi * sqrt_energy, coeffs
 
 
-def pressure_projection(
-    ops: Operators, u_hat_next: FieldVector, state: State, params: SchemeParams, g: np.ndarray
-):
-    """Pressure update (pure Neumann) and L2 projection onto the boundary values g at t^{n+1}."""
+def pressure_projection(ops: Operators, u_hat_next: FieldVector, state: State, params: SchemeParams):
+    """Pressure update (pure Neumann) and L2 projection onto the velocities with u_hat's boundary values."""
     tau = params.tau
     u_hat = u_hat_next.values
     p_vals = ops.solve_neumann(ops.stiff_p1 @ state.p.values - ops.divergence(u_hat) / tau)
@@ -629,12 +616,13 @@ def pressure_projection(
     delta = p_vals - state.p.values
     rhs_u = matvec(ops.mass_p2, u_hat) + tau * ops.pressure_load(delta)
     u_vals, report = cg(
-        ops.projection_system.matrix,
-        ops.projection_system.reduce_rhs(rhs_u, g),
+        ops.mass_p2,
+        rhs_u,
         x0=u_hat,
         tol=params.tol,
         max_iter=params.max_iter,
         preconditioner=ops.projection_preconditioner,
+        fixed=ops.velocity_dirichlet,
     )
     _require_converged(report, "velocity projection")
     return (
@@ -660,7 +648,7 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources=None):
     split = compute_velocity_split(ops, state, params, momentum_load, g)
     xi, r_next, coeffs = solve_xi(ops, state, split, c1_next, c2_next, phi_next, params, loads)
     u_hat = FieldVector(ops.velocity_space, split.u1.values + xi * split.u2.values)
-    p_next, u_next = pressure_projection(ops, u_hat, state, params, g)
+    p_next, u_next = pressure_projection(ops, u_hat, state, params)
 
     new_state = State(
         c1=c1_next,

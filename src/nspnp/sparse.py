@@ -28,7 +28,8 @@ in them (scheme._LatticeSolve).
 
 ``cg`` takes a vector (n,) or a stack (k, n) of them: a (2, n) vector field
 is solved with one scalar block applied row by row, and inner products and
-norms are those of the stacked vector.
+norms are those of the stacked vector.  Its ``fixed`` dofs keep their start
+values, the other rows solved on the assembled matrix as an elimination would.
 
 Both Krylov solvers take a ``preconditioner``, a map r -> z.  ``bicgstab``
 requires one; ``cg`` preconditions with ``jacobi(matrix)`` without one.
@@ -187,23 +188,31 @@ def cg(
     tol: float = 1e-12,
     max_iter: int | None = None,
     preconditioner=None,
+    fixed=None,
 ):
     """Preconditioned conjugate gradients for symmetric positive definite systems.
 
     Returns (x, SolveReport).  b is a vector (n,) or a stack (k, n) of them,
     which is solved as one system with the block-diagonal diag(matrix, ...):
     inner products and norms run over the whole stack, and x has b's shape.
-    tol is relative to ||b||.  preconditioner, a symmetric positive definite
-    map r -> z on b's shape, replaces jacobi(matrix) when given.  A
-    non-finite residual norm stops the iteration and is reported as not
-    converged.
+    preconditioner, a symmetric positive definite map r -> z on b's shape,
+    replaces jacobi(matrix) when given.  A non-finite residual norm stops
+    the iteration and is reported as not converged.
+
+    fixed, Dirichlet dof indices, keeps x[..., fixed] at x0's values g (0
+    without x0) and solves the other rows as the symmetric elimination
+    diag(keep) A diag(keep) + diag(1 - keep) would, on the matrix as
+    assembled: b is lifted once to b - A g and its fixed entries set to g,
+    and every residual, preconditioned residual and product A p is zeroed
+    on the fixed rows.  tol is relative to the norm of that right-hand side,
+    the eliminated system's.
 
     x, r and p are updated in place, and the products and the scaled
     updates go into two work arrays.  The reported residual is the true one
     that the convergence check computed, or b - A x computed once on any
     other exit.
     """
-    b = np.asarray(b, dtype=float)
+    b = np.array(b, dtype=float)  # a copy, lifted and pinned below
     n = b.shape[-1]
     if b.ndim > 2 or matrix.shape != (n, n):
         raise ValueError(f"shape mismatch: matrix {matrix.shape}, rhs {b.shape}")
@@ -211,6 +220,21 @@ def cg(
         raise ValueError(f"shape mismatch: x0 {np.shape(x0)}, rhs {b.shape}")
     if max_iter is None:
         max_iter = 10 * b.size
+    x = np.zeros(b.shape) if x0 is None else np.array(x0, dtype=float)
+    # The fixed entries of the flattened stack, and x0's values there; x holds the free part until the return.
+    fixed = np.empty(0, dtype=np.intp) if fixed is None else (np.arange(b.size // n)[:, None] * n + fixed).ravel()
+    g = x.take(fixed)
+    if np.any(g):
+        lift = np.zeros(b.shape)
+        lift.put(fixed, g)
+        b -= matvec(matrix, lift)
+    x.put(fixed, 0.0)
+    b.put(fixed, g)
+
+    def pin(v):  # zero the fixed entries of v, in place
+        v.put(fixed, 0.0)
+        return v
+
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(b.shape), SolveReport(iterations=0, residual=0.0, converged=True)
@@ -219,10 +243,9 @@ def cg(
 
     q = np.empty(b.shape)  # A p, and A x when the residual is recomputed
     scaled = np.empty(b.shape)  # alpha p, then alpha q
-    x = np.zeros(b.shape) if x0 is None else np.array(x0, dtype=float)
-    r = b.copy() if x0 is None else b - matvec(matrix, x)  # no product without a start
+    r = pin(b.copy() if x0 is None else b - matvec(matrix, x))  # no product without a start
     true_residual = True  # r is b - A x, not the recurrence
-    z = preconditioner(r)
+    z = pin(preconditioner(r))
     p = z.copy()
     rz = float(np.vdot(r, z))
     iterations = 0
@@ -230,7 +253,7 @@ def cg(
     rnorm = np.linalg.norm(r)
     converged = rnorm <= tol * bnorm
     while not converged and iterations < max_iter and np.isfinite(rnorm):
-        matvec(matrix, p, out=q)
+        pin(matvec(matrix, p, out=q))
         pq = float(np.vdot(p, q))
         if pq <= 0.0:
             break  # lost positive definiteness (numerically), report as is
@@ -244,25 +267,26 @@ def cg(
             # The recurrence residual drifts from the true one near the end;
             # verify against b - A x and, on a near miss, keep iterating from
             # the recomputed residual instead of reporting failure.
-            np.subtract(b, matvec(matrix, x, out=q), out=r)
+            pin(np.subtract(b, matvec(matrix, x, out=q), out=r))
             true_residual = True
             rnorm = np.linalg.norm(r)
             if rnorm <= tol * bnorm or refreshes >= 5:
                 break
             refreshes += 1
-            z = preconditioner(r)
+            z = pin(preconditioner(r))
             np.copyto(p, z)
             rz = float(np.vdot(r, z))
             continue
-        z = preconditioner(r)
+        z = pin(preconditioner(r))
         rz_next = float(np.vdot(r, z))
         p *= rz_next / rz
         p += z
         rz = rz_next
 
     if not true_residual:
-        rnorm = np.linalg.norm(np.subtract(b, matvec(matrix, x, out=q), out=r))
+        rnorm = np.linalg.norm(pin(np.subtract(b, matvec(matrix, x, out=q), out=r)))
     residual = float(rnorm / bnorm)
+    x.put(fixed, g)
     return x, SolveReport(iterations=iterations, residual=residual, converged=bool(residual <= tol))
 
 

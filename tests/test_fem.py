@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
-import gc
 import math
-import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix, diags
+from scipy.sparse import coo_matrix
 
 from nspnp.fem import (
-    DirichletSystem,
     FieldVector,
     FunctionSpace,
     assemble_convection,
@@ -33,7 +30,6 @@ from nspnp.fem import (
 )
 from nspnp.mesh import StructuredTriMesh, build_rect_mesh
 from nspnp.scheme import SchemeParams, _momentum_forcing, solve_xi
-from nspnp.sparse import cg
 
 # Element matrices on the unit right triangle (0,0)-(1,0)-(0,1), local order
 # [v0, v1, v2, m12, m20, m01], integrated exactly: mass scaled by 360, grad-grad
@@ -489,82 +485,6 @@ def test_interpolate_rejects_wrong_shape():
         interpolate(p2, lambda x, y, t: np.stack([x, y, x + y]), 0.0)
     with pytest.raises(ValueError):
         interpolate(p2, lambda x, y, t: np.stack([x[:-1], y[:-1]]), 0.0)
-
-
-def test_dirichlet_elimination_pins_values_and_keeps_symmetry():
-    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 8, 8)
-    p2 = FunctionSpace.p2(mesh)
-    a = assemble_stiffness(p2)
-    bdofs = p2.boundary_dofs()
-    g = np.zeros(p2.n_dofs)
-    g[bdofs] = 1.0 + p2.node_coords[bdofs, 0]
-
-    system = DirichletSystem(a, bdofs)
-    rhs = system.reduce_rhs(np.zeros(p2.n_dofs), g[bdofs])
-    x, report = cg(system.matrix, rhs, tol=1e-12)
-    assert report.converged
-    np.testing.assert_allclose(x[bdofs], g[bdofs], atol=1e-12)
-
-    diff = (system.matrix - system.matrix.T).tocoo()
-    if diff.nnz:
-        assert np.abs(diff.data).max() < 1e-14
-
-    # The rows of a (2, n) load reduce row by row, returned as (2, n).
-    load = np.arange(2 * p2.n_dofs, dtype=float).reshape(2, -1)
-    values = np.stack([g[bdofs], -2.0 * g[bdofs]])
-    stacked = system.reduce_rhs(load, values)
-    assert stacked.shape == load.shape
-    np.testing.assert_array_equal(stacked[0], system.reduce_rhs(load[0], g[bdofs]))
-    np.testing.assert_array_equal(stacked[1], system.reduce_rhs(load[1], -2.0 * g[bdofs]))
-
-
-def test_dirichlet_elimination_equals_projected_matrix():
-    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 8, 8)
-    p2 = FunctionSpace.p2(mesh)
-    a = (assemble_mass(p2) / 0.05 + assemble_stiffness(p2)).tocsr()
-    bdofs = p2.boundary_dofs()
-    keep = np.ones(p2.n_dofs)
-    keep[bdofs] = 0.0
-    want = (diags(keep) @ a @ diags(keep) + diags(1.0 - keep)).tocsr()
-    want.sort_indices()
-
-    system = DirichletSystem(a, bdofs)
-    np.testing.assert_array_equal(system.matrix.indptr, want.indptr)
-    np.testing.assert_array_equal(system.matrix.indices, want.indices)
-    np.testing.assert_array_equal(system.matrix.data, want.data)
-    assert np.all(system.matrix.data != 0.0)
-
-    # A (2, nb) nonzero lift against the dense formula b - A[:, dofs] g.
-    rng = np.random.default_rng(7)
-    load = rng.standard_normal((2, p2.n_dofs))
-    values = rng.standard_normal((2, bdofs.size))
-    want_rhs = load - values @ a.toarray()[:, bdofs].T
-    want_rhs[:, bdofs] = values
-    got = system.reduce_rhs(load, values)
-    assert got.shape == load.shape
-    np.testing.assert_allclose(got, want_rhs, rtol=1e-13, atol=1e-13 * np.abs(a.data).max())
-
-
-@pytest.mark.parametrize("nx", [8, 40])
-@pytest.mark.parametrize("kind", ["mass", "helmholtz"])
-def test_dirichlet_system_keeps_only_the_eliminated_matrix_and_a_slim_lift(nx, kind):
-    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), nx, nx)
-    p2 = FunctionSpace.p2(mesh)
-    matrix = assemble_mass(p2)
-    if kind == "helmholtz":
-        matrix = p2.pattern.matrix(matrix.data / 0.05 + assemble_stiffness(p2).data)
-    bdofs = p2.boundary_dofs()
-    inner = np.setdiff1d(np.arange(p2.n_dofs), bdofs)
-    g = np.random.default_rng(nx).standard_normal(bdofs.size)
-    want = matrix.tocsc()[:, bdofs] @ g
-
-    given = weakref.ref(matrix)
-    system = DirichletSystem(matrix, bdofs)
-    del matrix
-    gc.collect()
-    assert given() is None  # the matrix given is not kept
-    # On the free rows the lift is the column slice of the matrix, bit for bit.
-    np.testing.assert_array_equal(-system.reduce_rhs(np.zeros(p2.n_dofs), g)[inner], want[inner])
 
 
 def test_field_vector_validates_length():

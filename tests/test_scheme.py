@@ -404,10 +404,58 @@ def test_projection_uses_the_jacobi_preconditioner_of_the_operators(ex3_ops, mon
         return cg(*args, **kwargs)
 
     monkeypatch.setattr(scheme, "cg", capturing_cg)
-    g = ops.boundary_values(params.tau)
-    pressure_projection(ops, state.u_hat, state, params, g)
-    pressure_projection(ops, state.u_hat, state, params, g)
+    pressure_projection(ops, state.u_hat, state, params)
+    pressure_projection(ops, state.u_hat, state, params)
     assert preconditioners == [ops.projection_preconditioner] * 2
+
+
+def test_dirichlet_dofs_are_held_by_cg_on_the_p2_pattern(ex3_ops):
+    # No eliminated copy: the velocity system is M/tau + A on the arrays of the P2 mass's
+    # pattern, one sum of data arrays because the stiffness keeps its stored zeros.
+    _, ops = ex3_ops
+    matrix, _ = ops.velocity_system(SchemeParams(tau=0.05, t_final=0.1, c0=5.0))
+    assert np.shares_memory(matrix.indices, ops.mass_p2.indices)
+    assert np.shares_memory(matrix.indptr, ops.mass_p2.indptr)
+    assert not hasattr(ops, "projection_system")
+    np.testing.assert_array_equal(ops.stiff_p2.indices, ops.mass_p2.indices)
+    np.testing.assert_array_equal(ops.stiff_p2.indptr, ops.mass_p2.indptr)
+    assert np.any(ops.stiff_p2.data == 0.0)
+
+
+@pytest.mark.parametrize(
+    "make, tau, want_u1, want_projection",
+    [
+        (example1, 0.05, [4, 4, 4, 4], [14, 14, 14, 14]),
+        (example2, 0.01, [5, 5, 5, 5], [15, 14, 13, 12]),
+        (example2, 0.025, [5, 4, 4, 4], [15, 14, 13, 13]),
+    ],
+    ids=["ex1", "ex2", "ex2-0.025"],
+)
+def test_dirichlet_solves_converge_relative_to_the_eliminated_rhs(
+    make, tau, want_u1, want_projection, monkeypatch
+):
+    # cg's tol is relative to the norm of the eliminated system's right-hand side: b - A g on the
+    # free rows and g on the fixed ones.  Measured at nx = 16 over 4 steps: with the norm of the
+    # free rows alone the projection takes [18, 18, 18, 18] and [19, 18, 17, 17] iterations on the
+    # first two cases, and with b in place of b - A g, u1 takes [5, 5, 4, 4] on the third.
+    case = make()
+    ops = case_operators(case, 16)
+    params = SchemeParams(tau=tau, t_final=4 * tau, c0=case.c0)
+    u1, projection = [], []
+
+    def counting_cg(*args, **kwargs):
+        x, report = cg(*args, **kwargs)
+        if kwargs.get("preconditioner") is ops.projection_preconditioner:
+            projection.append(report.iterations)
+        elif "x0" in kwargs:  # u2 starts from zero
+            u1.append(report.iterations)
+        return x, report
+
+    monkeypatch.setattr(scheme, "cg", counting_cg)
+    state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
+    for _ in range(params.n_steps):
+        state, _ = advance(ops, state, params, case.sources)
+    assert (u1, projection) == (want_u1, want_projection)
 
 
 def test_operators_reject_a_mesh_that_is_not_the_uniform_grid():
@@ -579,7 +627,7 @@ def test_drift_dissipation_matches_quadrature(ex3_ops):
 
 def test_velocity_split_matches_jacobi_oracle():
     # Nonzero boundary data and sources: the split must agree with plain
-    # Jacobi-CG on the same eliminated matrix, boundary entries included.
+    # Jacobi-CG on the same matrix and fixed dofs, boundary entries included.
     case = example1()
     ops = Operators(build_rect_mesh(case.bounds, 8, 8), velocity_bc=case.velocity_bc)
     params = SchemeParams(tau=0.1, t_final=0.2, c0=case.c0)
@@ -598,10 +646,9 @@ def test_velocity_split_matches_jacobi_oracle():
     # CG never moves the pinned entries of its start vectors.
     np.testing.assert_array_equal(split.u1.values[:, ops.velocity_dirichlet], g)
     np.testing.assert_array_equal(split.u2.values[:, ops.velocity_dirichlet], 0.0)
-    for got, rhs in (
-        (split.u1.values, system.reduce_rhs(rhs1, g)),
-        (split.u2.values, system.reduce_rhs(-split.forcing)),
-    ):
-        oracle, report = cg(system.matrix, rhs, tol=1e-14, max_iter=100_000)
+    start = np.zeros_like(rhs1)
+    start[:, ops.velocity_dirichlet] = g
+    for got, rhs, x0 in ((split.u1.values, rhs1, start), (split.u2.values, -split.forcing, None)):
+        oracle, report = cg(system, rhs, x0=x0, tol=1e-14, max_iter=100_000, fixed=ops.velocity_dirichlet)
         assert report.converged
         assert np.abs(got - oracle).max() <= 1e-9 * max(1.0, np.abs(oracle).max())

@@ -218,24 +218,72 @@ def test_lattice_modes_diagonalize_the_interior_lines_and_fold_onto_the_vertex_m
     assert np.abs(low.T @ k_vertex @ low - np.diag(mu)).max(initial=0.0) <= 1e-12 * lam.max()
 
 
+def eliminated(a, dofs) -> sp.csr_matrix:
+    """diag(keep) a diag(keep) + diag(1 - keep): the symmetric elimination of the rows and columns dofs."""
+    keep = np.ones(a.shape[0])
+    keep[dofs] = 0.0
+    return (sp.diags(keep) @ a @ sp.diags(keep) + sp.diags(1.0 - keep)).tocsr()
+
+
 def velocity_system(nx: int, ny: int, tau: float):
-    """The eliminated scalar P2 M/tau + A of the velocity and its lattice grid solve."""
+    """(the eliminated scalar P2 M/tau + A of the velocity, its Dirichlet dofs, its lattice solve)."""
     mesh = build_rect_mesh((0.0, 0.0, 1.0, ny / nx), nx, ny)
-    return Operators(mesh).velocity_system(SchemeParams(tau=tau, t_final=tau, c0=1.0))
+    ops = Operators(mesh)
+    matrix, solve = ops.velocity_system(SchemeParams(tau=tau, t_final=tau, c0=1.0))
+    return eliminated(matrix, ops.velocity_dirichlet), ops.velocity_dirichlet, solve
+
+
+@pytest.mark.parametrize("kind", ["stiffness", "helmholtz"])
+def test_cg_holds_the_fixed_entries_and_solves_the_eliminated_system_on_the_others(kind):
+    # The P2 stiffness, or M/tau + A on its pattern, at nx = 8 with its boundary dofs fixed.
+    p2 = FunctionSpace.p2(build_rect_mesh((0.0, 0.0, 1.0, 1.0), 8, 8))
+    a = assemble_stiffness(p2)
+    if kind == "helmholtz":
+        a = p2.pattern.matrix(assemble_mass(p2).data / 0.05 + a.data)
+    fixed = p2.boundary_dofs()
+    free = np.setdiff1d(np.arange(p2.n_dofs), fixed)
+    dense = eliminated(a, fixed).toarray()
+    rng = np.random.default_rng(8)
+    b, x0 = rng.standard_normal((2, 2, p2.n_dofs))  # x0 carries the values g on the fixed rows
+
+    def lifted(b, g):
+        out = b - g @ a.toarray()[:, fixed].T
+        out[..., fixed] = g
+        return out
+
+    want = np.linalg.solve(dense, lifted(b, x0[:, fixed]).T).T
+    x, report = cg(a, b, x0=x0, tol=1e-13, fixed=fixed)
+    assert report.converged and x.shape == b.shape
+    np.testing.assert_array_equal(x[:, fixed], x0[:, fixed])
+    assert np.abs(x - want)[:, free].max() <= 1e-10 * np.abs(want).max()
+    # tol is relative to the eliminated system's right-hand side: its CG takes as many iterations.
+    _, reference = cg(eliminated(a, fixed), lifted(b, x0[:, fixed]), x0=x0, tol=1e-13)
+    assert reference.iterations == report.iterations
+    for k in range(2):  # the (2, n) stack is the solve of each row
+        row, report = cg(a, b[k], x0=x0[k], tol=1e-13, fixed=fixed)
+        assert report.converged
+        np.testing.assert_array_equal(row[fixed], x0[k, fixed])
+        assert np.abs(row - want[k])[free].max() <= 1e-10 * np.abs(want[k]).max()
+    # Without a start the fixed rows are zero.
+    want = np.linalg.solve(dense, lifted(b, np.zeros((2, fixed.size))).T).T
+    x, report = cg(a, b, tol=1e-13, fixed=fixed)
+    assert report.converged
+    np.testing.assert_array_equal(x[:, fixed], 0.0)
+    assert np.abs(x - want)[:, free].max() <= 1e-10 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
 def test_lattice_solve_is_spd_and_keeps_dirichlet_dofs(tau):
-    system, solve = velocity_system(6, 6, tau)
+    matrix, dofs, solve = velocity_system(6, 6, tau)
     rng = np.random.default_rng(11)
-    n = system.matrix.shape[0]
+    n = matrix.shape[0]
     for _ in range(5):
         x, y = rng.standard_normal((2, 2, n))  # (2, n) each, as for a velocity
         bx, by = solve(x), solve(y)
         assert bx.shape == x.shape
         assert np.vdot(y, bx) == pytest.approx(np.vdot(x, by), rel=1e-12)
         assert np.vdot(x, bx) > 0.0
-        np.testing.assert_array_equal(bx[:, system.dofs], x[:, system.dofs])
+        np.testing.assert_array_equal(bx[:, dofs], x[:, dofs])
         for k in range(2):
             np.testing.assert_array_equal(bx[k], solve(x[k]))
 
@@ -288,7 +336,7 @@ def test_lattice_solve_is_the_inverse_of_the_p2_helmholtz(nx, ny, tau):
     # Of the consistent P2 M/tau + A in the alias blocks of the lattice sine modes, on the interior
     # points of the h/2 lattice, the non-Dirichlet P2 dofs.
     mesh = build_rect_mesh((0.0, 0.0, 1.0, ny / nx), nx, ny)
-    _, solve = velocity_system(nx, ny, tau)
+    *_, solve = velocity_system(nx, ny, tau)
     want = alias_block_inverse(mesh, tau)
     got = solve(np.eye(want.shape[0]))  # row k is the solve of unit vector k; the solve is symmetric
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -297,10 +345,10 @@ def test_lattice_solve_is_the_inverse_of_the_p2_helmholtz(nx, ny, tau):
 @pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
 @pytest.mark.parametrize("nx", [4, 8])
 def test_lattice_preconditioned_velocity_spectrum_is_bounded(nx, tau):
-    # Spectral equivalence of the P1 lattice and the P2 operators: the bounds
-    # hold at every h and tau, which keeps the CG counts flat.
-    system, solve = velocity_system(nx, nx, tau)
-    a = system.matrix.toarray()
+    # Spectral equivalence of the alias-block inverse and the P2 operator:
+    # the bounds hold at every h and tau, which keeps the CG counts flat.
+    matrix, _, solve = velocity_system(nx, nx, tau)
+    a = matrix.toarray()
     lam = scipy.linalg.eigvalsh(a, np.linalg.inv(solve(np.eye(a.shape[0]))))
     assert 0.3 <= lam.min() and lam.max() <= 1.5
 
@@ -308,10 +356,11 @@ def test_lattice_preconditioned_velocity_spectrum_is_bounded(nx, tau):
 @pytest.mark.parametrize("tau", [0.05, 1e3])
 @pytest.mark.parametrize("nx", [8, 16])
 def test_lattice_preconditioned_velocity_spectrum_is_near_one_when_stiffness_weighs(nx, tau):
-    # The stiffness is inverted exactly and only the mass is lumped, so once
+    # B holds the stiffness exactly and leaves out only the consistent mass's
+    # couplings along the cells' diagonals that are odd in both axes, so once
     # tau is not small the preconditioned operator is close to the identity.
-    system, solve = velocity_system(nx, nx, tau)
-    a = system.matrix.toarray()
+    matrix, _, solve = velocity_system(nx, nx, tau)
+    a = matrix.toarray()
     lam = scipy.linalg.eigvalsh(a, np.linalg.inv(solve(np.eye(a.shape[0]))))
     assert 0.9 <= lam.min() and lam.max() <= 1.1
 
@@ -323,8 +372,8 @@ def test_alias_block_preconditioned_velocity_spectrum_is_tight(nx, tau):
     # the alias blocks, so the spectrum closes on 1 as h^2/tau falls.  Measured: [0.556, 1.444],
     # [0.587, 1.413], [0.719, 1.281] at tau = 1e-4 and 1 -+ 1.77e-2, 5.01e-3, 1.29e-3 at
     # tau = 0.05, for nx = 4, 8, 16.
-    system, solve = velocity_system(nx, nx, tau)
-    a = system.matrix.toarray()
+    matrix, _, solve = velocity_system(nx, nx, tau)
+    a = matrix.toarray()
     lam = scipy.linalg.eigvalsh(a, np.linalg.inv(solve(np.eye(a.shape[0]))))
     bound = 0.45 if tau == 1e-4 else {4: 0.02, 8: 0.006, 16: 0.0015}[nx]
     assert 1.0 - bound <= lam.min() and lam.max() <= 1.0 + bound
@@ -334,7 +383,7 @@ def test_alias_block_preconditioned_velocity_spectrum_is_tight(nx, tau):
 def test_alias_block_inverse_of_the_p2_stiffness_is_exact(nx, ny):
     # A_P2 couples a mode only with its aliases: its alias blocks invert it to round-off.
     ops = Operators(build_rect_mesh((0.0, 0.0, 1.0, ny / nx), nx, ny))
-    a = ops.projection_system.with_data(ops.stiff_p2.data).matrix.toarray()
+    a = eliminated(ops.stiff_p2, ops.velocity_dirichlet).toarray()
     solve = scheme._LatticeSolve(ops.lattice_modes, ops.lattice_stencils[1])
     lam = scipy.linalg.eigvalsh(a, np.linalg.inv(solve(np.eye(a.shape[0]))))
     assert np.abs(lam - 1.0).max() <= 1e-12
@@ -354,10 +403,10 @@ def test_lattice_alias_blocks_are_the_alias_blocks_of_the_dense_line_operators(n
 
 
 def test_lattice_preconditioned_cg_matches_dense_solve():
-    system, solve = velocity_system(6, 6, 0.05)
-    b = np.random.default_rng(5).standard_normal(system.matrix.shape[0])
-    x_ref = np.linalg.solve(system.matrix.toarray(), b)
-    x, report = cg(system.matrix, b, tol=1e-13, preconditioner=solve)
+    matrix, _, solve = velocity_system(6, 6, 0.05)
+    b = np.random.default_rng(5).standard_normal(matrix.shape[0])
+    x_ref = np.linalg.solve(matrix.toarray(), b)
+    x, report = cg(matrix, b, tol=1e-13, preconditioner=solve)
     assert report.converged and report.iterations < 20
     assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-10
 
