@@ -29,7 +29,9 @@ drift blocks:
    preconditioned by the exact inverse of the alias blocks of M_v/tau + A_v
    in the sine modes of the h/2 lattice of the P2 nodes: two sine
    transforms per axis and one symmetric 4x4 block per vertex mode
-   (_LatticeSolve), 2 to 4 iterations per solve.
+   (_LatticeSolve), 2 to 4 iterations per solve.  u1 starts from u^n, or
+   from zero when u^n's boundary layer from the projection makes that start
+   worse than zero (sparse.cg drops it); M_v u^n is State.mass_u.
 4. The auxiliary scalar r tracks sqrt(E(phi) + C0); eliminating r^{n+1} from
    its update equation against the split gives a scalar quadratic
        a xi^2 - b xi + c = 0,
@@ -44,6 +46,7 @@ drift blocks:
        A_p p^{n+1} = A_p p^n - (1/tau) B u_hat,  int p = 0
        M_v u^{n+1} = M_v u_hat + tau B^T (p^{n+1} - p^n),
    Jacobi-CG on M_v from u_hat, its Dirichlet dofs held at u_hat's values.
+   M_v u_hat and B u_hat also give the energy identity's ||w||_M^2.
 
 The decoupling is what makes each solve linear and symmetric (except stage
 1); the xi scaling is what transfers the explicit coupling's energy into the
@@ -142,13 +145,14 @@ class SchemeParams:
 
 @dataclass
 class State:
-    """Discrete solution at one time level and its modified energy E_h."""
+    """Discrete solution at one time level, its modified energy E_h and the product M_v u behind E_h."""
 
     c1: FieldVector
     c2: FieldVector
     phi: FieldVector
     u_hat: FieldVector   # tentative velocity that produced u (equal to u at t=0)
     u: FieldVector
+    mass_u: np.ndarray   # M_v u, also the next step's M_v u^n and initial_record's
     p: FieldVector
     r: float
     step_index: int
@@ -426,12 +430,13 @@ def init_state(ops: Operators, c1_0, c2_0, u_0, p_0, params: SchemeParams) -> St
         phi=phi,
         u_hat=u.copy(),
         u=u,
+        mass_u=matvec(ops.mass_p2, u.values),
         p=p,
         r=sqrt(energy),
         step_index=0,
         time=0.0,
     )
-    u_norm_sq = mass_norm_sq(u.values, ops.mass_p2)
+    u_norm_sq = float(np.vdot(u.values, state.mass_u))
     state.E_h = discrete_energy(state, params, u_norm_sq=u_norm_sq, stiff_p1=ops.stiff_p1)
     return state
 
@@ -502,14 +507,15 @@ def compute_velocity_split(
 
     momentum_load is the (2, n) source load (f_u(t^{n+1}), v) and g the
     boundary values at t^{n+1}, shaped like ops.boundary_values.  u1 starts
-    from u^n with its boundary entries set to g and u2 from zero; cg holds
-    the boundary entries (fixed=ops.velocity_dirichlet), so u_hat keeps the
-    boundary values exactly.
+    from u^n with its boundary entries set to g (or from zero, if cg finds
+    that start worse) and u2 from zero; cg holds the boundary entries
+    (fixed=ops.velocity_dirichlet), so u_hat keeps the boundary values
+    exactly.  M_v u^n is state.mass_u, the last step's product.
     """
     system, preconditioner = ops.velocity_system(params)
     forcing = _momentum_forcing(ops, state)
 
-    rhs1 = matvec(ops.mass_p2, state.u.values) / params.tau + ops.pressure_load(state.p.values)
+    rhs1 = state.mass_u / params.tau + ops.pressure_load(state.p.values)
     rhs1 += momentum_load
     x0 = state.u.values.copy()
     x0[:, ops.velocity_dirichlet] = g
@@ -608,13 +614,17 @@ def solve_xi(
 
 
 def pressure_projection(ops: Operators, u_hat_next: FieldVector, state: State, params: SchemeParams):
-    """Pressure update (pure Neumann) and L2 projection onto the velocities with u_hat's boundary values."""
+    """Pressure update (pure Neumann) and L2 projection onto the velocities with u_hat's boundary values.
+
+    Returns (p^{n+1}, u^{n+1}, ||w||_M^2), w = u_hat - tau grad(p^{n+1} - p^n) the velocity it projects.
+    """
     tau = params.tau
     u_hat = u_hat_next.values
-    p_vals = ops.solve_neumann(ops.stiff_p1 @ state.p.values - ops.divergence(u_hat) / tau)
+    div_u_hat, mass_u_hat = ops.divergence(u_hat), matvec(ops.mass_p2, u_hat)
+    p_vals = ops.solve_neumann(ops.stiff_p1 @ state.p.values - div_u_hat / tau)
 
     delta = p_vals - state.p.values
-    rhs_u = matvec(ops.mass_p2, u_hat) + tau * ops.pressure_load(delta)
+    rhs_u = mass_u_hat + tau * ops.pressure_load(delta)
     u_vals, report = cg(
         ops.mass_p2,
         rhs_u,
@@ -625,10 +635,12 @@ def pressure_projection(ops: Operators, u_hat_next: FieldVector, state: State, p
         fixed=ops.velocity_dirichlet,
     )
     _require_converged(report, "velocity projection")
-    return (
-        FieldVector(ops.scalar_space, p_vals),
-        FieldVector(ops.velocity_space, u_vals),
+    w_norm_sq = (
+        float(np.vdot(u_hat, mass_u_hat))
+        + 2.0 * tau * float(delta @ div_u_hat)
+        + tau**2 * float(delta @ (ops.stiff_p1 @ delta))
     )
+    return FieldVector(ops.scalar_space, p_vals), FieldVector(ops.velocity_space, u_vals), w_norm_sq
 
 
 def advance(ops: Operators, state: State, params: SchemeParams, sources=None):
@@ -648,7 +660,7 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources=None):
     split = compute_velocity_split(ops, state, params, momentum_load, g)
     xi, r_next, coeffs = solve_xi(ops, state, split, c1_next, c2_next, phi_next, params, loads)
     u_hat = FieldVector(ops.velocity_space, split.u1.values + xi * split.u2.values)
-    p_next, u_next = pressure_projection(ops, u_hat, state, params)
+    p_next, u_next, w_norm_sq = pressure_projection(ops, u_hat, state, params)
 
     new_state = State(
         c1=c1_next,
@@ -656,6 +668,7 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources=None):
         phi=phi_next,
         u_hat=u_hat,
         u=u_next,
+        mass_u=matvec(ops.mass_p2, u_next.values),
         p=p_next,
         r=r_next,
         step_index=state.step_index + 1,
@@ -673,18 +686,12 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources=None):
     #                 - 0.5 ||u_hat - u_old||_M^2 - (r_new - r_old)^2
     #                 - 0.5 (||w||_M^2 - ||u_new||_M^2)
     # where w = u_hat - tau grad(dp) is the unprojected end-of-step velocity.
-    u_new_norm_sq = mass_norm_sq(u_next.values, ops.mass_p2)
+    u_new_norm_sq = float(np.vdot(u_next.values, new_state.mass_u))
     new_state.E_h = discrete_energy(
         new_state, params, u_norm_sq=u_new_norm_sq, stiff_p1=ops.stiff_p1
     )
     increment_u = 0.5 * mass_norm_sq(uh - state.u.values, ops.mass_p2)
     increment_r = (r_next - state.r) ** 2
-    delta_p = p_next.values - state.p.values
-    w_norm_sq = (
-        mass_norm_sq(uh, ops.mass_p2)
-        + 2.0 * tau * float(delta_p @ ops.divergence(uh))
-        + tau**2 * float(delta_p @ (ops.stiff_p1 @ delta_p))
-    )
     projection_defect = 0.5 * (w_norm_sq - u_new_norm_sq)
     residual = (
         new_state.E_h
@@ -724,5 +731,5 @@ def _record(ops: Operators, state: State, u_norm_sq: float, **step_terms) -> Dia
 
 def initial_record(ops: Operators, state: State) -> DiagRecord:
     """Step-0 diagnostics row so traces include the initial condition."""
-    u_norm_sq = mass_norm_sq(state.u.values, ops.mass_p2)
+    u_norm_sq = float(np.vdot(state.u.values, state.mass_u))
     return _record(ops, state, u_norm_sq, diss_u=0.0, diss_charge=0.0, diss_drift=0.0, xi=1.0)

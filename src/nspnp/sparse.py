@@ -207,6 +207,10 @@ def cg(
     on the fixed rows.  tol is relative to the norm of that right-hand side,
     the eliminated system's.
 
+    A start whose residual exceeds that right-hand side is worse than zero
+    (a velocity carrying a projection's boundary layer can be), so cg drops
+    it, with no product: the solve is bit for bit that from zero and g.
+
     x, r and p are updated in place, and the products and the scaled
     updates go into two work arrays.  The reported residual is the true one
     that the convergence check computed, or b - A x computed once on any
@@ -244,13 +248,17 @@ def cg(
     q = np.empty(b.shape)  # A p, and A x when the residual is recomputed
     scaled = np.empty(b.shape)  # alpha p, then alpha q
     r = pin(b.copy() if x0 is None else b - matvec(matrix, x))  # no product without a start
+    rnorm = np.linalg.norm(r)
+    if rnorm > bnorm:  # a start worse than zero, dropped
+        x.fill(0.0)
+        r = pin(b.copy())
+        rnorm = np.linalg.norm(r)
     true_residual = True  # r is b - A x, not the recurrence
     z = pin(preconditioner(r))
     p = z.copy()
     rz = float(np.vdot(r, z))
     iterations = 0
     refreshes = 0
-    rnorm = np.linalg.norm(r)
     converged = rnorm <= tol * bnorm
     while not converged and iterations < max_iter and np.isfinite(rnorm):
         pin(matvec(matrix, p, out=q))
@@ -332,7 +340,7 @@ def bicgstab(
     iterations = 0
     restarted = False
     refreshes = 0
-    rnorm = np.linalg.norm(r)
+    rnorm = shadow_norm = np.linalg.norm(r)  # ||r|| and ||r_shadow||, for the breakdown test
     converged = rnorm <= tol * bnorm
     verified = rnorm  # the last ||b - A xv|| computed; None once x moves without one
 
@@ -343,18 +351,17 @@ def bicgstab(
 
     def refresh():
         # Re-seed the recurrence from the true residual at the current x.
-        nonlocal r, r_shadow, rho, alpha, omega
+        nonlocal r, r_shadow, rho, alpha, omega, rnorm, shadow_norm
         r = b - matvec(matrix, x, out=product)
         r_shadow = r.copy()
+        rnorm = shadow_norm = np.linalg.norm(r)
         rho = alpha = omega = 1.0
         v[:] = 0.0
         p[:] = 0.0
 
     while not converged and iterations < max_iter and np.isfinite(rnorm):
         rho_next = float(r_shadow @ r)
-        if abs(rho_next) < _BREAKDOWN * max(
-            1.0, float(np.linalg.norm(r_shadow) * np.linalg.norm(r))
-        ):
+        if abs(rho_next) < _BREAKDOWN * max(1.0, float(shadow_norm * rnorm)):
             if restarted:
                 break
             # Restart from the current iterate with a fresh shadow residual.

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import nspnp.diagnostics as diagnostics
 import nspnp.scheme as scheme
 from nspnp.diagnostics import DIAG_COLUMNS
 from nspnp.fem import assemble_load, interpolate
@@ -367,18 +368,25 @@ def test_systems_of_every_tau_share_the_modes_of_the_operators(nx, ny):
 
 
 def test_advance_computes_the_new_velocity_mass_norm_once(ex3_ops, monkeypatch):
-    # ||u^{n+1}||_M^2 feeds E_h, E_orig and the energy identity from one product.
+    # One product M u^{n+1} gives ||u^{n+1}||_M^2 to E_h, E_orig and the energy identity,
+    # and M u^{n+1} / tau to the next step's right-hand side of u1.
     case, ops = ex3_ops
     params = SchemeParams(tau=0.05, t_final=0.1, c0=5.0)
     state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
-    norms, energies = [], []
-    mass_norm_sq = scheme.mass_norm_sq
+    products, energies, u1_rhs = [], [], []
 
-    def recording_norm(values, mass_matrix):
-        norms.append((values.copy(), mass_norm_sq(values, mass_matrix)))
-        return norms[-1][1]
+    def recording_matvec(matrix, x, out=None):
+        products.append((matrix, x.copy(), matvec(matrix, x, out)))
+        return products[-1][2]
 
-    monkeypatch.setattr(scheme, "mass_norm_sq", recording_norm)
+    def recording_cg(matrix, b, **kwargs):
+        if "x0" in kwargs and kwargs["preconditioner"] is not ops.projection_preconditioner:
+            u1_rhs.append(b.copy())
+        return cg(matrix, b, **kwargs)
+
+    for module in (scheme, diagnostics):  # diagnostics.mass_norm_sq makes its own products
+        monkeypatch.setattr(module, "matvec", recording_matvec)
+    monkeypatch.setattr(scheme, "cg", recording_cg)
     for name in ("discrete_energy", "original_energy"):
         energy = getattr(scheme, name)
 
@@ -388,9 +396,17 @@ def test_advance_computes_the_new_velocity_mass_norm_once(ex3_ops, monkeypatch):
 
         monkeypatch.setattr(scheme, name, capturing)
     new_state, record = advance(ops, state, params, case.sources)
-    of_new_u = [norm for values, norm in norms if np.array_equal(values, new_state.u.values)]
-    assert len(of_new_u) == 1
-    assert energies == [of_new_u[0], of_new_u[0]]
+    advance(ops, new_state, params, case.sources)
+    of_new_u = [
+        product for matrix, x, product in products
+        if matrix is ops.mass_p2 and np.array_equal(x, new_state.u.values)
+    ]
+    assert len(of_new_u) == 1 and of_new_u[0] is new_state.mass_u
+    norm = float(np.vdot(new_state.u.values, of_new_u[0]))
+    assert energies[:2] == [norm, norm]
+    want = of_new_u[0] / params.tau + ops.pressure_load(new_state.p.values)
+    want += ops.source_loads(case.sources, new_state.time + params.tau)[1]
+    np.testing.assert_array_equal(u1_rhs[1], want)
 
 
 def test_projection_uses_the_jacobi_preconditioner_of_the_operators(ex3_ops, monkeypatch):
@@ -456,6 +472,29 @@ def test_dirichlet_solves_converge_relative_to_the_eliminated_rhs(
     for _ in range(params.n_steps):
         state, _ = advance(ops, state, params, case.sources)
     assert (u1, projection) == (want_u1, want_projection)
+
+
+def test_relax_u1_drops_the_start_that_carries_the_boundary_layer(monkeypatch):
+    # On ex3, u^n carries the projection's numerical boundary layer, and its residual exceeds
+    # the right-hand side, so cg starts u1 from zero, as u2 does.  Measured at nx = 16: with
+    # u^n kept as the start, u1 takes [4, 4, 3, 3] iterations.
+    case = example3()
+    ops = case_operators(case, 16)
+    params = SchemeParams(tau=0.05, t_final=0.2, c0=case.c0)
+    u1, u2 = [], []
+
+    def counting_cg(*args, **kwargs):
+        x, report = cg(*args, **kwargs)
+        if kwargs["preconditioner"] is not ops.projection_preconditioner:
+            (u1 if "x0" in kwargs else u2).append(report.iterations)
+        return x, report
+
+    monkeypatch.setattr(scheme, "cg", counting_cg)
+    state = init_state(ops, case.c1_0, case.c2_0, case.u_0, case.p_0, params)
+    for _ in range(params.n_steps):
+        state, _ = advance(ops, state, params, case.sources)
+    assert u1 == [3, 3, 3, 3]
+    assert all(a <= b for a, b in zip(u1, u2))
 
 
 def test_operators_reject_a_mesh_that_is_not_the_uniform_grid():

@@ -272,6 +272,39 @@ def test_cg_holds_the_fixed_entries_and_solves_the_eliminated_system_on_the_othe
     assert np.abs(x - want)[:, free].max() <= 1e-10 * np.abs(want).max()
 
 
+def test_cg_drops_a_start_that_is_worse_than_zero():
+    # M/tau + A of the P2 velocity at nx = 8, its boundary dofs fixed at g.  A start whose residual
+    # exceeds the eliminated right-hand side is replaced by the zero start that carries g, bit for
+    # bit; a start better than zero is kept and saves iterations.
+    p2 = FunctionSpace.p2(build_rect_mesh((0.0, 0.0, 1.0, 1.0), 8, 8))
+    a = p2.pattern.matrix(assemble_mass(p2).data / 0.05 + assemble_stiffness(p2).data)
+    fixed = p2.boundary_dofs()
+    free = np.setdiff1d(np.arange(p2.n_dofs), fixed)
+    rng = np.random.default_rng(12)
+    b, g = rng.standard_normal((2, p2.n_dofs)), rng.standard_normal((2, fixed.size))
+    zero = np.zeros((2, p2.n_dofs))
+    zero[:, fixed] = g
+    x, report = cg(a, b, x0=zero, tol=1e-10, fixed=fixed)
+    assert report.converged and report.iterations > 2
+
+    rhs = b - g @ a.toarray()[:, fixed].T  # the eliminated right-hand side
+    rhs[:, fixed] = g
+    bad, good = zero.copy(), zero.copy()
+    bad[:, free] = 10.0 * rng.standard_normal((2, free.size))
+    good[:, free] = x[:, free] + 1e-6 * rng.standard_normal((2, free.size))
+    for start in (bad, good):
+        residual = rhs - (eliminated(a, fixed) @ start.T).T
+        assert (np.linalg.norm(residual) > np.linalg.norm(rhs)) == (start is bad)
+
+    x_bad, report_bad = cg(a, b, x0=bad, tol=1e-10, fixed=fixed)
+    np.testing.assert_array_equal(x_bad, x)
+    assert report_bad == report
+    x_good, report_good = cg(a, b, x0=good, tol=1e-10, fixed=fixed)
+    assert report_good.converged and report_good.iterations < report.iterations
+    for solution in (x, x_bad, x_good):
+        np.testing.assert_array_equal(solution[:, fixed], g)
+
+
 @pytest.mark.parametrize("tau", [1e-4, 0.05, 1e3])
 def test_lattice_solve_is_spd_and_keeps_dirichlet_dofs(tau):
     matrix, dofs, solve = velocity_system(6, 6, tau)
