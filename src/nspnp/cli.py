@@ -80,8 +80,8 @@ class RunConfig:
     taus: tuple[float, ...] | None = None
     t_final: float | None = None
     c0: float | None = None
-    tol: float = 1e-10
-    max_iter: int = 200_000
+    tol: float = SchemeParams.tol
+    max_iter: int = SchemeParams.max_iter
     out: str | None = None
     emit_svg: bool = False
 

@@ -12,13 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import matvec
-
 __all__ = [
     "DiagRecord",
     "DIAG_COLUMNS",
     "mass",
-    "mass_norm_sq",
     "discrete_energy",
     "original_energy",
     "extrema",
@@ -81,16 +78,11 @@ def mass(c, mass_matrix) -> float:
     return float(np.sum(mass_matrix @ c.values))
 
 
-def mass_norm_sq(values: np.ndarray, mass_matrix) -> float:
-    """||v||_M^2 = v^T M v of a field's values, each row of a (k, n) stack with M."""
-    return float(np.vdot(values, matvec(mass_matrix, values)))
-
-
 def discrete_energy(state, params, *, u_norm_sq: float, stiff_p1) -> float:
     """Modified energy 0.5 ||u||^2 + (tau^2/2) ||grad p||^2 + r^2.
 
     This is the quantity the scheme dissipates unconditionally.  u_norm_sq
-    is ||u||_M^2 (mass_norm_sq), which the caller computes once per state.
+    is ||u||_M^2 = u^T M u, which the caller computes once per state.
     """
     p = state.p.values
     return float(0.5 * u_norm_sq + 0.5 * params.tau**2 * (p @ (stiff_p1 @ p)) + state.r**2)

@@ -29,9 +29,9 @@ drift blocks:
    preconditioned by the exact inverse of the alias blocks of M_v/tau + A_v
    in the sine modes of the h/2 lattice of the P2 nodes: two sine
    transforms per axis and one symmetric 4x4 block per vertex mode
-   (_LatticeSolve), 2 to 4 iterations per solve.  u1 starts from u^n, or
-   from zero when u^n's boundary layer from the projection makes that start
-   worse than zero (sparse.cg drops it); M_v u^n is State.mass_u.
+   (sparse.LatticeSolver), 2 to 4 iterations per solve.  u1 starts from
+   u^n, or from zero when u^n's boundary layer from the projection makes
+   that start worse than zero (sparse.cg drops it); M_v u^n is State.mass_u.
 4. The auxiliary scalar r tracks sqrt(E(phi) + C0); eliminating r^{n+1} from
    its update equation against the split gives a scalar quadratic
        a xi^2 - b xi + c = 0,
@@ -46,7 +46,8 @@ drift blocks:
        A_p p^{n+1} = A_p p^n - (1/tau) B u_hat,  int p = 0
        M_v u^{n+1} = M_v u_hat + tau B^T (p^{n+1} - p^n),
    Jacobi-CG on M_v from u_hat, its Dirichlet dofs held at u_hat's values.
-   M_v u_hat and B u_hat also give the energy identity's ||w||_M^2.
+   M_v u_hat and B u_hat also give the energy identity's ||w||_M^2, and
+   M_v u_hat with State.mass_u its ||u_hat - u^n||_M^2.
 
 The decoupling is what makes each solve linear and symmetric (except stage
 1); the xi scaling is what transfers the explicit coupling's energy into the
@@ -75,7 +76,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .diagnostics import DiagRecord, discrete_energy, extrema, mass, mass_norm_sq, original_energy
+from .diagnostics import DiagRecord, discrete_energy, extrema, mass, original_energy
 from .fem import (
     FieldVector,
     FunctionSpace,
@@ -92,7 +93,7 @@ from .fem import (
     quadrature_integral,  # not called here; perfbench/spans.py wraps it through this module
 )
 from .mesh import StructuredTriMesh
-from .sparse import GridSolver, bicgstab, cg, jacobi, lattice_alias_blocks, lattice_modes, matvec
+from .sparse import GridSolver, LatticeSolver, bicgstab, cg, jacobi, matvec
 
 __all__ = [
     "SchemeParams",
@@ -192,17 +193,16 @@ class Operators:
 
     Holds, once each, what does not change between time steps: the P1 mass
     and stiffness matrices on the P1 pattern, the grid solver of their
-    pure Neumann stiffness, the scalar P2 mass and stiffness that act on
-    each row of a (2, n) velocity, the divergence coupling B (B^T is its
-    transposed view), the velocity's Dirichlet dofs, which the solves pass
-    to cg as fixed, and the Jacobi preconditioner of the projection on the
-    P2 mass.  The systems that depend on tau (the velocity M/tau + A with
-    its _LatticeSolve, and M/tau + A of the transport with the grid solve
-    of sigma = 1/tau) are built for the tau last asked for and kept until
-    another tau is asked for, on what is built once here: the patterns, the
-    lattice sine modes with their alias blocks, the stencil tables of the
-    P2 mass and stiffness, and the cosine modes.  The mesh must be the
-    uniform grid of its bounds, as build_rect_mesh makes it.
+    pure Neumann stiffness (vertex_grid), the scalar P2 mass and stiffness
+    that act on each row of a (2, n) velocity with their LatticeSolver
+    (velocity_lattice), the divergence coupling B (B^T is its transposed
+    view), the velocity's Dirichlet dofs, which the solves pass to cg as
+    fixed, and the Jacobi preconditioner of the projection on the P2 mass.
+    The systems that depend on tau (M/tau + A of the velocity and of the
+    transport, each preconditioned by its solver shifted to sigma = 1/tau)
+    are built for the tau last asked for and kept until another tau is
+    asked for, on the patterns and the solvers' modes built here.  The mesh
+    must be the uniform grid of its bounds, as build_rect_mesh makes it.
     """
 
     def __init__(self, mesh: StructuredTriMesh, velocity_bc=None):
@@ -216,14 +216,9 @@ class Operators:
         self.stiff_p1 = assemble_stiffness(self.scalar_space)
         # stiff_p1 is exactly M⊗K + K⊗M of the grid lines (see sparse.GridSolver).
         self.vertex_grid = GridSolver(mesh.nx, mesh.ny, mesh.h)
-        # (V, a contiguous V^T, the alias blocks) of the lattice solve for every tau, once per axis length.
-        axes = {n: lattice_modes(n, mesh.h) for n in {mesh.ny, mesh.nx}}
-        axes = {n: (v, v.T.copy(), lattice_alias_blocks(v)) for n, v in axes.items()}
-        self.lattice_modes = (axes[mesh.ny], axes[mesh.nx])
         self.mass_p2 = assemble_mass(self.velocity_space)
         self.stiff_p2 = assemble_stiffness(self.velocity_space)
-        shape = self.velocity_space.lattice_shape
-        self.lattice_stencils = [_lattice_stencil(a, shape) for a in (self.mass_p2, self.stiff_p2)]
+        self.velocity_lattice = LatticeSolver(self.mass_p2, self.stiff_p2, self.velocity_space.lattice_shape, mesh.h)
         self.div = assemble_div_coupling(self.velocity_space, self.scalar_space)
         self.velocity_bc = velocity_bc
         # ones^T M as a vector: integral of a P1 field is mass_row @ values.
@@ -238,11 +233,10 @@ class Operators:
         self._source_modes = (None, None)
 
     def velocity_system(self, params: SchemeParams):
-        """(the scalar P2 M/tau + A on mass_p2's pattern, uneliminated, the _LatticeSolve preconditioning it)."""
+        """(the scalar P2 M/tau + A on mass_p2's pattern, uneliminated, the lattice solve preconditioning it)."""
         if self._velocity_system[0] != params.tau:
             system = self.velocity_space.pattern.matrix(self.mass_p2.data / params.tau + self.stiff_p2.data)
-            mass, stiffness = self.lattice_stencils
-            solve = _LatticeSolve(self.lattice_modes, mass / params.tau + stiffness)
+            solve = self.velocity_lattice.shifted(1.0 / params.tau)  # on the velocity lattice's modes
             self._velocity_system = (params.tau, (system, solve))
         return self._velocity_system[1]
 
@@ -319,85 +313,6 @@ class _MassKeepingSolve:
         z = self.grid(r)
         z += (self.tau * r.sum() - self.mass_row @ z) / self.area
         return z
-
-
-def _lattice_stencil(matrix, shape: tuple[int, int]) -> np.ndarray:
-    """m[c_y, d_y + 2, c_x, d_x + 2]: the entries of a P2 matrix's rows of each parity class at offset (d_y, d_x).
-
-    The dofs are the points of the row-major lattice of this shape.  Every
-    interior point of a class has the same row, so the row of the first one
-    gives it; a class with no interior point keeps zeros.
-    """
-    stencil = np.zeros((2, 5, 2, 5))
-    for c_y, c_x in np.ndindex(2, 2):
-        y, x = 2 - c_y, 2 - c_x
-        if y < shape[0] - 1 and x < shape[1] - 1:
-            row = slice(*matrix.indptr[y * shape[1] + x : y * shape[1] + x + 2])
-            d_y, d_x = np.divmod(matrix.indices[row], shape[1])
-            stencil[c_y, d_y - y + 2, c_x, d_x - x + 2] = matrix.data[row]
-    return stencil
-
-
-class _LatticeSolve:
-    """The exact inverse of a P2 operator's alias blocks in the sine modes of the interior of the h/2 lattice.
-
-    There the P2 M and A are each sum m[c_y, d_y, c_x, d_x] (P S)_y ⊗ (P S)_x
-    over the parity classes c of the rows and the offsets |d| <= 2: stencil
-    is the table m of M/tau + A (_lattice_stencil).  In the folded modes
-    V = V_y ⊗ V_x of sparse.lattice_modes, B, the part of V^T (M/tau + A) V
-    that couples the four aliases of a vertex mode, is sum m F_y ⊗ F_x of
-    the 1-D alias blocks F (sparse.lattice_alias_blocks), and the solve is
-    V B^-1 V^T.  The zero columns of the modes pad the blocks of the modes
-    k = n to 4x4 with a unit diagonal.  B holds A_P2 exactly and leaves out
-    only the mass's couplings along the cells' diagonals that are odd in
-    both axes: the preconditioned P2 M/tau + A has its spectrum in
-    [0.995, 1.005] at tau = 0.05 and nx = 8, [0.59, 1.41] when the mass
-    dominates.
-
-    A (2, n) residual is a (2, 2ny+1, 2nx+1) lattice array.  The first
-    product reads its interior and the last writes the result's, with no
-    copy; the frame, the Dirichlet dofs, passes through.  Between them one
-    einsum applies B^-1, laid out [b_y, b_x, a_y, p_y, a_x, p_x] from input
-    to output alias, to the (..., 2, ny, 2, nx) view of the modes.  The
-    products take contiguous copies of V^T, faster than transposed views.
-    Every tau shares the modes and F, Operators.lattice_modes.
-    """
-
-    def __init__(self, modes, stencil: np.ndarray):
-        (self.vy, self.vy_t, f_y), (self.vx, self.vx_t, f_x) = modes
-        ny, nx = f_y.shape[-1], f_x.shape[-1]
-        self.shape, self.folded = (2 * ny + 1, 2 * nx + 1), (2, ny, 2, nx)
-        b = f_y.reshape(10, -1).T @ stencil.reshape(10, 10) @ f_x.reshape(10, -1)
-        b = b.reshape(2, 2, ny, 2, 2, nx).transpose(0, 1, 3, 4, 2, 5)  # [a_y, b_y, a_x, b_x, p_y, p_x]
-        b[1, 1, [0, 1], [0, 1], -1] = 1.0  # the zero alias of mode n_y
-        b[[0, 1], [0, 1], 1, 1, :, -1] = 1.0  # and of mode n_x
-        self.inverse = np.ascontiguousarray(_block_inverse(b).transpose(1, 3, 0, 4, 2, 5))  # [b_y, b_x, a_y, ..]
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        z = r.copy()
-        shape = r.shape[:-1] + self.shape
-        w = self.vy_t @ (r.reshape(shape)[..., 1:-1, 1:-1] @ self.vx)
-        modes = np.einsum("jlaybx,...jylx->...aybx", self.inverse, w.reshape(w.shape[:-2] + self.folded))
-        np.matmul(self.vy, modes.reshape(w.shape) @ self.vx_t, out=z.reshape(shape)[..., 1:-1, 1:-1])
-        return z
-
-
-def _block_inverse(b: np.ndarray) -> np.ndarray:
-    """The inverses of the symmetric positive definite [[P, Q], [Q^T, R]], 2x2 blocks b[i, j] of shape (2, 2, ...).
-
-    By the Schur complement S = R - Q^T P^-1 Q: the 2x2 inverses are closed form.
-    """
-    def product(x, y):
-        return np.einsum("ik...,kj...->ij...", x, y)
-
-    def inverse(x):
-        return np.array([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]]) / (x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0])
-
-    p_inv = inverse(b[0, 0])
-    x = product(p_inv, b[0, 1])
-    s_inv = inverse(b[1, 1] - product(b[0, 1].swapaxes(0, 1), x))
-    y = product(x, s_inv)
-    return np.array([[p_inv + product(y, x.swapaxes(0, 1)), -y], [-y.swapaxes(0, 1), s_inv]])
 
 
 def _require_converged(report, label: str):
@@ -616,7 +531,7 @@ def solve_xi(
 def pressure_projection(ops: Operators, u_hat_next: FieldVector, state: State, params: SchemeParams):
     """Pressure update (pure Neumann) and L2 projection onto the velocities with u_hat's boundary values.
 
-    Returns (p^{n+1}, u^{n+1}, ||w||_M^2), w = u_hat - tau grad(p^{n+1} - p^n) the velocity it projects.
+    Returns (p^{n+1}, u^{n+1}, ||w||_M^2, M_v u_hat), w = u_hat - tau grad(p^{n+1} - p^n) the velocity it projects.
     """
     tau = params.tau
     u_hat = u_hat_next.values
@@ -640,7 +555,7 @@ def pressure_projection(ops: Operators, u_hat_next: FieldVector, state: State, p
         + 2.0 * tau * float(delta @ div_u_hat)
         + tau**2 * float(delta @ (ops.stiff_p1 @ delta))
     )
-    return FieldVector(ops.scalar_space, p_vals), FieldVector(ops.velocity_space, u_vals), w_norm_sq
+    return FieldVector(ops.scalar_space, p_vals), FieldVector(ops.velocity_space, u_vals), w_norm_sq, mass_u_hat
 
 
 def advance(ops: Operators, state: State, params: SchemeParams, sources=None):
@@ -660,7 +575,7 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources=None):
     split = compute_velocity_split(ops, state, params, momentum_load, g)
     xi, r_next, coeffs = solve_xi(ops, state, split, c1_next, c2_next, phi_next, params, loads)
     u_hat = FieldVector(ops.velocity_space, split.u1.values + xi * split.u2.values)
-    p_next, u_next, w_norm_sq = pressure_projection(ops, u_hat, state, params)
+    p_next, u_next, w_norm_sq, mass_u_hat = pressure_projection(ops, u_hat, state, params)
 
     new_state = State(
         c1=c1_next,
@@ -690,7 +605,7 @@ def advance(ops: Operators, state: State, params: SchemeParams, sources=None):
     new_state.E_h = discrete_energy(
         new_state, params, u_norm_sq=u_new_norm_sq, stiff_p1=ops.stiff_p1
     )
-    increment_u = 0.5 * mass_norm_sq(uh - state.u.values, ops.mass_p2)
+    increment_u = 0.5 * float(np.vdot(uh - state.u.values, mass_u_hat - state.mass_u))
     increment_r = (r_next - state.r) ** 2
     projection_defect = 0.5 * (w_norm_sq - u_new_norm_sq)
     residual = (

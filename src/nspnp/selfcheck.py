@@ -24,7 +24,7 @@ from .fem import (
 from .mesh import build_rect_mesh
 from .mms import case_by_name
 from .scheme import Operators, SchemeParams, compute_velocity_split, init_state
-from .sparse import GridSolver, bicgstab, cg, lattice_modes, matvec
+from .sparse import GridSolver, bicgstab, cg, lattice_modes
 
 __all__ = ["CheckResult", "run_all"]
 
@@ -298,7 +298,7 @@ def check_splitting_linearity() -> CheckResult:
     split = compute_velocity_split(ops, state, params, no_load, ops.boundary_values(params.tau))
     xi = 0.7321
     system, _ = ops.velocity_system(params)
-    rhs = matvec(ops.mass_p2, state.u.values) / params.tau + ops.pressure_load(state.p.values)
+    rhs = state.mass_u / params.tau + ops.pressure_load(state.p.values)
     rhs -= xi * split.forcing
     direct, report = cg(system, rhs, tol=1e-14, max_iter=100000, fixed=ops.velocity_dirichlet)
     if not report.converged:

@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nspnp import scheme
 from nspnp.fem import FunctionSpace, assemble_mass, assemble_stiffness
 from nspnp.mesh import boundary_dofs, build_rect_mesh
 from nspnp.scheme import Operators, SchemeParams
@@ -183,7 +182,7 @@ def test_grid_solver_matches_dense_solve(nx, ny, interior):
             solver = interior_lattice_solver(nx, ny, h, sigma)
             a = grid_operator(2 * nx, 2 * ny, h / 2, sigma, interior=True)
         else:
-            solver = GridSolver(nx, ny, h, sigma)
+            solver = GridSolver(nx, ny, h).shifted(sigma)
             a = grid_operator(nx, ny, h, sigma)
         b = rng.standard_normal((2, a.shape[0]))
         singular = sigma == 0.0 and not interior
@@ -324,7 +323,7 @@ def test_lattice_solve_is_spd_and_keeps_dirichlet_dofs(tau):
 @pytest.mark.parametrize("nx, ny", [(6, 6), (6, 3)], ids=["square", "rectangle"])
 def test_p2_stiffness_is_four_thirds_the_half_step_p1_minus_a_third_the_vertex_p1(nx, ny):
     # A_P2 = (4/3) A_P1(h/2) - (1/3) E^T A_P1(h) E on the interior points of the h/2 lattice,
-    # E the injection at the vertices: the identity that _LatticeSolve inverts.
+    # E the injection at the vertices: the identity that LatticeSolver inverts.
     mesh = build_rect_mesh((0.0, 0.0, 1.0, ny / nx), nx, ny)
     fine = build_rect_mesh(mesh.bounds, 2 * nx, 2 * ny)  # its vertices are the P2 lattice, in order
     lattice = np.arange(fine.n_vertices).reshape(2 * ny + 1, 2 * nx + 1)
@@ -417,7 +416,7 @@ def test_alias_block_inverse_of_the_p2_stiffness_is_exact(nx, ny):
     # A_P2 couples a mode only with its aliases: its alias blocks invert it to round-off.
     ops = Operators(build_rect_mesh((0.0, 0.0, 1.0, ny / nx), nx, ny))
     a = eliminated(ops.stiff_p2, ops.velocity_dirichlet).toarray()
-    solve = scheme._LatticeSolve(ops.lattice_modes, ops.lattice_stencils[1])
+    solve = ops.velocity_lattice.shifted(0.0)
     lam = scipy.linalg.eigvalsh(a, np.linalg.inv(solve(np.eye(a.shape[0]))))
     assert np.abs(lam - 1.0).max() <= 1e-12
 
