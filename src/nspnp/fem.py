@@ -43,6 +43,17 @@ one pattern add by adding their data.  The dofs are the points of a
 row-major lattice (mesh.dof_lattice), so the pattern is built in closed
 form from a stencil of lattice offsets, with no sort of element entries.
 
+The grid is uniform, so every lattice row off the frame (y = 1 .. s*ny - 1,
+s = 1 for P1 and 2 for P2) is a translate of row 1 + (y - 1) % s: the same
+slot counts, columns moved by whole lattice rows.  The pattern is therefore
+built on the strip of the first three rows of cells and extended by
+translates of its period, lattice rows 1..s.  A matrix with one element
+matrix per kind (mass, stiffness, the divergence coupling) also has the same
+data in every period, bit for bit, since each slot there sums the same
+element entries in the same triangle order: assembly sums only the rows of
+cells 0, 1 and ny - 1 and copies the period into the rows between.  The
+convection and drift blocks vary per triangle and sum every triangle.
+
 Field evaluators
 ----------------
 Analytic fields are callables f(x, y, t) operating elementwise on ndarrays of
@@ -158,18 +169,33 @@ def shape_eval(kind: str, bary) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"unknown element kind: {kind!r}")
 
 
+def _with_translates(a: np.ndarray, split: int, period: int, copies: int, shift: int) -> np.ndarray:
+    """a[:split], then a[split - period:split] + k * shift for k = 1, ..., copies, then a[split:] + copies * shift."""
+    out = np.empty((len(a) + copies * period,) + a.shape[1:], dtype=a.dtype)
+    out[:split] = a[:split]
+    block = out[split: split + copies * period].reshape((copies, period) + a.shape[1:])
+    steps = np.arange(shift, (copies + 1) * shift, shift, dtype=a.dtype).reshape((-1,) + (1,) * a.ndim)
+    np.add(a[split - period: split], steps, out=block)
+    np.add(a[split:], copies * shift, out=out[split + copies * period:])
+    return out
+
+
 @dataclass(frozen=True)
 class SparsityPattern:
     """CSR structure of the square matrices that couple the dofs of a space.
 
     entries[t, i, j] is the index into csr.data of the entry that couples
     local dofs i and j of triangle t.  Columns are sorted within each row.
+    The dofs are the points of a row-major lattice of shape (rows, columns),
+    step lattice rows to a row of cells.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     entries: np.ndarray  # (t, nloc, nloc)
     shape: tuple[int, int]
+    lattice: tuple[int, int]
+    step: int
 
     @classmethod
     def build(cls, element_dofs: np.ndarray, slices, shape: tuple[int, int]) -> "SparsityPattern":
@@ -180,30 +206,51 @@ class SparsityPattern:
         So entry (i, j) of a kind couples the points of one slice to a constant offset of a fixed
         stencil.  Every point gets the whole stencil, sorted row-major: one strided assignment per
         slice marks the slots its triangles use, and a cumsum over the marks numbers them.
+
+        That is done on the strip of the first min(ny, 3) rows of cells (the module docstring says why
+        it suffices): max(ny - 3, 0) translates of its period, lattice rows 1..step, go in after the
+        period, and each row of cells 1..ny-2 has the entries of row 1 moved by whole periods.
         """
         kinds, nloc = element_dofs.shape
+        step = slices[0][0].step
+        cell_rows = (shape[0] - 1) // step
+        strip_rows = min(cell_rows, 3)
+        strip = (step * strip_rows + 1, shape[1])
         y, x = np.divmod(element_dofs, shape[1])  # (K, nloc): the local offsets of each kind
         offsets = np.stack([y[:, None, :] - y[:, :, None], x[:, None, :] - x[:, :, None]], -1)
         stencil, position = np.unique(offsets.reshape(-1, 2), axis=0, return_inverse=True)
         position = position.reshape(kinds * nloc, nloc)
-        used = np.zeros(shape + (len(stencil),), dtype=bool)
+        n = shape[0] * shape[1]
+        dtype = np.int32 if n * len(stencil) < 2**31 else np.int64  # of the whole lattice, not the strip
+        slices = [(slice(rows.start, rows.start + step * strip_rows, step), columns) for rows, columns in slices]
+        used = np.zeros(strip + (len(stencil),), dtype=bool)
         for at, slots in zip(slices, position):
             used[at][..., slots] = True
-        total = np.cumsum(used, dtype=np.int32 if used.size < 2**31 else np.int64).reshape(used.shape)
-        n = shape[0] * shape[1]
-        indptr = np.zeros(n + 1, dtype=total.dtype)
+        total = np.cumsum(used, dtype=dtype).reshape(used.shape)
+        indptr = np.zeros(strip[0] * strip[1] + 1, dtype=dtype)
         indptr[1:] = total[..., -1].ravel()  # the slots used up to the end of each row
-        columns = (np.arange(n, dtype=total.dtype)[:, None] + (stencil @ [shape[1], 1]).astype(total.dtype))
-        # Per slice (ny, nx, nloc) -> (t, nloc, nloc), triangle t = cell * K + kind.
+        columns = np.arange(strip[0] * strip[1], dtype=dtype)[:, None] + (stencil @ [shape[1], 1]).astype(dtype)
+        # Per slice (rows of cells, nx, nloc) -> (rows of cells, nx * K, nloc, nloc), triangle t = cell * K + kind.
         entries = np.stack([total[at][..., slots] for at, slots in zip(slices, position)]) - 1
-        entries = entries.reshape(kinds, nloc, -1, nloc).transpose(2, 0, 1, 3).reshape(-1, nloc, nloc)
+        entries = entries.reshape(kinds, nloc, strip_rows, -1, nloc).transpose(2, 3, 0, 1, 4)
+        entries = entries.reshape(strip_rows, -1, nloc, nloc)
+
+        # The period, lattice rows 1..step, ends at point head; its translates go in after it.
+        copies = cell_rows - strip_rows
+        points, head = step * shape[1], (step + 1) * shape[1]
+        period = int(indptr[head] - indptr[shape[1]])  # its slots
+        indices = _with_translates(columns.ravel()[used.ravel()], int(indptr[head]), period, copies, points)
+        indptr = _with_translates(indptr, head + 1, points, copies, period)
+        entries = _with_translates(entries, min(2, strip_rows), 1, copies, period)
         # scipy picks the index dtype; the stored arrays are shared by every matrix.
-        template = CsrMatrix((np.zeros(indptr[-1]), columns.ravel()[used.ravel()], indptr), shape=(n, n))
+        template = CsrMatrix((np.zeros(indptr[-1]), indices, indptr), shape=(n, n))
         return cls(
             indptr=template.indptr,
             indices=template.indices,
-            entries=entries.astype(template.indices.dtype, copy=False),
+            entries=entries.reshape(-1, nloc, nloc).astype(template.indices.dtype, copy=False),
             shape=(n, n),
+            lattice=shape,
+            step=step,
         )
 
     def matrix(self, data: np.ndarray) -> CsrMatrix:
@@ -214,15 +261,22 @@ class SparsityPattern:
         """Sum of the element matrices (K, r, nloc, t_k), or (K, r, nloc, 1) for one per kind.
 
         They are the rows of the first r <= nloc local dofs; the slots of the other rows stay 0.
+        One matrix per kind sums only the rows of cells 0, 1 and ny - 1: the lattice rows between
+        are copies of the period, lattice rows 1..step, bit for bit the sums over every triangle.
         """
         # One bincount into csr.data, in triangle order: t_k moves to the front, before K.
         by_cell = self.entries.reshape((-1, len(element_matrices)) + self.entries.shape[1:])
         by_cell = by_cell[:, :, : element_matrices.shape[1]]
-        data = np.bincount(
-            by_cell.ravel(),
-            weights=np.broadcast_to(np.moveaxis(element_matrices, -1, 0), by_cell.shape).ravel(),
-            minlength=self.indices.shape[0],
-        )
+        weights = np.moveaxis(element_matrices, -1, 0)
+        cell_rows = (self.lattice[0] - 1) // self.step
+        copies = max(cell_rows - 2, 0) if len(weights) == 1 else 0
+        if copies:
+            by_cell = by_cell.reshape((cell_rows, -1) + by_cell.shape[1:])[[0, 1, cell_rows - 1]]
+        data = np.bincount(by_cell.ravel(), weights=np.broadcast_to(weights, by_cell.shape).ravel(),
+                           minlength=self.indices.shape[0])
+        # Lattice rows step + 1 .. step * (ny - 1) are copies of the period, rows 1..step.
+        start, end = self.indptr[self.lattice[1]], self.indptr[(self.step + 1) * self.lattice[1]]
+        data[end: end + copies * (end - start)].reshape(copies, end - start)[:] = data[start:end]
         return self.matrix(data)
 
 

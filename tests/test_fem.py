@@ -13,6 +13,7 @@ from scipy.sparse import coo_matrix
 from nspnp.fem import (
     FieldVector,
     FunctionSpace,
+    SparsityPattern,
     assemble_convection,
     assemble_div_coupling,
     assemble_drift,
@@ -414,8 +415,13 @@ def argsort_pattern(element_dofs: np.ndarray, n: int):
     return indptr, unique % n, slots.reshape(t, nloc, nloc)
 
 
+# Meshes of more than three rows of cells: the pattern and the matrices of one element matrix per kind
+# are built on a strip of three rows and extended by translates.
+TRANSLATED_MESHES = [(2, 4), (4, 7), (9, 6), (16, 16)]
+
+
 @pytest.mark.parametrize("kind", ["p1", "p2"])
-@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 3), (3, 2), (7, 5)])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 3), (3, 2), (7, 5)] + TRANSLATED_MESHES)
 def test_sparsity_pattern_equals_the_argsort_build(nx, ny, kind):
     space = FunctionSpace(build_rect_mesh((0.0, 0.0, float(nx), float(ny)), nx, ny), kind)
     pattern = space.pattern
@@ -424,6 +430,34 @@ def test_sparsity_pattern_equals_the_argsort_build(nx, ny, kind):
         assert got.shape == want.shape
         assert got.dtype == pattern.indices.dtype
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [build_rect_mesh((0.0, 0.0, float(nx), float(ny)), nx, ny) for nx, ny in TRANSLATED_MESHES] + [sheared_mesh(6)],
+    ids=[f"{nx}x{ny}" for nx, ny in TRANSLATED_MESHES] + ["sheared6"],
+)
+def test_one_matrix_per_kind_equals_the_full_scatter(mesh, monkeypatch):
+    # Each (K, r, nloc, 1) assembly, scattered again with its element matrices repeated for every
+    # triangle, (K, r, nloc, t_k), which sums every triangle into csr.data: the same data bit for bit.
+    assemble = SparsityPattern.assemble
+    calls = []
+
+    def recording(pattern, element_matrices):
+        calls.append((pattern, element_matrices, assemble(pattern, element_matrices)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(SparsityPattern, "assemble", recording)
+    p1, p2 = FunctionSpace.p1(mesh), FunctionSpace.p2(mesh)
+    for space in (p1, p2):
+        assemble_mass(space)
+        assemble_stiffness(space)
+    assemble_div_coupling(p2, p1)
+    assert len(calls) == 6  # and two blocks of B
+    for pattern, element_matrices, matrix in calls:
+        assert element_matrices.shape[-1] == 1
+        each = np.broadcast_to(element_matrices, element_matrices.shape[:-1] + (mesh.nx * mesh.ny,))
+        np.testing.assert_array_equal(matrix.data.view(np.int64), assemble(pattern, each).data.view(np.int64))
 
 
 @pytest.mark.parametrize(
