@@ -8,47 +8,4 @@ dissipates a modified energy unconditionally; both properties are monitored
 at runtime.
 """
 
-from .mesh import StructuredTriMesh, build_rect_mesh, boundary_dofs, p2_numbering
-from .fem import (
-    FieldVector,
-    FunctionSpace,
-    QuadratureRule,
-    assemble_convection,
-    assemble_div_coupling,
-    assemble_drift,
-    assemble_load,
-    assemble_mass,
-    assemble_stiffness,
-    error_norms,
-    interpolate,
-    shape_eval,
-    tri_quadrature_degree5,
-)
-from .sparse import CsrMatrix, SolveReport, bicgstab, cg
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "StructuredTriMesh",
-    "build_rect_mesh",
-    "boundary_dofs",
-    "p2_numbering",
-    "FieldVector",
-    "FunctionSpace",
-    "QuadratureRule",
-    "assemble_convection",
-    "assemble_div_coupling",
-    "assemble_drift",
-    "assemble_load",
-    "assemble_mass",
-    "assemble_stiffness",
-    "error_norms",
-    "interpolate",
-    "shape_eval",
-    "tri_quadrature_degree5",
-    "CsrMatrix",
-    "SolveReport",
-    "bicgstab",
-    "cg",
-    "__version__",
-]

@@ -9,10 +9,11 @@ order-of-reduction surprises.
 Every product goes through ``matvec``, which calls scipy's CSR kernel
 ``csr_matvec``, the one ``matrix @ x`` runs, on a zeroed output array, so a
 product is bit for bit that of ``matrix @ x`` without its dispatch and its
-allocation.  ``cg`` and ``bicgstab`` write their products and updates into
-work arrays shaped like the right-hand side and make no product that the
-answer does not need: no A x0 without a start, and no second b - A x after
-the convergence check computed it.
+allocation.  ``cg`` and ``bicgstab`` share one set-up and one report
+(``_solve``), write their products and updates into work arrays shaped like
+the right-hand side and make no product that the answer does not need: no
+A x0 without a start, no second b - A x after a convergence check computed
+it, and none for a restart from an x that has not moved since.
 
 ``GridSolver`` inverts sigma M⊗M + M⊗K + K⊗M, M⊗K + K⊗M being the P1
 stiffness of a uniform mesh whose cells are all cut along one diagonal, by
@@ -300,93 +301,12 @@ def cg(
 
     A start whose residual exceeds that right-hand side is worse than zero
     (a velocity carrying a projection's boundary layer can be), so cg drops
-    it, with no product: the solve is bit for bit that from zero and g.
-
-    x, r and p are updated in place, and the products and the scaled
-    updates go into two work arrays.  The reported residual is the true one
-    that the convergence check computed, or b - A x computed once on any
-    other exit.
+    it, with no product: the solve is bit for bit that from zero and g.  A
+    recurrence residual within tol is checked against b - A x; on a near
+    miss, the true one not within tol, the directions restart from it, at
+    most five times, and a sixth stops the iteration.
     """
-    b = np.array(b, dtype=float)  # a copy, lifted and pinned below
-    n = b.shape[-1]
-    if b.ndim > 2 or matrix.shape != (n, n):
-        raise ValueError(f"shape mismatch: matrix {matrix.shape}, rhs {b.shape}")
-    if x0 is not None and np.shape(x0) != b.shape:
-        raise ValueError(f"shape mismatch: x0 {np.shape(x0)}, rhs {b.shape}")
-    if max_iter is None:
-        max_iter = 10 * b.size
-    x = np.zeros(b.shape) if x0 is None else np.array(x0, dtype=float)
-    # The fixed entries of the flattened stack, and x0's values there; x holds the free part until the return.
-    fixed = np.empty(0, dtype=np.intp) if fixed is None else (np.arange(b.size // n)[:, None] * n + fixed).ravel()
-    g = x.take(fixed)
-    if np.any(g):
-        lift = np.zeros(b.shape)
-        lift.put(fixed, g)
-        b -= matvec(matrix, lift)
-    x.put(fixed, 0.0)
-    b.put(fixed, g)
-
-    def pin(v):  # zero the fixed entries of v, in place
-        v.put(fixed, 0.0)
-        return v
-
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(b.shape), SolveReport(iterations=0, residual=0.0, converged=True)
-    if preconditioner is None:
-        preconditioner = jacobi(matrix)
-
-    q = np.empty(b.shape)  # A p, and A x when the residual is recomputed
-    scaled = np.empty(b.shape)  # alpha p, then alpha q
-    r = pin(b.copy() if x0 is None else b - matvec(matrix, x))  # no product without a start
-    rnorm = np.linalg.norm(r)
-    if rnorm > bnorm:  # a start worse than zero, dropped
-        x.fill(0.0)
-        r = pin(b.copy())
-        rnorm = np.linalg.norm(r)
-    true_residual = True  # r is b - A x, not the recurrence
-    z = pin(preconditioner(r))
-    p = z.copy()
-    rz = float(np.vdot(r, z))
-    iterations = 0
-    refreshes = 0
-    converged = rnorm <= tol * bnorm
-    while not converged and iterations < max_iter and np.isfinite(rnorm):
-        pin(matvec(matrix, p, out=q))
-        pq = float(np.vdot(p, q))
-        if pq <= 0.0:
-            break  # lost positive definiteness (numerically), report as is
-        alpha = rz / pq
-        x += np.multiply(alpha, p, out=scaled)
-        r -= np.multiply(alpha, q, out=scaled)
-        true_residual = False
-        iterations += 1
-        rnorm = np.linalg.norm(r)
-        if rnorm <= tol * bnorm:
-            # The recurrence residual drifts from the true one near the end;
-            # verify against b - A x and, on a near miss, keep iterating from
-            # the recomputed residual instead of reporting failure.
-            pin(np.subtract(b, matvec(matrix, x, out=q), out=r))
-            true_residual = True
-            rnorm = np.linalg.norm(r)
-            if rnorm <= tol * bnorm or refreshes >= 5:
-                break
-            refreshes += 1
-            z = pin(preconditioner(r))
-            np.copyto(p, z)
-            rz = float(np.vdot(r, z))
-            continue
-        z = pin(preconditioner(r))
-        rz_next = float(np.vdot(r, z))
-        p *= rz_next / rz
-        p += z
-        rz = rz_next
-
-    if not true_residual:
-        rnorm = np.linalg.norm(pin(np.subtract(b, matvec(matrix, x, out=q), out=r)))
-    residual = float(rnorm / bnorm)
-    x.put(fixed, g)
-    return x, SolveReport(iterations=iterations, residual=residual, converged=bool(residual <= tol))
+    return _solve(_cg, matrix, b, x0, tol, max_iter, preconditioner, fixed=fixed, stacks=True)
 
 
 def bicgstab(
@@ -398,108 +318,178 @@ def bicgstab(
     *,
     preconditioner,
 ):
-    """Right-preconditioned stabilized biconjugate gradients (van der Vorst).
+    """Right-preconditioned stabilized biconjugate gradients (van der Vorst, 1992).
 
-    Returns (x, SolveReport).  preconditioner, a map r -> z approximating
-    the inverse of the matrix, is applied on the right, so the residual the
-    method monitors is that of the unpreconditioned system.  On a rho
-    breakdown the method restarts once from the current iterate with a fresh
-    shadow residual; a second breakdown reports failure, and so does a
-    non-finite residual norm.  The products go into work arrays through
-    matvec; the reported residual is the last b - A x computed at the answer.
+    Returns (x, SolveReport).  b is a vector.  preconditioner, a map r -> z
+    approximating the inverse of the matrix, is applied on the right, so
+    the residual the method monitors is that of the unpreconditioned
+    system.  A restart re-seeds the recurrence and the shadow residual from
+    the true residual b - A x (Barrett et al., Templates, 1994).  A
+    breakdown, rho small against ||r_shadow|| ||r|| or a zero denominator
+    of alpha, restarts once, and a second one stops the iteration.  A
+    recurrence residual within tol, at the half step or the full one, is
+    checked against b - A x; a near miss, the true one not within tol,
+    restarts at most five times, and a sixth stops the iteration.  So do
+    t = A s_hat = 0, omega = 0 and a non-finite residual norm.
     """
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if b.ndim != 1 or matrix.shape != (n, n):
+    return _solve(_bicgstab, matrix, b, x0, tol, max_iter, preconditioner)
+
+
+def _solve(method, matrix, b, x0, tol, max_iter, preconditioner, fixed=None, stacks=False):
+    """The set-up and the report of cg and bicgstab, around method, which does the iterations.
+
+    Checks the shapes (b a vector, or with stacks also a stack (k, n)),
+    copies b and x0 as floats, lifts b by the fixed values and returns zero
+    at once for a zero right-hand side.  method(product, precondition, b,
+    x, start, bnorm, tol, max_iter) sees b and x zeroed on the fixed
+    entries, and every product(v, out), A v written into out, and
+    precondition(r) it makes is zeroed there too.  It updates x in place
+    and returns its iteration count and the norm of the last true residual
+    b - A x, which the report divides by bnorm.
+    """
+    b = np.array(b, dtype=float)  # a copy, lifted and pinned below
+    n = b.shape[-1]
+    if b.ndim > 1 + stacks or matrix.shape != (n, n):
         raise ValueError(f"shape mismatch: matrix {matrix.shape}, rhs {b.shape}")
     if x0 is not None and np.shape(x0) != b.shape:
         raise ValueError(f"shape mismatch: x0 {np.shape(x0)}, rhs {b.shape}")
-    if max_iter is None:
-        max_iter = 10 * n
+    x = np.zeros(b.shape) if x0 is None else np.array(x0, dtype=float)
+    # The fixed entries of the flattened stack, and x0's values there; x holds the free part until the return.
+    fixed = np.empty(0, dtype=np.intp) if fixed is None else (np.arange(b.size // n)[:, None] * n + fixed).ravel()
+    g = x.take(fixed)
+    if np.any(g):
+        lift = np.zeros(b.shape)
+        lift.put(fixed, g)
+        b -= matvec(matrix, lift)
+    x.put(fixed, 0.0)
+    b.put(fixed, g)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros(n), SolveReport(iterations=0, residual=0.0, converged=True)
+        return np.zeros(b.shape), SolveReport(iterations=0, residual=0.0, converged=True)
+    b.put(fixed, 0.0)
+    if preconditioner is None:
+        preconditioner = jacobi(matrix)
 
-    product = np.empty(n)  # A x for a residual
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b.copy() if x0 is None else b - matvec(matrix, x)
-    r_shadow = r.copy()
-    rho = alpha = omega = 1.0
-    v = np.zeros(n)
-    t = np.empty(n)
-    p = np.zeros(n)
-    iterations = 0
-    restarted = False
-    refreshes = 0
-    rnorm = shadow_norm = np.linalg.norm(r)  # ||r|| and ||r_shadow||, for the breakdown test
-    converged = rnorm <= tol * bnorm
-    verified = rnorm  # the last ||b - A xv|| computed; None once x moves without one
+    def pin(v):  # zero the fixed entries of v, in place
+        v.put(fixed, 0.0)
+        return v
 
-    def residual_norm(xv) -> float:
-        nonlocal verified
-        verified = np.linalg.norm(b - matvec(matrix, xv, out=product))
-        return verified
+    iterations, rnorm = method(
+        lambda v, out: pin(matvec(matrix, v, out=out)), lambda r: pin(preconditioner(r)),
+        b, x, x0 is not None, bnorm, tol, 10 * b.size if max_iter is None else max_iter,
+    )
+    residual = float(rnorm / bnorm)
+    x.put(fixed, g)
+    return x, SolveReport(iterations=iterations, residual=residual, converged=bool(residual <= tol))
 
-    def refresh():
-        # Re-seed the recurrence from the true residual at the current x.
-        nonlocal r, r_shadow, rho, alpha, omega, rnorm, shadow_norm
-        r = b - matvec(matrix, x, out=product)
-        r_shadow = r.copy()
-        rnorm = shadow_norm = np.linalg.norm(r)
-        rho = alpha = omega = 1.0
-        v[:] = 0.0
-        p[:] = 0.0
 
-    while not converged and iterations < max_iter and np.isfinite(rnorm):
+def _cg(product, precondition, b, x, start, bnorm, tol, max_iter):
+    """The iterations of cg.  x, r and p are updated in place, the products and scaled updates go into q and scaled."""
+    bound = tol * bnorm
+    q = np.empty(b.shape)  # A p, and A x when the residual is recomputed
+    scaled = np.empty(b.shape)  # alpha p, then alpha q
+    r = b - product(x, q) if start else b.copy()  # no product without a start
+    rnorm = np.linalg.norm(r)
+    if rnorm > bnorm:  # a start worse than zero, dropped
+        x.fill(0.0)
+        r = b.copy()
+        rnorm = np.linalg.norm(r)
+    true_residual = True  # r is b - A x, not the recurrence
+    z = precondition(r)
+    p = z.copy()
+    rz = float(np.vdot(r, z))
+    iterations = restarts = 0
+    while bound < rnorm < np.inf and iterations < max_iter:
+        pq = float(np.vdot(p, product(p, q)))
+        if pq <= 0.0:
+            break  # lost positive definiteness (numerically), report as is
+        alpha = rz / pq
+        x += np.multiply(alpha, p, out=scaled)
+        r -= np.multiply(alpha, q, out=scaled)
+        iterations += 1
+        rnorm = np.linalg.norm(r)
+        true_residual = rnorm <= bound
+        if true_residual:  # the recurrence drifts from b - A x near the end: check it
+            rnorm = np.linalg.norm(np.subtract(b, product(x, q), out=r))
+            if rnorm <= bound or restarts == 5:
+                break
+            restarts += 1
+        z = precondition(r)
+        rz_next = float(np.vdot(r, z))
+        if true_residual:  # a near miss: restart the directions from b - A x
+            np.copyto(p, z)
+        else:
+            p *= rz_next / rz
+            p += z
+        rz = rz_next
+    if not true_residual:
+        rnorm = np.linalg.norm(np.subtract(b, product(x, q), out=r))
+    return iterations, rnorm
+
+
+def _bicgstab(product, precondition, b, x, start, bnorm, tol, max_iter):
+    """The iterations of bicgstab.
+
+    residual is b - A x, computed at the start and at each convergence
+    check.  Each seed of the recurrence, the start and every restart, takes
+    it as r and as the shadow residual, computed anew only if x has moved.
+    """
+    bound = tol * bnorm
+    ax, v, t = np.empty(b.shape), np.empty(b.shape), np.empty(b.shape)  # A x, A p_hat, A s_hat
+    residual = b - product(x, ax) if start else b.copy()  # no product without a start
+    moved = False  # x has moved since residual was computed
+    iterations = breakdowns = near_misses = 0
+    seed = True
+    while True:
+        if seed:
+            if moved:
+                residual, moved = b - product(x, ax), False
+            r = r_shadow = residual  # none of the three is updated in place
+            rnorm = shadow_norm = np.linalg.norm(r)  # ||r|| and ||r_shadow||, for the breakdown test
+            rho = alpha = omega = 1.0
+            p = np.zeros(b.shape)
+            v.fill(0.0)
+            seed = False
+        if not (bound < rnorm < np.inf and iterations < max_iter):
+            break
         rho_next = float(r_shadow @ r)
-        if abs(rho_next) < _BREAKDOWN * max(1.0, float(shadow_norm * rnorm)):
-            if restarted:
+        breakdown = abs(rho_next) < _BREAKDOWN * shadow_norm * rnorm
+        if not breakdown:
+            beta = (rho_next / rho) * (alpha / omega)
+            p = r + beta * (p - omega * v)
+            p_hat = precondition(p)
+            denom = float(r_shadow @ product(p_hat, v))
+            breakdown = denom == 0.0
+        if breakdown:
+            if breakdowns:
                 break
-            # Restart from the current iterate with a fresh shadow residual.
-            restarted = True
-            refresh()
-            continue
-        beta = (rho_next / rho) * (alpha / omega)
-        p = r + beta * (p - omega * v)
-        p_hat = preconditioner(p)
-        matvec(matrix, p_hat, out=v)
-        denom = float(r_shadow @ v)
-        if denom == 0.0:
-            if restarted:
-                break
-            restarted = True
-            refresh()
+            breakdowns, seed = 1, True
             continue
         alpha = rho_next / denom
         s = r - alpha * v
         iterations += 1
-        if np.linalg.norm(s) <= tol * bnorm and residual_norm(x + alpha * p_hat) <= tol * bnorm:
+        if np.linalg.norm(s) <= bound:  # the half step's recurrence residual is within tol
             x += alpha * p_hat
-            converged = True
-            break
-        s_hat = preconditioner(s)
-        matvec(matrix, s_hat, out=t)
-        tt = float(t @ t)
-        if tt == 0.0:
-            x += alpha * p_hat
-            converged = residual_norm(x) <= tol * bnorm
-            break
-        omega = float(t @ s) / tt
-        x += alpha * p_hat + omega * s_hat
-        verified = None
-        r = s - omega * t
-        rho = rho_next
-        if omega == 0.0:
-            break
-        rnorm = np.linalg.norm(r)
-        if rnorm <= tol * bnorm:
-            if residual_norm(x) <= tol * bnorm:
-                converged = True
+        else:
+            s_hat = precondition(s)
+            tt = float(t @ product(s_hat, t))
+            if tt == 0.0:
+                x += alpha * p_hat
+                moved = True
                 break
-            if refreshes >= 5:
+            omega = float(t @ s) / tt
+            x += alpha * p_hat + omega * s_hat
+            moved = True
+            r = s - omega * t
+            rho = rho_next
+            if omega == 0.0:
                 break
-            refreshes += 1
-            refresh()
-
-    residual = float((residual_norm(x) if verified is None else verified) / bnorm)
-    return x, SolveReport(iterations=iterations, residual=residual, converged=bool(residual <= tol))
+            rnorm = np.linalg.norm(r)
+            if rnorm > bound:
+                continue
+        # The recurrence residual is within tol: check it against b - A x, and restart from that on a near miss.
+        residual, moved = b - product(x, ax), False
+        if np.linalg.norm(residual) <= bound or near_misses == 5:
+            break
+        near_misses, seed = near_misses + 1, True
+    return iterations, np.linalg.norm(b - product(x, ax) if moved else residual)

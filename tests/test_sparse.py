@@ -634,3 +634,141 @@ def test_bicgstab_requires_a_preconditioner():
     a = sp.csr_matrix(random_spd(6, seed=2))
     with pytest.raises(TypeError, match="preconditioner"):
         bicgstab(a, np.ones(6))
+
+
+# The recovery paths of the Krylov solvers.  Each test pins the product count of its path
+# and that the report's residual is the true relative residual of the returned x.
+
+
+def true_relative_residual(a, b, x) -> float:
+    return float(np.linalg.norm(b - sp.csr_matrix(a) @ x) / np.linalg.norm(b))
+
+
+def identity(r):
+    return r.copy()
+
+
+class DriftingCsr(CountingCsr):
+    """A CountingCsr whose product number `drift`, counted from 1, uses the matrix scaled by 1 + 1e-6.
+
+    The recurrence residual takes the drift, as it takes round-off, and the
+    true residual b - A x does not: near the end the two part.
+    """
+
+    def __init__(self, matrix, drift: int):
+        super().__init__(matrix)
+        self.drift = drift
+
+    @property
+    def data(self):
+        self.products += 1
+        return self.matrix.data * (1.0 + 1e-6) if self.products == self.drift else self.matrix.data
+
+
+def test_cg_restarts_from_the_true_residual_on_a_near_miss():
+    # The first product drifts: the recurrence reaches tol while b - A x keeps the drift, so
+    # the check fails, the directions restart from b - A x, and the second check passes.
+    a = sp.csr_matrix(random_spd(20, seed=4))
+    b = np.sin(np.arange(20, dtype=float))
+    drifting = DriftingCsr(a, drift=1)
+    x, report = cg(drifting, b, tol=1e-10)
+    assert report.converged
+    assert drifting.products == report.iterations + 2  # one per iteration, two checks
+    _, clean = cg(a, b, tol=1e-10)
+    assert report.iterations > clean.iterations
+    assert report.residual == true_relative_residual(a, b, x)
+
+
+@pytest.mark.parametrize("solver", ["cg", "bicgstab"])
+def test_six_near_misses_report_failure(solver):
+    # tol = 1e-17 lies below the round-off floor of b - A x (about 1e-16 here), not of the
+    # recurrence: every check is a near miss, five restart, and the sixth stops the solve.
+    if solver == "cg":
+        a, b = random_spd(20, seed=4), np.sin(np.arange(20, dtype=float))
+        counting = CountingCsr(sp.csr_matrix(a))
+        x, report = cg(counting, b, tol=1e-17)
+        assert counting.products == report.iterations + 6
+    else:
+        # 16 iterations, one of which ends at the half step: 16 + 15 products, and six checks.
+        a, b = nonsymmetric(30)
+        counting = CountingCsr(sp.csr_matrix(a))
+        x, report = bicgstab(counting, b, tol=1e-17, preconditioner=jacobi(a))
+        assert (report.iterations, counting.products) == (16, 37)
+    assert not report.converged and report.residual < 1e-15
+    assert report.residual == true_relative_residual(a, b, x)
+
+
+@pytest.mark.parametrize("n, half_steps", [(20, 2), (30, 0)], ids=["half step", "full step"])
+def test_bicgstab_restarts_from_the_true_residual_on_a_near_miss(n, half_steps):
+    # The first product drifts.  n = 20: the near miss and the answer come at half steps, each
+    # moving x by alpha p_hat and checking it with no second product; n = 30: both at full
+    # steps.  Two products per iteration, less one per half step, and two checks; the
+    # restart starts from the residual of the failed check, with no product of its own.
+    a, b = nonsymmetric(n)
+    drifting = DriftingCsr(sp.csr_matrix(a), drift=1)
+    x, report = bicgstab(drifting, b, tol=1e-10, preconditioner=jacobi(a))
+    assert report.converged
+    assert drifting.products == 2 * report.iterations - half_steps + 2
+    assert report.iterations == {20: 12, 30: 10}[n]
+    assert report.residual == true_relative_residual(a, b, x)
+
+
+def test_bicgstab_restarts_once_on_a_rho_breakdown():
+    # The first row of A is e_1^T and b = e_1, so alpha = 1 and, whatever the other rows, the
+    # first entries of s, t = A s and r_1 are exactly 0: rho = (r_shadow, r_1) = 0 in the second
+    # iteration.  The
+    # restart takes b - A x (one product) as r and shadow; x_1 = 1 solves the first row, and
+    # the 2x2 rest converges at the half step of the third iteration.
+    a = np.array([[1.0, 0.0, 0.0], [2.0, 3.0, 1.0], [1.0, 1.0, 4.0]])
+    b = np.array([1.0, 0.0, 0.0])
+    counting = CountingCsr(sp.csr_matrix(a))
+    x, report = bicgstab(counting, b, preconditioner=identity)
+    assert report.converged and report.iterations == 3
+    assert counting.products == 2 + 1 + 2 + 2  # an iteration, the restart, an iteration, a half step and its check
+    assert report.residual == true_relative_residual(a, b, x)
+
+
+def test_bicgstab_reports_failure_on_a_second_breakdown():
+    # A skew matrix: (r, A r) = 0 for every r, so the denominator of alpha vanishes at once, and
+    # again after the restart from the unmoved x, whose residual b is reused.
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    b = np.array([1.0, 0.0])
+    counting = CountingCsr(sp.csr_matrix(a))
+    x, report = bicgstab(counting, b, preconditioner=identity)
+    assert report == SolveReport(iterations=0, residual=1.0, converged=False)
+    assert counting.products == 2  # A p before each breakdown
+    np.testing.assert_array_equal(x, 0.0)
+    assert report.residual == true_relative_residual(a, b, x)
+
+
+@pytest.mark.parametrize("exit", ["t = 0", "omega = 0"])
+def test_bicgstab_stops_when_t_or_omega_vanishes(exit):
+    # t = 0: A is singular and s = (-1, 1) spans its kernel; x takes the half step.
+    # omega = 0: the symmetric part of A is diag(1, 0) and s = (0, 1), so (t, s) = 0.
+    # Each makes A p and A s_hat, and b - A x for the report; x = alpha p = b in both.
+    a = {"t = 0": np.array([[1.0, 1.0], [0.0, 0.0]]), "omega = 0": np.array([[1.0, 1.0], [-1.0, 0.0]])}[exit]
+    b = {"t = 0": np.array([1.0, 1.0]), "omega = 0": np.array([1.0, 0.0])}[exit]
+    counting = CountingCsr(sp.csr_matrix(a))
+    x, report = bicgstab(counting, b, preconditioner=identity)
+    assert report == SolveReport(iterations=1, residual=1.0, converged=False)
+    assert counting.products == 3
+    np.testing.assert_array_equal(x, b)
+    assert report.residual == true_relative_residual(a, b, x)
+
+
+def test_bicgstab_breakdown_test_is_relative():
+    # Scaling b by a power of two scales every iterate exactly, so a tiny b takes the same
+    # iterations: rho is compared with the norms of r and the shadow residual alone.
+    a, b = nonsymmetric(30)
+    x, report = bicgstab(sp.csr_matrix(a), b, tol=1e-10, preconditioner=jacobi(a))
+    tiny = 2.0**-60
+    x_tiny, report_tiny = bicgstab(sp.csr_matrix(a), tiny * b, tol=1e-10, preconditioner=jacobi(a))
+    assert report_tiny == report and report.converged
+    np.testing.assert_array_equal(x_tiny, tiny * x)
+
+
+def test_bicgstab_rejects_a_stacked_rhs():
+    # cg solves a (2, n) stack as one system; bicgstab takes a vector only.
+    a = sp.csr_matrix(random_spd(6, seed=2))
+    with pytest.raises(ValueError, match=r"shape mismatch: matrix \(6, 6\), rhs \(2, 6\)"):
+        bicgstab(a, np.ones((2, 6)), preconditioner=jacobi(a))
