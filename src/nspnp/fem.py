@@ -54,6 +54,13 @@ element entries in the same triangle order: assembly sums only the rows of
 cells 0, 1 and ny - 1 and copies the period into the rows between.  The
 convection and drift blocks vary per triangle and sum every triangle.
 
+The divergence coupling B has its own slots: its row of a vertex is the
+vertex's row of the P2 pattern, the x half and then the y half, whose
+columns are moved by n.  It is built the same way, on vertex rows 0, 1 and
+ny, with translates of vertex row 1 between them, and its data sums the
+rows of cells 0, 1 and ny - 1 into B's slots.  No P2-pattern matrix is
+assembled for it.
+
 Field evaluators
 ----------------
 Analytic fields are callables f(x, y, t) operating elementwise on ndarrays of
@@ -78,7 +85,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import hstack
 
 from .mesh import StructuredTriMesh, boundary_dofs, dof_lattice, p2_node_coords, p2_numbering
 from .sparse import CsrMatrix
@@ -304,8 +310,8 @@ def _triangle_geometry(mesh: StructuredTriMesh, rule: QuadratureRule):
         geometry = (
             0.5 * det,
             np.concatenate([-jinv_t.sum(axis=2, keepdims=True), jinv_t], axis=2),
-            # x and y of the physical quadrature points, each (K, q, t_k).
-            np.ascontiguousarray((rule.points @ verts).transpose(3, 1, 2, 0)),
+            # x and y of the physical quadrature points, each (K, q, t_k): one GEMM per kind and coordinate.
+            rule.points @ np.ascontiguousarray(verts.transpose(3, 1, 2, 0)),
         )
         for array in geometry:
             array.flags.writeable = False
@@ -505,19 +511,50 @@ def assemble_div_coupling(vel_space: FunctionSpace, pres_space: FunctionSpace) -
     components first, then y.  Used transposed to apply pressure gradients to
     the momentum equation and directly to measure the divergence of the
     tentative velocity.
+
+    Row i, vertex i, holds the columns of the vertex's row of the P2 pattern,
+    then the same columns + n, on slots of B's own (the module docstring says
+    how they and the data are built from three rows).
     """
     if (vel_space.kind, pres_space.kind) != ("p2", "p1"):
         raise ValueError("div coupling needs (p2, p1) spaces")
     if vel_space.mesh is not pres_space.mesh:
         raise ValueError("spaces live on different meshes")
-    # Per component d, one element matrix per kind, int q_i d_d psi_j, is the rows of the first three
-    # local P2 dofs, the vertices, on the P2 pattern; B's block is the rows of the vertices, the
-    # even-even lattice points.
-    elem = np.einsum("k,q,qi,kdqj->dkij", vel_space.kind_area, vel_space.rule.weights,
+    mesh, pattern, n = vel_space.mesh, vel_space.pattern, vel_space.n_dofs
+    width, vertices, copies = pattern.lattice[1], mesh.nx + 1, max(mesh.ny - 2, 0)
+    # The strip, vertex rows 0, 1 and ny: each vertex's P2 row, its x then its y half.  Row ny's
+    # columns go back by the translates that go in before it.
+    kept = np.unique([0, 1, mesh.ny])
+    points = (2 * width * kept[:, None] + np.arange(0, width, 2)).ravel()
+    counts = np.repeat(pattern.indptr[points + 1] - pattern.indptr[points], 2)
+    ends = np.cumsum(counts, dtype=pattern.indptr.dtype)
+    source = np.arange(ends[-1]) + np.repeat(np.repeat(pattern.indptr[points], 2) - ends + counts, counts)
+    moved = np.repeat(np.where(kept == mesh.ny, -copies * 2 * width, 0), vertices)
+    shift = (moved[:, None] + [0, n]).ravel().astype(pattern.indices.dtype)
+    indices = pattern.indices[source] + np.repeat(shift, counts)
+    indptr = np.zeros(len(points) + 1, dtype=ends.dtype)
+    indptr[1:] = ends[1::2]
+    # The period, vertex row 1, ends at vertex 2 * vertices; its translates go in after it.
+    start, end = int(indptr[vertices]), int(indptr[2 * vertices])
+    indices = _with_translates(indices, end, end - start, copies, 2 * width)
+    indptr = _with_translates(indptr, 2 * vertices + 1, vertices, copies, end - start)
+
+    # Per component d, one element matrix per kind, int q_i d_d psi_j, on the rows of the first three
+    # local P2 dofs, the vertices.  Entry (i, j) goes to the P2 slot's place in vertex i's row of B.
+    elem = np.einsum("k,q,qi,kdqj->kdij", vel_space.kind_area, vel_space.rule.weights,
                      pres_space.basis_values, vel_space.tables[:, 1:])
-    rows = np.arange(vel_space.n_dofs).reshape(vel_space.lattice_shape)[::2, ::2].ravel()
-    blocks = [vel_space.pattern.assemble(e[..., None])[rows] for e in elem]
-    return hstack(blocks, format="csr")
+    cells = [0, 1, mesh.ny - 1] if copies else list(range(mesh.ny))
+    per_row = len(elem) * mesh.nx  # triangles in a row of cells
+    vertex = pres_space.element_dofs.reshape(mesh.ny, per_row, 3)[cells]
+    first = indptr[vertex] - pattern.indptr[vel_space.element_dofs.reshape(mesh.ny, per_row, 6)[cells, :, :3]]
+    half = (indptr[vertex + 1] - indptr[vertex]) // 2
+    slots = pattern.entries.reshape(mesh.ny, per_row, 6, 6)[cells, :, None, :3] + np.stack(
+        [first, first + half], axis=2)[..., None]
+    slots = slots.reshape(len(cells), mesh.nx, *elem.shape)
+    data = np.bincount(slots.ravel(), weights=np.broadcast_to(elem, slots.shape).ravel(), minlength=indptr[-1])
+    # Vertex rows 2 .. ny - 1 are copies of the period.
+    data[end: end + copies * (end - start)].reshape(copies, end - start)[:] = data[start:end]
+    return CsrMatrix((data, indices, indptr), shape=(pres_space.n_dofs, 2 * n))
 
 
 def assemble_load(space: FunctionSpace, f, t: float) -> FieldVector:

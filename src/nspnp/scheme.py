@@ -195,14 +195,14 @@ class Operators:
     and stiffness matrices on the P1 pattern, the grid solver of their
     pure Neumann stiffness (vertex_grid), the scalar P2 mass and stiffness
     that act on each row of a (2, n) velocity with their LatticeSolver
-    (velocity_lattice), the divergence coupling B (B^T is its transposed
-    view), the velocity's Dirichlet dofs, which the solves pass to cg as
-    fixed, and the Jacobi preconditioner of the projection on the P2 mass.
-    The systems that depend on tau (M/tau + A of the velocity and of the
-    transport, each preconditioned by its solver shifted to sigma = 1/tau)
-    are built for the tau last asked for and kept until another tau is
-    asked for, on the patterns and the solvers' modes built here.  The mesh
-    must be the uniform grid of its bounds, as build_rect_mesh makes it.
+    (velocity_lattice), the divergence coupling B and B^T (div_t, its
+    transposed view), the velocity's Dirichlet dofs, which the solves pass
+    to cg as fixed, and the Jacobi preconditioner of the projection on the
+    P2 mass.  The systems that depend on tau (M/tau + A of the velocity and
+    of the transport, each preconditioned by its solver shifted to sigma =
+    1/tau) are built for the tau last asked for and kept until another tau
+    is asked for, on the patterns and the solvers' modes built here.  The
+    mesh must be the uniform grid of its bounds, as build_rect_mesh makes it.
     """
 
     def __init__(self, mesh: StructuredTriMesh, velocity_bc=None):
@@ -220,6 +220,7 @@ class Operators:
         self.stiff_p2 = assemble_stiffness(self.velocity_space)
         self.velocity_lattice = LatticeSolver(self.mass_p2, self.stiff_p2, self.velocity_space.lattice_shape, mesh.h)
         self.div = assemble_div_coupling(self.velocity_space, self.scalar_space)
+        self.div_t = self.div.T
         self.velocity_bc = velocity_bc
         # ones^T M as a vector: integral of a P1 field is mass_row @ values.
         self.mass_row = self.mass_p1 @ np.ones(self.scalar_space.n_dofs)
@@ -285,7 +286,7 @@ class Operators:
 
     def pressure_load(self, p: np.ndarray) -> np.ndarray:
         """B^T p of a P1 pressure as a (2, n) load: (p, div v_i) for each P2 v_i."""
-        return (self.div.T @ p).reshape(2, -1)
+        return (self.div_t @ p).reshape(2, -1)
 
     def integral_mean(self, values: np.ndarray) -> float:
         return float(self.mass_row @ values) / self.area

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, hstack
 
 from nspnp.fem import (
     FieldVector,
@@ -367,6 +367,15 @@ def test_function_space_rejects_a_mesh_whose_triangle_kinds_are_not_translates()
             FunctionSpace(moved, kind)
 
 
+def test_function_space_rejects_a_clockwise_mesh():
+    # Every triangle's last two vertices swapped: each kind is still a set of translates, but clockwise.
+    mesh = build_rect_mesh((0.0, 0.0, 1.0, 1.0), 4, 4)
+    clockwise = dataclasses.replace(mesh, triangles=mesh.triangles[:, [0, 2, 1]])
+    for kind in ("p1", "p2"):
+        with pytest.raises(ValueError, match="non-counterclockwise"):
+            FunctionSpace(clockwise, kind)
+
+
 def test_p1_and_p2_spaces_share_quadrature_points():
     # Analytic data is evaluated once per step on the P1 points and loaded on both spaces.
     mesh = build_rect_mesh((0.0, 0.0, 1.0, 0.75), 4, 3)
@@ -440,6 +449,7 @@ def test_sparsity_pattern_equals_the_argsort_build(nx, ny, kind):
 def test_one_matrix_per_kind_equals_the_full_scatter(mesh, monkeypatch):
     # Each (K, r, nloc, 1) assembly, scattered again with its element matrices repeated for every
     # triangle, (K, r, nloc, t_k), which sums every triangle into csr.data: the same data bit for bit.
+    # So is B, which copies its period the same way, against every triangle scattered into its slots.
     assemble = SparsityPattern.assemble
     calls = []
 
@@ -452,12 +462,22 @@ def test_one_matrix_per_kind_equals_the_full_scatter(mesh, monkeypatch):
     for space in (p1, p2):
         assemble_mass(space)
         assemble_stiffness(space)
-    assemble_div_coupling(p2, p1)
-    assert len(calls) == 6  # and two blocks of B
+    b = assemble_div_coupling(p2, p1)
+    assert len(calls) == 4  # B has its own slots
     for pattern, element_matrices, matrix in calls:
         assert element_matrices.shape[-1] == 1
         each = np.broadcast_to(element_matrices, element_matrices.shape[:-1] + (mesh.nx * mesh.ny,))
         np.testing.assert_array_equal(matrix.data.view(np.int64), assemble(pattern, each).data.view(np.int64))
+    # B: every triangle's entries, in triangle order, into the slots of B's own (row, column) keys.
+    elem = np.einsum("k,q,qi,kdqj->kdij", p2.kind_area, p2.rule.weights, p1.basis_values, p2.tables[:, 1:])
+    elem = np.tile(elem, (mesh.nx * mesh.ny, 1, 1, 1))  # (t, 2, 3, 6), triangle t of kind t % 2
+    columns = p2.element_dofs[:, None, None, :] + p2.n_dofs * np.arange(2)[:, None, None]
+    keys = p1.element_dofs[:, None, :, None] * b.shape[1] + columns  # (t, 2, 3, 6)
+    slot_keys = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr)) * b.shape[1] + b.indices
+    slots = np.searchsorted(slot_keys, keys)
+    np.testing.assert_array_equal(slot_keys[slots], keys)
+    data = np.bincount(slots.ravel(), weights=elem.ravel(), minlength=b.nnz)
+    np.testing.assert_array_equal(b.data.view(np.int64), data.view(np.int64))
 
 
 @pytest.mark.parametrize(
@@ -480,6 +500,42 @@ def test_transport_kernels_reject_p2_spaces():
         assemble_convection(u, p2)
     with pytest.raises(ValueError, match="P1"):
         assemble_drift(FieldVector(p2, np.ones(p2.n_dofs)))
+
+
+def full_pattern_div_coupling(vel: FunctionSpace, pres: FunctionSpace):
+    """B as two P2-pattern assemblies of a component each, their vertex rows stacked side by side."""
+    elem = np.einsum("k,q,qi,kdqj->dkij", vel.kind_area, vel.rule.weights, pres.basis_values, vel.tables[:, 1:])
+    rows = np.arange(vel.n_dofs).reshape(vel.lattice_shape)[::2, ::2].ravel()
+    return hstack([vel.pattern.assemble(e[..., None])[rows] for e in elem], format="csr")
+
+
+# Square, rectangular, one to three rows of cells, translated (more than three rows) and sheared.
+ORACLE_MESHES = [build_rect_mesh((0.0, 0.0, float(nx), float(ny)), nx, ny)
+                 for nx, ny in [(1, 1), (4, 4), (2, 1), (5, 1), (1, 2), (3, 2), (4, 3), (1, 3), (5, 4), (3, 7), (9, 6)]]
+ORACLE_MESHES += [build_rect_mesh((0.0, 0.0, 1.0, 0.75), 4, 3), sheared_mesh(6)]
+ORACLE_IDS = [f"{m.nx}x{m.ny}" for m in ORACLE_MESHES[:-2]] + ["4x3-unit", "sheared6"]
+
+
+@pytest.mark.parametrize("mesh", ORACLE_MESHES, ids=ORACLE_IDS)
+def test_div_coupling_equals_the_full_pattern_construction(mesh):
+    p1, p2 = FunctionSpace.p1(mesh), FunctionSpace.p2(mesh)
+    got, want = assemble_div_coupling(p2, p1), full_pattern_div_coupling(p2, p1)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    np.testing.assert_array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+@pytest.mark.parametrize("mesh", ORACLE_MESHES, ids=ORACLE_IDS)
+def test_quadrature_points_equal_the_batched_matmul(mesh):
+    # One (q, 3) x (3, t_k) GEMM per kind and coordinate against a (q, 3) x (3, 2) product per triangle.
+    verts = mesh.vertices[mesh.triangles.reshape(-1, min(2, mesh.n_triangles), 3)]  # (t_k, K, 3, 2)
+    rule = tri_quadrature_degree5()
+    want = np.ascontiguousarray((rule.points @ verts).transpose(3, 1, 2, 0))
+    got = FunctionSpace.p1(mesh).quad_xy
+    assert got.shape == want.shape and got.flags.c_contiguous
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_div_coupling_on_linear_fields():
