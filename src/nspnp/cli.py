@@ -75,7 +75,6 @@ class RunConfig:
 
     case: str
     nx: int | None = None
-    ny: int | None = None
     tau: float | None = None
     taus: tuple[float, ...] | None = None
     t_final: float | None = None
@@ -144,7 +143,7 @@ def parse_config(text: str) -> RunConfig:
                     f"line {lineno}: unknown case {raw!r}; expected one of {', '.join(CASES)}"
                 )
             fields["case"] = raw
-        elif key in ("nx", "ny"):
+        elif key == "nx":
             value = _parse_int(raw, key, lineno)
             if value < 1:
                 raise ConfigError(f"line {lineno}: {key} must be positive, got {value}")
@@ -198,11 +197,7 @@ def parse_config(text: str) -> RunConfig:
 def _resolve(config: RunConfig):
     """Fill case defaults and build the case and its operators."""
     case = case_by_name(config.case)
-    try:
-        ops = case_operators(case, config.nx, config.ny)
-    except ValueError as exc:  # a mesh the config describes cannot be built
-        raise ConfigError(str(exc)) from None
-    return case, ops
+    return case, case_operators(case, config.nx)
 
 
 def _params(config: RunConfig, case, tau: float) -> SchemeParams:

@@ -45,21 +45,23 @@ form from a stencil of lattice offsets, with no sort of element entries.
 
 The grid is uniform, so every lattice row off the frame (y = 1 .. s*ny - 1,
 s = 1 for P1 and 2 for P2) is a translate of row 1 + (y - 1) % s: the same
-slot counts, columns moved by whole lattice rows.  The pattern is therefore
-built on the strip of the first three rows of cells and extended by
-translates of its period, lattice rows 1..s.  A matrix with one element
-matrix per kind (mass, stiffness, the divergence coupling) also has the same
-data in every period, bit for bit, since each slot there sums the same
-element entries in the same triangle order: assembly sums only the rows of
-cells 0, 1 and ny - 1 and copies the period into the rows between.  The
-convection and drift blocks vary per triangle and sum every triangle.
+slot counts, columns moved by whole lattice rows.  So every set-up array is
+built on the strip, the first min(ny, 3) rows of cells, and grown by one
+path: max(ny - 3, 0) translates of the strip's period, lattice rows 1..s, go
+in after the period.  The pattern grows its indptr and indices at once, and
+the slots of every triangle (entries) on first use, since only the
+per-triangle convection and drift blocks read them.  A matrix with one
+element matrix per kind (mass, stiffness, the divergence coupling) sums the
+strip's triangles into the strip's slots and grows its data the same way,
+its translates moved by 0: each slot of a period sums the same element
+entries in the same triangle order, so that is bit for bit the sum over
+every triangle.
 
 The divergence coupling B has its own slots: its row of a vertex is the
 vertex's row of the P2 pattern, the x half and then the y half, whose
-columns are moved by n.  It is built the same way, on vertex rows 0, 1 and
-ny, with translates of vertex row 1 between them, and its data sums the
-rows of cells 0, 1 and ny - 1 into B's slots.  No P2-pattern matrix is
-assembled for it.
+columns are moved by n.  Its strip is the vertex rows of the P2 strip, and
+it grows by translates of vertex row 1.  No P2-pattern matrix is assembled
+for it.
 
 Field evaluators
 ----------------
@@ -176,29 +178,47 @@ def shape_eval(kind: str, bary) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _with_translates(a: np.ndarray, split: int, period: int, copies: int, shift: int) -> np.ndarray:
-    """a[:split], then a[split - period:split] + k * shift for k = 1, ..., copies, then a[split:] + copies * shift."""
+    """a[:split], then a[split - period:split] + k * shift for k = 1, ..., copies, then a[split:] + copies * shift.
+
+    csr.data takes shift 0; indices shift by the points of a period, indptr and entries by its slots.
+    """
     out = np.empty((len(a) + copies * period,) + a.shape[1:], dtype=a.dtype)
     out[:split] = a[:split]
     block = out[split: split + copies * period].reshape((copies, period) + a.shape[1:])
-    steps = np.arange(shift, (copies + 1) * shift, shift, dtype=a.dtype).reshape((-1,) + (1,) * a.ndim)
+    steps = (shift * np.arange(1, copies + 1, dtype=a.dtype)).reshape((-1,) + (1,) * a.ndim)
     np.add(a[split - period: split], steps, out=block)
     np.add(a[split:], copies * shift, out=out[split + copies * period:])
     return out
+
+
+def _grow(indptr: np.ndarray, first: int, end: int, copies: int, a: np.ndarray | None = None, shift: int = 0):
+    """The indptr, or with a the slot array a (indices, data), of a CSR strip grown by its period's translates.
+
+    copies translates of rows first..end-1 go in after them; a's move by shift (data by 0).
+    """
+    start, stop = int(indptr[first]), int(indptr[end])
+    if a is None:
+        return _with_translates(indptr, end + 1, end - first, copies, stop - start)
+    return _with_translates(a, stop, stop - start, copies, shift)
 
 
 @dataclass(frozen=True)
 class SparsityPattern:
     """CSR structure of the square matrices that couple the dofs of a space.
 
-    entries[t, i, j] is the index into csr.data of the entry that couples
-    local dofs i and j of triangle t.  Columns are sorted within each row.
-    The dofs are the points of a row-major lattice of shape (rows, columns),
-    step lattice rows to a row of cells.
+    The dofs are the points of a row-major lattice of shape (rows, columns), step lattice rows to
+    a row of cells; columns are sorted within each row.  indptr and indices are the whole matrix's,
+    shared by every matrix on it.  The strip (module docstring) keeps its own, and strip_entries[r,
+    c, i, j] is the slot of the strip's csr.data that couples local dofs i and j of triangle c of
+    cell row r; copies translates of its period, lattice rows 1..step, make the whole matrix.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    entries: np.ndarray  # (t, nloc, nloc)
+    strip_indptr: np.ndarray
+    strip_indices: np.ndarray
+    strip_entries: np.ndarray  # (rows of cells, triangles in a row, nloc, nloc)
+    copies: int
     shape: tuple[int, int]
     lattice: tuple[int, int]
     step: int
@@ -211,16 +231,12 @@ class SparsityPattern:
         the lattice slice of local dof i of the kind's triangles, cell by cell (FunctionSpace._slices).
         So entry (i, j) of a kind couples the points of one slice to a constant offset of a fixed
         stencil.  Every point gets the whole stencil, sorted row-major: one strided assignment per
-        slice marks the slots its triangles use, and a cumsum over the marks numbers them.
-
-        That is done on the strip of the first min(ny, 3) rows of cells (the module docstring says why
-        it suffices): max(ny - 3, 0) translates of its period, lattice rows 1..step, go in after the
-        period, and each row of cells 1..ny-2 has the entries of row 1 moved by whole periods.
+        slice marks the slots its triangles use, and a cumsum over the marks numbers them.  That is
+        done on the strip, whose indptr and indices then grow into the whole matrix's.
         """
         kinds, nloc = element_dofs.shape
         step = slices[0][0].step
-        cell_rows = (shape[0] - 1) // step
-        strip_rows = min(cell_rows, 3)
+        strip_rows = min((shape[0] - 1) // step, 3)
         strip = (step * strip_rows + 1, shape[1])
         y, x = np.divmod(element_dofs, shape[1])  # (K, nloc): the local offsets of each kind
         offsets = np.stack([y[:, None, :] - y[:, :, None], x[:, None, :] - x[:, :, None]], -1)
@@ -240,24 +256,27 @@ class SparsityPattern:
         entries = np.stack([total[at][..., slots] for at, slots in zip(slices, position)]) - 1
         entries = entries.reshape(kinds, nloc, strip_rows, -1, nloc).transpose(2, 3, 0, 1, 4)
         entries = entries.reshape(strip_rows, -1, nloc, nloc)
-
-        # The period, lattice rows 1..step, ends at point head; its translates go in after it.
-        copies = cell_rows - strip_rows
-        points, head = step * shape[1], (step + 1) * shape[1]
-        period = int(indptr[head] - indptr[shape[1]])  # its slots
-        indices = _with_translates(columns.ravel()[used.ravel()], int(indptr[head]), period, copies, points)
-        indptr = _with_translates(indptr, head + 1, points, copies, period)
-        entries = _with_translates(entries, min(2, strip_rows), 1, copies, period)
+        indices = columns.ravel()[used.ravel()]
+        copies = (shape[0] - 1) // step - strip_rows
+        grow = (indptr, shape[1], (step + 1) * shape[1], copies)  # the period, lattice rows 1..step
+        full = _grow(*grow)
         # scipy picks the index dtype; the stored arrays are shared by every matrix.
-        template = CsrMatrix((np.zeros(indptr[-1]), indices, indptr), shape=(n, n))
-        return cls(
-            indptr=template.indptr,
-            indices=template.indices,
-            entries=entries.reshape(-1, nloc, nloc).astype(template.indices.dtype, copy=False),
-            shape=(n, n),
-            lattice=shape,
-            step=step,
-        )
+        template = CsrMatrix((np.zeros(full[-1]), _grow(*grow, indices, step * shape[1]), full), shape=(n, n))
+        dtype = template.indices.dtype
+        return cls(template.indptr, template.indices, indptr.astype(dtype, copy=False),
+                   indices.astype(dtype, copy=False), entries.astype(dtype, copy=False), copies, (n, n), shape, step)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """entries[t, i, j], (t, nloc, nloc): the slot of csr.data that couples local dofs i and j of triangle t.
+
+        Grown from the strip's on first use, by the matrices that differ per triangle: each row of
+        cells 1 .. ny - 2 has the entries of row 1, moved by whole periods.
+        """
+        width = self.lattice[1]
+        period = int(self.strip_indptr[(self.step + 1) * width] - self.strip_indptr[width])  # its slots
+        grown = _with_translates(self.strip_entries, min(2, len(self.strip_entries)), 1, self.copies, period)
+        return grown.reshape((-1,) + grown.shape[2:])
 
     def matrix(self, data: np.ndarray) -> CsrMatrix:
         """The matrix with the given csr.data on this pattern."""
@@ -267,22 +286,18 @@ class SparsityPattern:
         """Sum of the element matrices (K, r, nloc, t_k), or (K, r, nloc, 1) for one per kind.
 
         They are the rows of the first r <= nloc local dofs; the slots of the other rows stay 0.
-        One matrix per kind sums only the rows of cells 0, 1 and ny - 1: the lattice rows between
-        are copies of the period, lattice rows 1..step, bit for bit the sums over every triangle.
+        One matrix per kind is summed into the strip's slots and grown like the indices, by copies
+        of the period's data: bit for bit the sum over every triangle.
         """
-        # One bincount into csr.data, in triangle order: t_k moves to the front, before K.
-        by_cell = self.entries.reshape((-1, len(element_matrices)) + self.entries.shape[1:])
-        by_cell = by_cell[:, :, : element_matrices.shape[1]]
         weights = np.moveaxis(element_matrices, -1, 0)
-        cell_rows = (self.lattice[0] - 1) // self.step
-        copies = max(cell_rows - 2, 0) if len(weights) == 1 else 0
-        if copies:
-            by_cell = by_cell.reshape((cell_rows, -1) + by_cell.shape[1:])[[0, 1, cell_rows - 1]]
+        per_triangle = len(weights) > 1
+        entries, slots = (self.entries, self.indices) if per_triangle else (self.strip_entries, self.strip_indices)
+        # One bincount into csr.data, in triangle order: t_k moves to the front, before K.
+        by_cell = entries.reshape((-1,) + weights.shape[1:2] + entries.shape[-2:])[:, :, : weights.shape[2]]
         data = np.bincount(by_cell.ravel(), weights=np.broadcast_to(weights, by_cell.shape).ravel(),
-                           minlength=self.indices.shape[0])
-        # Lattice rows step + 1 .. step * (ny - 1) are copies of the period, rows 1..step.
-        start, end = self.indptr[self.lattice[1]], self.indptr[(self.step + 1) * self.lattice[1]]
-        data[end: end + copies * (end - start)].reshape(copies, end - start)[:] = data[start:end]
+                           minlength=len(slots))
+        if not per_triangle:
+            data = _grow(self.strip_indptr, self.lattice[1], (self.step + 1) * self.lattice[1], self.copies, data)
         return self.matrix(data)
 
 
@@ -513,48 +528,37 @@ def assemble_div_coupling(vel_space: FunctionSpace, pres_space: FunctionSpace) -
     tentative velocity.
 
     Row i, vertex i, holds the columns of the vertex's row of the P2 pattern,
-    then the same columns + n, on slots of B's own (the module docstring says
-    how they and the data are built from three rows).
+    then the same columns + n, on slots of B's own, built on the vertex rows
+    of the P2 pattern's strip (the module docstring says how).
     """
     if (vel_space.kind, pres_space.kind) != ("p2", "p1"):
         raise ValueError("div coupling needs (p2, p1) spaces")
     if vel_space.mesh is not pres_space.mesh:
         raise ValueError("spaces live on different meshes")
-    mesh, pattern, n = vel_space.mesh, vel_space.pattern, vel_space.n_dofs
-    width, vertices, copies = pattern.lattice[1], mesh.nx + 1, max(mesh.ny - 2, 0)
-    # The strip, vertex rows 0, 1 and ny: each vertex's P2 row, its x then its y half.  Row ny's
-    # columns go back by the translates that go in before it.
-    kept = np.unique([0, 1, mesh.ny])
-    points = (2 * width * kept[:, None] + np.arange(0, width, 2)).ravel()
-    counts = np.repeat(pattern.indptr[points + 1] - pattern.indptr[points], 2)
-    ends = np.cumsum(counts, dtype=pattern.indptr.dtype)
-    source = np.arange(ends[-1]) + np.repeat(np.repeat(pattern.indptr[points], 2) - ends + counts, counts)
-    moved = np.repeat(np.where(kept == mesh.ny, -copies * 2 * width, 0), vertices)
-    shift = (moved[:, None] + [0, n]).ravel().astype(pattern.indices.dtype)
-    indices = pattern.indices[source] + np.repeat(shift, counts)
-    indptr = np.zeros(len(points) + 1, dtype=ends.dtype)
-    indptr[1:] = ends[1::2]
-    # The period, vertex row 1, ends at vertex 2 * vertices; its translates go in after it.
-    start, end = int(indptr[vertices]), int(indptr[2 * vertices])
-    indices = _with_translates(indices, end, end - start, copies, 2 * width)
-    indptr = _with_translates(indptr, 2 * vertices + 1, vertices, copies, end - start)
+    pattern, n, vertices = vel_space.pattern, vel_space.n_dofs, vel_space.mesh.nx + 1
+    # The strip's vertex rows: each vertex's P2 row, its x then its y half.
+    ptr = pattern.strip_indptr
+    points = np.arange(len(ptr) - 1).reshape(-1, pattern.lattice[1])[::2, ::2].ravel()
+    counts = np.repeat(ptr[points + 1] - ptr[points], 2)
+    ends = np.cumsum(counts, dtype=ptr.dtype)
+    source = np.arange(ends[-1]) + np.repeat(np.repeat(ptr[points], 2) - ends + counts, counts)
+    indices = pattern.strip_indices[source] + np.tile(np.array([0, n], dtype=ptr.dtype), len(points)).repeat(counts)
+    indptr = np.insert(ends[1::2], 0, 0)
 
     # Per component d, one element matrix per kind, int q_i d_d psi_j, on the rows of the first three
     # local P2 dofs, the vertices.  Entry (i, j) goes to the P2 slot's place in vertex i's row of B.
     elem = np.einsum("k,q,qi,kdqj->kdij", vel_space.kind_area, vel_space.rule.weights,
                      pres_space.basis_values, vel_space.tables[:, 1:])
-    cells = [0, 1, mesh.ny - 1] if copies else list(range(mesh.ny))
-    per_row = len(elem) * mesh.nx  # triangles in a row of cells
-    vertex = pres_space.element_dofs.reshape(mesh.ny, per_row, 3)[cells]
-    first = indptr[vertex] - pattern.indptr[vel_space.element_dofs.reshape(mesh.ny, per_row, 6)[cells, :, :3]]
+    entries = pattern.strip_entries.reshape(-1, 6, 6)
+    vertex = pres_space.element_dofs[: len(entries)]
+    first = indptr[vertex] - ptr[vel_space.element_dofs[: len(entries), :3]]
     half = (indptr[vertex + 1] - indptr[vertex]) // 2
-    slots = pattern.entries.reshape(mesh.ny, per_row, 6, 6)[cells, :, None, :3] + np.stack(
-        [first, first + half], axis=2)[..., None]
-    slots = slots.reshape(len(cells), mesh.nx, *elem.shape)
+    slots = (entries[:, None, :3] + np.stack([first, first + half], axis=1)[..., None]).reshape((-1,) + elem.shape)
     data = np.bincount(slots.ravel(), weights=np.broadcast_to(elem, slots.shape).ravel(), minlength=indptr[-1])
-    # Vertex rows 2 .. ny - 1 are copies of the period.
-    data[end: end + copies * (end - start)].reshape(copies, end - start)[:] = data[start:end]
-    return CsrMatrix((data, indices, indptr), shape=(pres_space.n_dofs, 2 * n))
+    # The period, vertex row 1, moves by the 2 * width points of a P2 period.
+    grow = (indptr, vertices, 2 * vertices, pattern.copies)
+    return CsrMatrix((_grow(*grow, data), _grow(*grow, indices, 2 * pattern.lattice[1]), _grow(*grow)),
+                     shape=(pres_space.n_dofs, 2 * n))
 
 
 def assemble_load(space: FunctionSpace, f, t: float) -> FieldVector:

@@ -281,11 +281,10 @@ def exact_eval(case: ManufacturedCase, field: str, x, y, t, grad: bool = False):
     return grad_fn(x, y, t) if grad else value_fn(x, y, t)
 
 
-def case_operators(case: ManufacturedCase, nx: int | None = None, ny: int | None = None):
-    """Operators on the case's rectangle, nx by ny cells; nx defaults to case.nx, ny to nx."""
+def case_operators(case: ManufacturedCase, nx: int | None = None):
+    """Operators on the case's square, nx by nx cells; nx defaults to case.nx."""
     nx = case.nx if nx is None else nx
-    ny = nx if ny is None else ny
-    return Operators(build_rect_mesh(case.bounds, nx, ny), velocity_bc=case.velocity_bc)
+    return Operators(build_rect_mesh(case.bounds, nx, nx), velocity_bc=case.velocity_bc)
 
 
 def run_case(case: ManufacturedCase, params: SchemeParams, ops=None):

@@ -45,7 +45,6 @@ def test_parse_full_config_and_comments():
 # full option surface
 case = example2   # trailing comment
 nx = 16
-ny = 12
 taus = 0.1, 0.05 0.025
 t_final = 0.1
 c0 = 7.5
@@ -56,7 +55,7 @@ emit_svg = yes
 """
     config = parse_config(text)
     assert config.case == "example2"
-    assert (config.nx, config.ny) == (16, 12)
+    assert config.nx == 16
     assert config.taus == (0.1, 0.05, 0.025)
     assert config.t_final == 0.1
     assert config.c0 == 7.5
@@ -230,7 +229,7 @@ def test_main_empty_tau_list_is_usage_error(tmp_path, capsys):
         ("run", "case=example3\nnx=4\ntau=nan\nt_final=0.1\n", "line 3: tau must be finite"),
         ("run", "case=example3\nnx=4\ntau=inf\nt_final=0.1\n", "line 3: tau must be finite"),
         ("run", "case=example3\nnx=4\ntau=0.1\nt_final=0.1\nc0=inf\n", "line 5: c0 must be finite"),
-        ("run", "case=example3\nnx=4\nny=6\ntau=0.1\nt_final=0.1\n", "anisotropic cells"),
+        ("run", "case=example3\nnx=4\nny=6\ntau=0.1\nt_final=0.1\n", "line 3: unknown key 'ny'"),
         ("run", "case=example3\nnx=4\ntau=1e-300\nt_final=1e10\n", "tau=1e-300 overflows"),
         ("convergence", "case=example1\nnx=4\ntaus=0.1 1e-300\nt_final=1e10\n", "tau=1e-300 overflows"),
     ],

@@ -30,7 +30,7 @@ from nspnp.fem import (
     tri_quadrature_degree5,
 )
 from nspnp.mesh import StructuredTriMesh, build_rect_mesh
-from nspnp.scheme import SchemeParams, _momentum_forcing, solve_xi
+from nspnp.scheme import Operators, SchemeParams, _momentum_forcing, solve_xi
 
 # Element matrices on the unit right triangle (0,0)-(1,0)-(0,1), local order
 # [v0, v1, v2, m12, m20, m01], integrated exactly: mass scaled by 360, grad-grad
@@ -478,6 +478,19 @@ def test_one_matrix_per_kind_equals_the_full_scatter(mesh, monkeypatch):
     np.testing.assert_array_equal(slot_keys[slots], keys)
     data = np.bincount(slots.ravel(), weights=elem.ravel(), minlength=b.nnz)
     np.testing.assert_array_equal(b.data.view(np.int64), data.view(np.int64))
+
+
+def test_set_up_grows_no_pattern_entries():
+    # A pattern's slots of every triangle are grown from the strip's on first use, and only the
+    # per-triangle transport blocks use them: the set-up grows them for neither space.
+    ops = Operators(build_rect_mesh((0.0, 0.0, 1.0, 1.0), 8, 8))
+    p1, p2 = ops.scalar_space, ops.velocity_space
+    assert "entries" not in vars(p1.pattern) and "entries" not in vars(p2.pattern)
+    assemble_drift(interpolate(p1, lambda x, y, t: x - y * y, 0.0))
+    assert "entries" in vars(p1.pattern) and "entries" not in vars(p2.pattern)
+    grown = p1.pattern.entries
+    assemble_convection(interpolate(p2, lambda x, y, t: np.stack([x * y, -y]), 0.0), p1)
+    assert p1.pattern.entries is grown and "entries" not in vars(p2.pattern)
 
 
 @pytest.mark.parametrize(
